@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples validate clean
+.PHONY: install test bench bench-smoke bench-pytest bench-only examples validate clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -10,7 +10,17 @@ install:
 test:
 	$(PYTHON) -m pytest tests/ -q
 
+# The benchmark of record (bench/README.md): every workload of
+# BENCHMARK.json, each in a fresh process.
 bench:
+	$(PYTHON) bench/run.py
+
+bench-smoke:
+	$(PYTHON) bench/run.py --smoke
+	$(PYTHON) -m pytest bench/tests -q
+
+# The older per-subsystem pytest benches.
+bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ -q
 
 bench-only:

@@ -39,6 +39,10 @@ class BGPView:
         self.entries: List[RibEntry] = []
         self._origins: Dict[Prefix, Set[int]] = defaultdict(set)
         self._trie: Optional[PrefixTrie] = None
+        # Longest-match answers per address, beside the trie: collection
+        # asks about the same few thousand hop addresses hundreds of
+        # thousands of times.  Cleared with the trie in add().
+        self._addr_origins: Dict[int, Tuple[int, ...]] = {}
         self._neighbors: Optional[Dict[int, Set[int]]] = None
 
     def add(self, entry: RibEntry) -> None:
@@ -48,6 +52,7 @@ class BGPView:
         self.entries.append(entry)
         self._origins[entry.prefix].add(entry.origin)
         self._trie = None
+        self._addr_origins.clear()
         self._neighbors = None
 
     # -- prefix → origin -------------------------------------------------------
@@ -69,8 +74,11 @@ class BGPView:
     def origins_of_addr(self, addr: int) -> Tuple[int, ...]:
         """Origin ASes of the longest matching announced prefix (may be
         empty — the address is unrouted; may have several — MOAS)."""
-        found = self._origin_trie().lookup_value(addr)
-        return found if found is not None else ()
+        found = self._addr_origins.get(addr)
+        if found is None:
+            found = self._origin_trie().lookup_value(addr) or ()
+            self._addr_origins[addr] = found
+        return found
 
     def lookup(self, addr: int) -> Optional[Tuple[Prefix, Tuple[int, ...]]]:
         return self._origin_trie().lookup(addr)

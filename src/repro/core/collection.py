@@ -207,10 +207,7 @@ class Collector:
         collection through one :class:`RoundRobinScheduler` — N VPs then
         probe concurrently in virtual time (§5.8).
         """
-        groups = group_by_origin(
-            TargetBlock(block=t.block, origins=t.origins)
-            for t in self._targets()
-        )
+        groups = group_by_origin(self._targets())
         return [self._target_task(key, groups[key]) for key in sorted(groups)]
 
     def run_traceroutes(self) -> None:

@@ -462,10 +462,7 @@ class EpochCollector(Collector):
         self.stats.traces_probed += len(fresh)
 
     def run_traceroutes(self) -> None:
-        groups = group_by_origin(
-            TargetBlock(block=t.block, origins=t.origins)
-            for t in self._targets()
-        )
+        groups = group_by_origin(self._targets())
         for key in sorted(groups):
             blocks = groups[key]
             candidate_sigs = self._candidate_sigs(blocks)

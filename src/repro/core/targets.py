@@ -9,6 +9,7 @@ connectivity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
@@ -34,19 +35,23 @@ class TargetBlock:
 
 
 def build_targets(view: BGPView, vp_ases: Iterable[int]) -> List[TargetBlock]:
-    """All target blocks, ordered by address."""
+    """All target blocks, ordered by address.
+
+    A sorted sweep: ``view.prefixes()`` is ordered by (address, length)
+    and prefixes either nest or are disjoint, so the more-specifics of a
+    prefix are exactly the prefixes that follow it and start no later
+    than its last address.
+    """
     vp_set = set(vp_ases)
     prefixes = view.prefixes()
+    firsts = [prefix.first for prefix in prefixes]
     targets: List[TargetBlock] = []
-    for prefix in prefixes:
+    for index, prefix in enumerate(prefixes):
         origins = tuple(sorted(view.origins(prefix)))
         if not origins or set(origins) & vp_set:
             continue
-        more_specifics = [
-            block_of(other)
-            for other in prefixes
-            if other != prefix and prefix.contains_prefix(other)
-        ]
+        end = bisect_right(firsts, prefix.last, index + 1)
+        more_specifics = [block_of(other) for other in prefixes[index + 1:end]]
         for block in subtract_blocks(block_of(prefix), more_specifics):
             targets.append(TargetBlock(block=block, origins=origins))
     targets.sort(key=lambda t: (t.block.first, t.block.last))

@@ -10,7 +10,7 @@ behaviour) is produced here from per-router policies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..errors import ProbeError
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
@@ -21,7 +21,7 @@ from .faults import FaultPlan
 from .ipid import IPIDState
 from .packet import Probe, ProbeKind, Response, ResponseKind
 from .policies import RateLimiter, RouterPolicy, SourceSel
-from .routing import RoutingOracle, StepKind
+from .routing import RoutingOracle, Step, StepKind
 
 _MAX_HOPS = 64
 _DEFAULT_POLICY = RouterPolicy()
@@ -36,6 +36,60 @@ class VantagePoint:
     pop_id: int
     addr: int
     first_router: int
+
+
+class _Route:
+    """The static part of the walk from one first router toward one
+    destination, recorded hop by hop as far as probes have needed it.
+
+    Hop ``i`` (0-based) is at ``routers[i]``, where the oracle decided
+    ``steps[i]``; the probe reached it after ``delays[i]`` ms of
+    propagation and entered it over a border when ``i`` is in
+    ``borders``.  ``stop`` is the first ARRIVE/HOST/UNREACHABLE hop once
+    known.  All of it is a function of the static topology (the oracle
+    memoizes the same steps); router policies, faults, congestion and the
+    clock are read per probe.
+    """
+
+    __slots__ = ("first_router", "dst", "routers", "steps", "delays",
+                 "borders", "stop")
+
+    def __init__(self, first_router: int, dst: int) -> None:
+        self.first_router = first_router
+        self.dst = dst
+        self.routers: List[int] = [first_router]
+        self.steps: List[Step] = []
+        self.delays: List[float] = [0.5]  # VP access segment
+        self.borders: List[int] = []
+        self.stop: Optional[int] = None
+
+    def extend(self, network: "Network", limit: int) -> None:
+        """Record hops up to index ``limit``, or up to the stop.
+
+        Only called without congestion, so a link's delay is its
+        propagation term of :meth:`Network._link_delay` alone."""
+        if self.stop is not None:
+            return
+        steps, routers, delays = self.steps, self.routers, self.delays
+        step_of = network.oracle.step
+        links = network.internet.links
+        dst = self.dst
+        index = len(steps)
+        router_id, delay = routers[index], delays[index]
+        while index <= limit:
+            step = step_of(router_id, dst)
+            steps.append(step)
+            if step.kind is not StepKind.FORWARD:
+                self.stop = index
+                return
+            if step.link_id is not None:
+                delay += links[step.link_id].igp_cost * 0.75
+            router_id = step.next_router  # type: ignore[assignment]
+            routers.append(router_id)
+            delays.append(delay)
+            index += 1
+            if step.crosses_border:
+                self.borders.append(index)
 
 
 class Network:
@@ -62,6 +116,10 @@ class Network:
         # Instrumentation sink; NULL_REGISTRY keeps the zero-obs hot
         # path at one no-op call per probe.
         self.metrics: MetricsRegistry = NULL_REGISTRY
+        # The most recent route walked without faults or congestion.  One
+        # entry is enough: a traceroute sends all its TTLs toward one
+        # destination back to back, and a larger memo only costs memory.
+        self._route: Optional[_Route] = None
 
     def attach_metrics(self, registry: MetricsRegistry) -> None:
         """Adopt the run's shared registry; fault stats become views
@@ -77,11 +135,12 @@ class Network:
         rate limiters, and RNG streams to exactly what a freshly
         constructed ``Network(internet, seed)`` would hold, without paying
         for a topology rebuild.  The routing oracle is deliberately *not*
-        reset: its memoized state (class routes, intra tables, step memo)
-        is a pure function of the static topology, so keeping it warm
-        cannot change behaviour — this is what lets a parallel worker run
-        several VPs back-to-back with per-VP-fresh determinism while
-        paying the route computations once.
+        reset, nor is the route memo: their state (class routes, intra
+        tables, step memo, recorded route) is a pure function of the
+        static topology, so keeping it warm cannot change behaviour —
+        this is what lets a parallel worker run several VPs back-to-back
+        with per-VP-fresh determinism while paying the route
+        computations once.
 
         With a fault plan attached, its stats counters restart from zero
         (draw streams are pure functions of (seed, entity, time), which
@@ -269,25 +328,9 @@ class Network:
         start, dark (blacked-out) routers and lossy links eat it along the
         path, and generated replies can be suppressed (ICMP storms) or
         lost on the reverse path.  Without a plan none of these checks
-        run — the zero-fault path is a strict no-op.
+        run — the zero-fault path is a strict no-op — and, unless a link
+        is congested, the probe follows the recorded route.
         """
-        faults = self.faults
-        response = self._walk(probe, faults)
-        if response is not None and faults is not None:
-            if (
-                response.truth_router_id is not None
-                and faults.storm_suppressed(response.truth_router_id, self.now)
-            ):
-                response = None
-            elif faults.reply_lost(self.now):
-                response = None
-        self.metrics.inc(
-            "probe.answered" if response is not None else "probe.unanswered"
-        )
-        return response
-
-    def _walk(self, probe: Probe,
-              faults: Optional[FaultPlan]) -> Optional[Response]:
         vp = self.vps.get(probe.src)
         if vp is None:
             raise ProbeError("probe source %r is not a registered VP" % probe.src)
@@ -295,6 +338,87 @@ class Network:
         self.probes_sent += 1
         self.metrics.inc("probe.sent")
 
+        faults = self.faults
+        if faults is None and not self.congestion:
+            response = self._walk_route(vp, probe)
+        else:
+            response = self._walk(vp, probe, faults)
+            if response is not None and faults is not None:
+                if (
+                    response.truth_router_id is not None
+                    and faults.storm_suppressed(
+                        response.truth_router_id, self.now
+                    )
+                ):
+                    response = None
+                elif faults.reply_lost(self.now):
+                    response = None
+        self.metrics.inc(
+            "probe.answered" if response is not None else "probe.unanswered"
+        )
+        return response
+
+    def _walk_route(self, vp: VantagePoint,
+                    probe: Probe) -> Optional[Response]:
+        """The walk of :meth:`_walk` without faults or congestion, over
+        the recorded route: a probe of TTL t jumps straight to the hop
+        where its TTL runs out or the route stops, reading live router
+        policies only at the hops entered over a border (firewalls) and
+        at that final hop."""
+        route = self._route
+        if (
+            route is None
+            or route.dst != probe.dst
+            or route.first_router != vp.first_router
+        ):
+            route = self._route = _Route(vp.first_router, probe.dst)
+        expire = max(probe.ttl, 1) - 1  # the hop whose TTL decrement hits 0
+        limit = min(expire, _MAX_HOPS - 1)
+        route.extend(self, limit)
+        stop = route.stop
+        final = limit if stop is None or stop > limit else stop
+        steps = route.steps
+        routers = self.internet.routers
+
+        for hop in route.borders:
+            if hop > final or hop >= expire:
+                break
+            if steps[hop].kind is StepKind.ARRIVE:
+                break
+            router = routers[route.routers[hop]]
+            policy = self._policy(router)
+            if policy.firewall and not (
+                policy.firewall_allow_echo
+                and probe.kind is ProbeKind.ICMP_ECHO
+            ):
+                if policy.firewall_admin_reply and policy.responds_ttl_expired:
+                    src = self._expired_source(
+                        router, probe, steps[hop - 1].in_addr
+                    )
+                    return self._respond(
+                        router, probe, ResponseKind.DEST_UNREACH_ADMIN, src,
+                        route.delays[hop]
+                    )
+                return None
+
+        router = routers[route.routers[final]]
+        step = steps[final]
+        delay_ms = route.delays[final]
+        if step.kind is StepKind.ARRIVE:
+            return self._arrival(router, probe, delay_ms)
+        if final == expire:
+            in_addr = steps[final - 1].in_addr if final else None
+            return self._ttl_expired(router, probe, in_addr, delay_ms)
+        if step.kind is StepKind.HOST:
+            live = step.policy is not None and probe.dst in step.policy.live_hosts
+            return self._host_delivery(
+                router, probe, probe.ttl - final - 1, delay_ms, live
+            )
+        return None  # unreachable, or the hop cap
+
+    def _walk(self, vp: VantagePoint, probe: Probe,
+              faults: Optional[FaultPlan]) -> Optional[Response]:
+        """The hop-by-hop walk, under faults and congestion."""
         if faults is not None and faults.route_withdrawn(probe.dst, self.now):
             return None
 

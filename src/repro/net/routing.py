@@ -191,10 +191,9 @@ class RoutingOracle:
         # construction — so the walk of probe N toward a destination pays
         # the route computation once and every later probe through the same
         # (router, dst) pair is a dict hit.  This is the collection hot
-        # path: a traceroute re-walks the same prefix of routers once per
-        # TTL, and sibling targets in a /24 share almost every hop.
+        # path: every route the network's walk records is built from these
+        # steps, and sibling targets in a /24 share almost every hop.
         self._step_memo: Dict[Tuple[int, int], Step] = {}
-        self.step_memo_hits = 0
 
     # -- static structure -----------------------------------------------------
 
@@ -419,7 +418,6 @@ class RoutingOracle:
         memo_key = (router_id, dst)
         cached = self._step_memo.get(memo_key)
         if cached is not None:
-            self.step_memo_hits += 1
             return cached
         decision = self._step_uncached(router_id, dst)
         self._step_memo[memo_key] = decision

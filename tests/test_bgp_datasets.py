@@ -45,6 +45,18 @@ class TestBGPView:
         assert view.origins_of_addr(aton("10.2.0.1")) == (100,)
         assert view.origins_of_addr(aton("11.0.0.1")) == ()
 
+    def test_add_forgets_memoized_origins(self):
+        """origins_of_addr memoizes per address; a more-specific added
+        afterwards must win the next lookup."""
+        view = BGPView()
+        view.add(RibEntry(1, Prefix.parse("10.0.0.0/8"), (1, 100)))
+        addr = aton("10.1.2.3")
+        assert view.origins_of_addr(addr) == (100,)
+        assert view.origins_of_addr(addr) == (100,)
+        view.add(RibEntry(1, Prefix.parse("10.1.0.0/16"), (1, 200)))
+        assert view.origins_of_addr(addr) == (200,)
+        assert view.lookup(addr) == (Prefix.parse("10.1.0.0/16"), (200,))
+
     def test_moas_collects_all_origins(self):
         view = BGPView()
         view.add(RibEntry(1, Prefix.parse("10.0.0.0/16"), (1, 100)))

@@ -2,8 +2,16 @@
 the result model — the plumbing around the heuristics."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.addr import AddressBlock, Prefix, aton
+from repro.addr import (
+    MAX_ADDR,
+    AddressBlock,
+    Prefix,
+    aton,
+    block_of,
+    subtract_blocks,
+)
 from repro.asgraph import InferredRelationships
 from repro.bgp import BGPView, RibEntry
 from repro.core import (
@@ -14,7 +22,7 @@ from repro.core import (
     compute_nextas,
 )
 from repro.core.routergraph import InferredRouter
-from repro.core.targets import group_by_origin
+from repro.core.targets import TargetBlock, group_by_origin
 from repro.net import ResponseKind
 from repro.topology import build_scenario, mini
 
@@ -29,7 +37,79 @@ def _view(*entries):
     return view
 
 
+def _all_pairs_targets(view, vp_ases):
+    """Reference for build_targets: each prefix minus every announced
+    prefix it contains, found by comparing all pairs."""
+    vp_set = set(vp_ases)
+    prefixes = view.prefixes()
+    targets = []
+    for prefix in prefixes:
+        origins = tuple(sorted(view.origins(prefix)))
+        if not origins or set(origins) & vp_set:
+            continue
+        more_specifics = [
+            block_of(other)
+            for other in prefixes
+            if other != prefix and prefix.contains_prefix(other)
+        ]
+        for block in subtract_blocks(block_of(prefix), more_specifics):
+            targets.append(TargetBlock(block=block, origins=origins))
+    targets.sort(key=lambda t: (t.block.first, t.block.last))
+    return targets
+
+
+_ORIGINS = st.lists(st.sampled_from((100, 200, 300, 400)), min_size=1,
+                    max_size=2, unique=True)
+
+
+@st.composite
+def _nested_prefixes(draw):
+    """(prefix text, origins) pairs: /8-/16 roots with up to three levels of
+    more-specifics down to /24, some starting at their covering prefix's
+    first address, some with an adjacent sibling; prefixes drawn twice
+    with other origins are MOAS."""
+    entries = []
+
+    def more_specifics(parent, depth):
+        if depth == 3 or parent.plen == 24:
+            return
+        for _ in range(draw(st.integers(0, 3))):
+            plen = draw(st.integers(parent.plen + 1, min(24, parent.plen + 8)))
+            slots = 1 << (plen - parent.plen)
+            offset = draw(st.one_of(st.just(0), st.integers(0, slots - 1)))
+            child = Prefix(parent.addr + (offset << (32 - plen)), plen)
+            entries.append((str(child), draw(_ORIGINS)))
+            if draw(st.booleans()):
+                sibling = Prefix(child.addr ^ (1 << (32 - plen)), plen)
+                entries.append((str(sibling), draw(_ORIGINS)))
+            more_specifics(child, depth + 1)
+
+    for _ in range(draw(st.integers(1, 4))):
+        root = Prefix.of(draw(st.integers(0, MAX_ADDR)),
+                         draw(st.integers(8, 16)))
+        entries.append((str(root), draw(_ORIGINS)))
+        more_specifics(root, 1)
+    return entries
+
+
+_THREE_LEVELS = [
+    ("10.0.0.0/8", [100]),
+    ("10.0.0.0/16", [200]),
+    ("10.0.0.0/24", [300]),
+    ("10.0.1.0/24", [300]),
+    ("10.1.0.0/16", [200, 300]),
+]
+
+
 class TestBuildTargets:
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_prefixes(), st.sets(st.sampled_from((100, 200, 900))))
+    @example(_THREE_LEVELS, {100})
+    @example(_THREE_LEVELS, set())
+    def test_sweep_matches_all_pairs(self, entries, vp_ases):
+        view = _view(*entries)
+        assert build_targets(view, vp_ases) == _all_pairs_targets(view, vp_ases)
+
     def test_excludes_vp_prefixes(self):
         view = _view(("10.0.0.0/16", [100]), ("20.0.0.0/16", [200]))
         targets = build_targets(view, {100})
@@ -59,8 +139,6 @@ class TestBuildTargets:
     def test_candidate_addrs_unaligned_block(self):
         """A block that does not start on a .0 boundary is probed from its
         first address (there is no .1 to prefer)."""
-        from repro.core.targets import TargetBlock
-
         block = TargetBlock(
             block=AddressBlock(aton("128.66.0.128"), aton("128.66.0.255")),
             origins=(200,),

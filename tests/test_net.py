@@ -1,8 +1,12 @@
 """Tests for the packet-level simulator: IPID models, policies, routing
 decisions, and the forwarding walk with all its ICMP idiosyncrasies."""
 
+import hashlib
+
 import pytest
 
+from repro.bgp import collect_public_view
+from repro.core import build_targets
 from repro.net import (
     IPIDModel,
     IPIDState,
@@ -11,6 +15,7 @@ from repro.net import (
     ResponseKind,
     SourceSel,
 )
+from repro.net.faults import make_fault_plan
 from repro.net.policies import RateLimiter
 from repro.net.routing import StepKind
 from repro.rng import make_rng
@@ -401,3 +406,187 @@ class TestPolicyBehaviours:
             assert again.src == fake_addr
             return
         pytest.skip("no usable hop found")
+
+
+class TestRouteMemo:
+    """Without faults or congestion a probe walks the recorded route of
+    its (first router, destination); every answer must equal the
+    hop-by-hop walk's, which stays the reference (and the only walk under
+    faults or congestion)."""
+
+    SEED = 31
+    UNROUTED = 0xCB007107  # TEST-NET-3, never allocated
+
+    def _twins(self):
+        """Two identical scenarios; the second is pinned to the
+        hop-by-hop walk."""
+        memo = build_scenario(mini(seed=self.SEED))
+        reference = build_scenario(mini(seed=self.SEED))
+        network = reference.network
+        network._walk_route = lambda vp, probe: network._walk(vp, probe, None)
+        return memo, reference
+
+    @staticmethod
+    def _firewall(scenario):
+        """Border firewalls on the focal network's customers, cycling
+        through echo-allowed, admin-reply and silent drop."""
+        internet = scenario.internet
+        routers = sorted(
+            (
+                router
+                for asn in internet.graph.customers(scenario.focal_asn)
+                for router in internet.routers_of(asn)
+                if router.is_border
+            ),
+            key=lambda router: router.router_id,
+        )
+        for index, router in enumerate(routers):
+            router.policy.firewall = True
+            router.policy.responds_ttl_expired = True
+            router.policy.firewall_allow_echo = index % 3 == 0
+            router.policy.firewall_admin_reply = index % 3 == 1
+
+    def _destinations(self, scenario):
+        """Target candidates of every VP, live and dead host addresses,
+        router interfaces and unrouted space."""
+        internet = scenario.internet
+        view = collect_public_view(
+            internet, scenario.network.oracle, focal_asn=scenario.focal_asn
+        )
+        dsts = {self.UNROUTED}
+        for vp in scenario.vps:
+            targets = build_targets(view, internet.sibling_asns(vp.asn))
+            for target in targets[::6]:
+                dsts.update(target.candidate_addrs(2))
+        live = set()
+        for policy in internet.prefix_policies.values():
+            if policy.announced and policy.live_hosts:
+                live.update(policy.live_hosts)
+        dsts.update(sorted(live)[::4])
+        dsts.update(sorted(internet.addr_to_iface)[::25])
+        assert dsts & live and dsts - live - set(internet.addr_to_iface)
+        return sorted(dsts)
+
+    @staticmethod
+    def _probes(scenario, dsts, ttls):
+        return [
+            Probe(vp.addr, dst, ttl=ttl, kind=kind, flow_id=dst & 0xFFFF)
+            for vp in scenario.vps
+            for dst in dsts
+            for kind in ProbeKind
+            for ttl in ttls
+        ]
+
+    @staticmethod
+    def _answers(memo, reference, probes, cold):
+        """Send ``probes`` to both twins; the answers must be equal.
+        ``cold`` forgets the recorded route before every probe."""
+        answers = []
+        for probe in probes:
+            if cold:
+                memo.network._route = None
+            got = memo.network.send(probe)
+            assert got == reference.network.send(probe), probe
+            answers.append(got)
+        assert memo.network.now == reference.network.now
+        return answers
+
+    @staticmethod
+    def _kinds(answers):
+        return {None if answer is None else answer.kind for answer in answers}
+
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    def test_matches_hop_by_hop_walk(self, cold):
+        memo, reference = self._twins()
+        self._firewall(memo)
+        self._firewall(reference)
+        dsts = self._destinations(memo)
+        ascending = self._probes(memo, dsts, range(1, 33))
+        answers = self._answers(memo, reference, ascending, cold)
+        # Shorter TTLs over routes already recorded in full.
+        descending = self._probes(memo, dsts, range(32, 0, -1))
+        answers += self._answers(memo, reference, descending, cold)
+        assert memo.network._route is not None
+        assert self._kinds(answers) >= {
+            None,
+            ResponseKind.TTL_EXPIRED,
+            ResponseKind.ECHO_REPLY,
+            ResponseKind.DEST_UNREACH_PORT,
+            ResponseKind.DEST_UNREACH_ADMIN,
+            ResponseKind.TCP_RST,
+        }
+
+    def test_hop_cap(self, monkeypatch):
+        """Routes longer than ``_MAX_HOPS`` end the walk silently at the
+        cap, on both walks."""
+        monkeypatch.setattr("repro.net.network._MAX_HOPS", 4)
+        memo, reference = self._twins()
+        dsts = self._destinations(memo)[::3]
+        probes = self._probes(memo, dsts, (1, 3, 4, 5, 9, 32))
+        for cold in (True, False):
+            answers = self._answers(memo, reference, probes, cold)
+            capped = [
+                answer
+                for probe, answer in zip(probes, answers)
+                if probe.ttl > 4
+                and len(memo.network.truth_path(probe.src, probe.dst)) > 4
+            ]
+            assert capped and not any(capped)
+
+    def test_policy_change_between_probes(self):
+        """A firewall switched on after a route was recorded takes effect
+        on the next probe to the same destination (as in
+        test_firewall_blocks_transit_but_answers_ttl)."""
+        memo, reference = self._twins()
+        internet = memo.internet
+        asn, dst = next(
+            (policy.origins[0], policy.prefix.addr + 1)
+            for policy in sorted(internet.prefix_policies.values(),
+                                 key=lambda policy: policy.prefix)
+            if policy.announced
+            and len(policy.origins) == 1
+            and policy.origins[0] in internet.graph.customers(memo.focal_asn)
+            and not any(router.policy.firewall
+                        for router in internet.routers_of(policy.origins[0]))
+        )
+        vp = memo.vps[0]
+        probes = [Probe(vp.addr, dst, ttl=ttl, flow_id=dst & 0xFFFF)
+                  for ttl in range(1, 25)]
+        before = self._answers(memo, reference, probes, cold=False)
+        route = memo.network._route
+        for twin in (memo, reference):
+            for router in twin.internet.routers_of(asn):
+                router.policy.firewall = router.is_border
+                router.policy.firewall_admin_reply = True
+                router.policy.responds_ttl_expired = True
+        after = self._answers(memo, reference, probes, cold=False)
+        assert memo.network._route is route
+        assert ResponseKind.DEST_UNREACH_ADMIN not in self._kinds(before)
+        assert ResponseKind.DEST_UNREACH_ADMIN in self._kinds(after)
+
+    def test_faults_and_congestion_walk_unchanged(self):
+        """Under a fault plan and a congested link every probe takes the
+        hop-by-hop walk; its answers are pinned byte for byte."""
+        scenario = build_scenario(mini(seed=self.SEED))
+        network = scenario.network
+        vp = scenario.vps[0]
+        dst = external_target(scenario, index=2).prefix.addr + 1
+        for router_id in network.truth_path(vp.addr, dst):
+            step = network.oracle.step(router_id, dst)
+            if step.link_id is not None:
+                network.congestion.congest(step.link_id)
+        network.faults = make_fault_plan("heavy", seed=5)
+        network.advance(17 * 3600.0)  # inside the busy window
+        dsts = [external_target(scenario, index=i).prefix.addr + 1
+                for i in range(6)]
+        digest = hashlib.sha256()
+        for probe in self._probes(scenario, dsts, range(1, 33)):
+            digest.update(repr(network.send(probe)).encode())
+        assert digest.hexdigest() == FAULTED_WALK_DIGEST
+
+
+#: sha256 of the answers in TestRouteMemo.test_faults_and_congestion_walk_unchanged;
+#: the hop-by-hop walk must keep producing exactly these.
+FAULTED_WALK_DIGEST = (
+    "994b224072fb3ce12e7c73e937072028cd3b898bd7b0af77f5fcb7475928299d"
+)
