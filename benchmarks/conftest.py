@@ -5,8 +5,8 @@ validation scenarios back §5.6 and Table 1.  Each is built once per
 session; the per-benchmark timed callables are the analysis stages.
 
 ``bench_recorder`` is the shared machine-readable summary writer: a
-bench module calls ``bench_recorder("serving", payload)`` and a
-``BENCH_serving.json`` lands in the repo root (or ``$BENCH_OUTPUT_DIR``),
+bench module calls ``bench_recorder("obs_tier", payload)`` and a
+``BENCH_obs_tier.json`` lands in the repo root (or ``$BENCH_OUTPUT_DIR``),
 so the perf trajectory is tracked across PRs.  Other bench modules can
 adopt it as-is.
 """

@@ -20,14 +20,14 @@ assertions are identical.
 """
 
 import os
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
 from repro.io import save_border_map
 from repro.obs import MetricsRegistry, Tracer, build_health_report, perf_clock
 from repro.obs.trace import span_tree
-from repro.serving import compile_border_map
-from repro.serving.bench import bench_service, make_workload
+from repro.serving import Answer, compile_border_map, make_workload
 from repro.serving.server import make_local_server
 
 SMOKE = os.environ.get("OBS_TIER_BENCH_SMOKE") == "1"
@@ -44,6 +44,84 @@ WAVE_GAP_S = 0.01
 
 #: The acceptance bar: telemetered <= 1.05x the untelemetered baseline.
 MAX_OVERHEAD = 0.05
+
+
+def _percentile(sorted_values: List[float], q: float) -> float:
+    """Linear-interpolated percentile of an ascending-sorted list."""
+    if not sorted_values:
+        return 0.0
+    position = q * (len(sorted_values) - 1)
+    low = int(position)
+    high = min(low + 1, len(sorted_values) - 1)
+    fraction = position - low
+    return (sorted_values[low] * (1.0 - fraction)
+            + sorted_values[high] * fraction)
+
+
+def bench_service(
+    server,
+    workload: List[Tuple[str, int]],
+    arrivals: List[float],
+    tick_every: int = 0,
+) -> Dict[str, Any]:
+    """Open-loop load generation against a sharded server.
+
+    ``arrivals[i]`` is the (simulated) arrival second of request
+    ``workload[i]`` — fixed in advance, never slowed by the server,
+    which is what makes the loop *open*: an overloaded tier sees the
+    queue it earned.  Service time per wave is real wall time
+    (:func:`~repro.obs.trace.perf_clock`); a request's latency is its
+    wave's completion instant minus its own arrival instant.  Requests
+    the server sheds are counted, not timed — rejection is immediate.
+
+    ``tick_every`` > 0 runs a supervision pass (which, with telemetry
+    on, harvests shard metrics and spans) every that-many waves — the
+    production cadence this benchmark charges against its overhead
+    budget.  The tick is *inside* the timed region on purpose.
+    """
+    assert len(arrivals) == len(workload)
+    latencies: List[float] = []
+    accepted = shed = degraded = waves = 0
+    busy_seconds = 0.0
+    now = 0.0
+    position = 0
+    while position < len(workload):
+        # The wave: the next pending request plus everything that
+        # arrived while the server was busy.
+        start = max(now, arrivals[position])
+        end = position
+        while end < len(workload) and arrivals[end] <= start:
+            end += 1
+        wave = workload[position:end]
+        started = perf_clock()
+        answers = server.batch(wave)
+        if tick_every and (waves + 1) % tick_every == 0:
+            server.tick()
+        elapsed = perf_clock() - started
+        busy_seconds += elapsed
+        done = start + elapsed
+        for offset, answer in enumerate(answers):
+            if answer.note.startswith("shed"):
+                shed += 1
+                continue
+            if answer.degraded:
+                degraded += 1
+            accepted += 1
+            latencies.append(done - arrivals[position + offset])
+        waves += 1
+        now = done
+        position = end
+    latencies.sort()
+    return {
+        "accepted": accepted,
+        "shed": shed,
+        "degraded": degraded,
+        "waves": waves,
+        "p50_ms": 1e3 * _percentile(latencies, 0.50),
+        "p99_ms": 1e3 * _percentile(latencies, 0.99),
+        "max_ms": 1e3 * (latencies[-1] if latencies else 0.0),
+        "service_qps": accepted / max(busy_seconds, 1e-9),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +164,7 @@ def _timed_arm(tier, telemetry: bool):
     metrics = MetricsRegistry() if telemetry else None
     tracer = Tracer(seed=1) if telemetry else None
     server, _ = make_local_server(
-        artifact_path, epoch=1, shards=SHARDS,
-        cache_size=4 * len(workload) + 64, max_inflight=MAX_INFLIGHT,
+        artifact_path, epoch=1, shards=SHARDS, max_inflight=MAX_INFLIGHT,
         metrics=metrics, tracer=tracer,
     )
     try:
@@ -219,3 +296,59 @@ def test_bench_obs_tier_measures_load(tier_overhead):
     assert measured["shed"] >= BURST - MAX_INFLIGHT
     assert 0.0 < measured["p50_ms"] <= measured["p99_ms"]
     assert measured["service_qps"] > 0
+
+
+# -- the open-loop accounting itself -----------------------------------------
+
+
+class _FixedServer:
+    """Deterministic stand-in: admission like the real server, answers
+    instantly (the fake clock below supplies the 'service time')."""
+
+    def __init__(self, max_inflight):
+        self.max_inflight = max_inflight
+
+    def batch(self, wave):
+        answers = []
+        for position, (op, key) in enumerate(wave):
+            if position < self.max_inflight:
+                answers.append(Answer(op=op, key=key, value=1, epoch=1))
+            else:
+                answers.append(Answer(
+                    op=op, key=key, value=None, epoch=1,
+                    degraded=True, note="shed: server over capacity",
+                ))
+        return answers
+
+
+class TestOpenLoopAccounting:
+    def test_burst_wave_sheds_exactly_the_overflow(self, monkeypatch):
+        ticks = iter(0.001 * n for n in range(1000))
+        monkeypatch.setitem(globals(), "perf_clock", lambda: next(ticks))
+        workload = [("owner", k) for k in range(100)]
+        arrivals = [0.0] * 100          # one simultaneous burst
+        measured = bench_service(
+            _FixedServer(max_inflight=64), workload, arrivals
+        )
+        assert measured["waves"] == 1
+        assert measured["accepted"] == 64
+        assert measured["shed"] == 36
+        assert measured["degraded"] == 0
+        # Every accepted request finished at the wave's completion
+        # instant (one 1 ms clock delta), so p50 == p99 == max.
+        assert measured["p50_ms"] == pytest.approx(1.0)
+        assert measured["p99_ms"] == pytest.approx(1.0)
+        assert measured["max_ms"] == pytest.approx(1.0)
+
+    def test_spaced_arrivals_never_queue_or_shed(self, monkeypatch):
+        ticks = iter(0.001 * n for n in range(1000))
+        monkeypatch.setitem(globals(), "perf_clock", lambda: next(ticks))
+        workload = [("owner", k) for k in range(10)]
+        arrivals = [0.1 * k for k in range(10)]   # far apart vs 1 ms
+        measured = bench_service(
+            _FixedServer(max_inflight=4), workload, arrivals
+        )
+        assert measured["waves"] == 10
+        assert measured["accepted"] == 10
+        assert measured["shed"] == 0
+        assert measured["p50_ms"] == pytest.approx(1.0)

@@ -13,7 +13,7 @@ Run:  python examples/serve_and_query.py
 from repro import build_data_bundle, build_scenario, mini
 from repro.analysis import diff_border_maps
 from repro.core.orchestrator import MultiVPOrchestrator
-from repro.serving import BorderMapService, make_workload
+from repro.serving import BorderMapService, compile_map, make_workload
 from repro.topology.evolve import add_border_link, rebuild_network
 
 
@@ -25,8 +25,9 @@ def main() -> None:
     print("compiled epoch 1: %s"
           % ", ".join("%s=%d" % kv for kv in sorted(bmap.stats().items())))
 
-    # Stand the service up and push a mixed batch through it.
-    service = BorderMapService(bmap, batch_size=32)
+    # Stand the service up on the map's compiled form (flat tables whose
+    # answer rows are memoized) and push a mixed batch through it.
+    service = BorderMapService(compile_map(bmap), batch_size=32)
     workload = make_workload(bmap, data.view, 200, seed=3)
     answers = service.batch(workload)
     owners = sum(
@@ -56,7 +57,7 @@ def main() -> None:
     new_map = run2.to_border_map(data=data2, epoch=2, source="serve_and_query")
 
     # Atomic hot swap: queries never see a partially-built map.
-    retired = service.swap(new_map)
+    retired = service.swap(compile_map(new_map))
     answers2 = service.batch(workload)
     print("swapped epoch %d -> %d without dropping a query"
           % (retired, new_map.epoch))

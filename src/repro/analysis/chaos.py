@@ -229,13 +229,10 @@ class KillableTransport:
     prepare" that the mid-swap scenario needs.
     """
 
-    def __init__(self, artifact_path: str, shard_id: int = 0,
-                 cache_size: int = 4096) -> None:
+    def __init__(self, artifact_path: str, shard_id: int = 0) -> None:
         from ..serving.shard import InProcessTransport
 
-        self._inner = InProcessTransport(
-            artifact_path, shard_id=shard_id, cache_size=cache_size
-        )
+        self._inner = InProcessTransport(artifact_path, shard_id=shard_id)
         self.kill_after: Optional[int] = None
 
     @property

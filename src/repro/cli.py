@@ -41,13 +41,22 @@ def _build(name: str, seed: Optional[int]):
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
-    """The observability flags shared by run / chaos / serve-bench."""
+    """The observability flags shared by run / chaos."""
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the shared metrics registry (JSON) here; "
                              "inspect with `repro metrics PATH`")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write the span trace (JSON lines) here; "
                              "inspect with `repro trace PATH`")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1 (shards, the
+    admission cap)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
 
 
 def _make_obs(args: argparse.Namespace, clock=None, seed: int = 0):
@@ -390,20 +399,24 @@ def _gather_queries(query_args, batch_path):
 
 def _cmd_query(args: argparse.Namespace) -> int:
     """Answer queries against a compiled BorderMap artifact (JSON or
-    binary — sniffed by magic unless --format forces a loader)."""
+    binary — sniffed by magic unless --format forces a loader).  A JSON
+    artifact is lowered to the compiled form before serving."""
     from .io import load_border_map
-    from .serving import BorderMapService
+    from .serving import (
+        BorderMapService,
+        compile_map,
+        load_compiled_map,
+        load_served_map,
+    )
 
     if args.format == "binary":
-        from .serving import load_compiled_map
-
         loader = load_compiled_map
     elif args.format == "json":
         def loader(path):
             with open(path) as handle:
-                return load_border_map(handle)
+                return compile_map(load_border_map(handle))
     else:
-        loader = load_border_map
+        loader = load_served_map
     bmap = _load_or_fail(loader, args.map, "border map")
     if bmap is None:
         return 2
@@ -423,106 +436,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """End-to-end serving throughput: infer, compile, benchmark."""
-    from .serving.bench import run_compiled_benchmark, run_serving_benchmark
-
-    if args.format == "binary":
-        # The compiled-data-plane race: flat array-backed map vs the
-        # dict engine, plus the mmap-vs-JSON artifact load race.
-        summary = run_compiled_benchmark(
-            scenario_name=args.name,
-            seed=args.seed,
-            queries=args.queries,
-            repeats=args.repeats,
-            build=_build,
-        )
-        print(summary.text())
-        if args.out:
-            summary.write_json(args.out)
-            print("wrote %s" % args.out)
-        if summary.speedup_lookup < args.min_speedup:
-            print(
-                "error: compiled lookups are only %.1fx the dict engine "
-                "(want >= %.1fx)"
-                % (summary.speedup_lookup, args.min_speedup),
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    metrics, tracer = _make_obs(args, seed=args.seed or 0)
-    summary = run_serving_benchmark(
-        scenario_name=args.name,
-        seed=args.seed,
-        queries=args.queries,
-        repeats=args.repeats,
-        batch_size=args.batch_size,
-        build=_build,
-        metrics=metrics,
-        tracer=tracer,
-    )
-    print(summary.text())
-    if args.out:
-        summary.write_json(args.out)
-        print("wrote %s" % args.out)
-    _write_obs(args, metrics, tracer)
-    if summary.speedup_batched < args.min_speedup:
-        print(
-            "error: warm batched path is only %.1fx the naive baseline "
-            "(want >= %.1fx)" % (summary.speedup_batched, args.min_speedup),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Answer queries through the fault-tolerant sharded tier (or run
-    its open-loop load benchmark with --bench)."""
-    if args.bench and args.use_async:
-        from .serving.bench import run_async_benchmark
-
-        summary = run_async_benchmark(
-            scenario_name=args.name,
-            seed=args.seed,
-            requests=args.requests,
-            dup_factor=args.dup_factor,
-            shards=args.shards,
-            build=_build,
-        )
-        print(summary.text())
-        if args.out:
-            summary.write_json(args.out)
-            print("wrote %s" % args.out)
-        return 0
-    if args.bench:
-        from .serving.bench import run_service_benchmark
-
-        summary = run_service_benchmark(
-            scenario_name=args.name,
-            seed=args.seed,
-            requests=args.requests,
-            burst=args.burst,
-            shards=args.shards,
-            max_inflight=args.max_inflight,
-            offered_qps=args.offered_qps,
-            build=_build,
-        )
-        print(summary.text())
-        if args.out:
-            summary.write_json(args.out)
-            print("wrote %s" % args.out)
-        return 0
-
+    """Answer queries through the fault-tolerant sharded tier."""
     from .io import load_border_map
     from .serving import close_backend
     from .serving.server import make_local_server, make_process_server
 
-    if not args.map:
-        print("error: serve needs --map ARTIFACT (or --bench)",
-              file=sys.stderr)
-        return 2
     # One probe load up front: validates the artifact and reads its
     # epoch before any shard is started.
     probe = _load_or_fail(load_border_map, args.map, "border map")
@@ -1182,38 +1101,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--batch", default=None, metavar="FILE",
                          help="file of queries, one per line (# comments ok)")
     p_query.add_argument("--stats", action="store_true",
-                         help="print service/cache statistics")
+                         help="print service statistics")
     p_query.add_argument("--format", choices=("auto", "json", "binary"),
                          default="auto",
                          help="force the artifact loader (default: sniff "
                               "the file magic)")
     p_query.set_defaults(func=_cmd_query)
-
-    p_bench = subparsers.add_parser(
-        "serve-bench", help="serving throughput: infer, compile, benchmark"
-    )
-    p_bench.add_argument("--name", choices=sorted(_SCENARIOS), default="mini")
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--queries", type=int, default=2000,
-                         help="distinct queries in the workload")
-    p_bench.add_argument("--repeats", type=int, default=5,
-                         help="passes over the workload per timed path")
-    p_bench.add_argument("--batch-size", type=int, default=64)
-    p_bench.add_argument("--out", default=None, metavar="PATH",
-                         help="write the machine-readable summary here "
-                              "(BENCH_serving.json)")
-    p_bench.add_argument("--min-speedup", type=float, default=1.0,
-                         help="exit nonzero unless warm batched beats the "
-                              "naive baseline by this factor (--format "
-                              "binary: unless compiled lookups beat the "
-                              "dict engine by this factor)")
-    p_bench.add_argument("--format", choices=("json", "binary"),
-                         default="json",
-                         help="'binary' benches the compiled flat data "
-                              "plane against the dict engine (writes "
-                              "BENCH_compiled.json with --out)")
-    _add_obs_args(p_bench)
-    p_bench.set_defaults(func=_cmd_serve_bench)
 
     p_serve = subparsers.add_parser(
         "serve",
@@ -1221,13 +1114,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("query", nargs="*",
                          help="'owner IP' | 'border IP' | 'neighbors ASN'")
-    p_serve.add_argument("--map", default=None,
+    p_serve.add_argument("--map", required=True,
                          help="compiled BorderMap artifact (JSON or binary)")
     p_serve.add_argument("--batch", default=None, metavar="FILE",
                          help="file with one query per line")
-    p_serve.add_argument("--shards", type=int, default=3,
+    p_serve.add_argument("--shards", type=_positive_int, default=3,
                          help="replica count")
-    p_serve.add_argument("--max-inflight", type=int, default=256,
+    p_serve.add_argument("--max-inflight", type=_positive_int, default=256,
                          help="admission-control cap per batch wave")
     p_serve.add_argument("--processes", action="store_true",
                          help="spawn one OS process per shard (default: "
@@ -1240,38 +1133,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: current epoch + 1)")
     p_serve.add_argument("--stats", action="store_true",
                          help="print server + supervisor summary")
-    p_serve.add_argument("--bench", action="store_true",
-                         help="run the open-loop load benchmark instead of "
-                              "answering queries (writes BENCH_service.json "
-                              "with --out)")
     p_serve.add_argument("--async", dest="use_async", action="store_true",
                          help="route through the coalescing async front "
-                              "end (with --bench: race it against the "
-                              "sync batch path, writes BENCH_async.json "
-                              "with --out)")
-    p_serve.add_argument("--dup-factor", type=int, default=8,
-                         help="duplicate-heavy workload skew for "
-                              "--bench --async")
-    p_serve.add_argument("--name", choices=sorted(_SCENARIOS),
-                         default="mini", help="scenario for --bench")
-    p_serve.add_argument("--seed", type=int, default=None)
-    p_serve.add_argument("--requests", type=int, default=2000,
-                         help="open-loop arrivals for --bench")
-    p_serve.add_argument("--burst", type=int, default=256,
-                         help="overload burst size for --bench")
-    p_serve.add_argument("--offered-qps", type=float, default=2000.0,
-                         help="nominal arrival rate for --bench")
-    p_serve.add_argument("--out", default=None, metavar="PATH",
-                         help="write BENCH_service.json here (--bench)")
+                              "end")
     p_serve.set_defaults(func=_cmd_serve)
 
     def _add_tier_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--map", required=True,
                             help="compiled BorderMap artifact (JSON or "
                                  "binary)")
-        parser.add_argument("--shards", type=int, default=3,
+        parser.add_argument("--shards", type=_positive_int, default=3,
                             help="replica count")
-        parser.add_argument("--max-inflight", type=int, default=64,
+        parser.add_argument("--max-inflight", type=_positive_int,
+                            default=64,
                             help="admission-control cap per wave")
         parser.add_argument("--processes", action="store_true",
                             help="spawn one OS process per shard")

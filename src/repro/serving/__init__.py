@@ -3,7 +3,7 @@
 The write path (``repro.core``) produces per-VP results; this package is
 the read path: :func:`compile_border_map` freezes results into an
 immutable :class:`BorderMap`, :class:`CompiledBorderMap` lowers that
-into flat mmap-able arrays, :class:`QueryEngine` serves cached lookups
+into flat mmap-able arrays, :class:`QueryEngine` serves counted lookups
 over either backend (one :class:`BorderMapBackend` protocol), and
 :class:`BorderMapService` adds request batching and zero-downtime swaps
 of a recompiled map.
@@ -21,26 +21,15 @@ from .bordermap import (
     compile_border_map,
     next_generation,
 )
-from .bench import (
-    AsyncBenchSummary,
-    CompiledBenchSummary,
-    ServiceBenchSummary,
-    ServingBenchSummary,
-    make_duplicate_workload,
-    make_workload,
-    run_async_benchmark,
-    run_compiled_benchmark,
-    run_service_benchmark,
-    run_serving_benchmark,
-)
 from .compiled import (
     BIN_FORMAT,
     CompiledBorderMap,
     compile_map,
     load_compiled_map,
+    load_served_map,
     save_compiled_map,
 )
-from .engine import EngineStats, LRUCache, OpStats, QueryEngine
+from .engine import EngineStats, OpStats, QueryEngine
 from .frontend import AsyncBorderFrontEnd, make_async_frontend
 from .naive import naive_border_for, naive_owner_of
 from .server import (
@@ -52,7 +41,7 @@ from .server import (
     mark_stale,
     shard_index,
 )
-from .service import Answer, BorderMapService
+from .service import Answer, BorderMapService, make_workload
 from .shard import (
     AsyncShardTransport,
     InProcessTransport,
@@ -80,22 +69,16 @@ __all__ = [
     "compile_border_map",
     "compile_map",
     "load_compiled_map",
+    "load_served_map",
     "save_compiled_map",
-    "CompiledBenchSummary",
-    "ServingBenchSummary",
     "make_workload",
-    "run_compiled_benchmark",
-    "run_serving_benchmark",
     "EngineStats",
-    "LRUCache",
     "OpStats",
     "QueryEngine",
     "naive_border_for",
     "naive_owner_of",
     "Answer",
     "BorderMapService",
-    "ServiceBenchSummary",
-    "run_service_benchmark",
     "close_backend",
     "next_generation",
     "ShardedBorderServer",
@@ -108,9 +91,6 @@ __all__ = [
     "AsyncBorderFrontEnd",
     "make_async_frontend",
     "AsyncShardTransport",
-    "AsyncBenchSummary",
-    "make_duplicate_workload",
-    "run_async_benchmark",
     "InProcessTransport",
     "ShardChannel",
     "ShardWorker",

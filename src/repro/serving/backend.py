@@ -4,8 +4,8 @@
 graph, rebuilt indexes) and
 :class:`~repro.serving.compiled.CompiledBorderMap` (flat array tables,
 mmap-backed) answer the same queries with byte-identical values; the
-engine, service, CLI, and benchmarks program against this protocol so
-either backend drops in unchanged.
+engine, service, and CLI program against this protocol so either
+backend drops in unchanged.
 """
 
 from __future__ import annotations
@@ -21,15 +21,12 @@ from .bordermap import BorderLink, NeighborInfo, Ownership
 class BorderMapBackend(Protocol):
     """What a served border map must provide.
 
-    ``generation`` is the process-unique token engine caches key on;
     ``epoch`` is the caller-assigned artifact version answers are tagged
-    with.  Both backends draw generations from one shared counter, so a
-    hot swap between backends is as safe as one within a backend.
+    with.
     """
 
     focal_asn: int
     epoch: int
-    generation: int
     source: str
     vp_ases: frozenset
 

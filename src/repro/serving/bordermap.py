@@ -20,7 +20,7 @@ versioned :class:`BorderMap`:
 The artifact is deliberately *dumb*: every index here is derivable from
 the tables, so serialization (``repro.io.serialize``) stores only the
 tables and rebuilds the indexes on load — compile→save→load→query is
-lossless.  Caching, batching, and counters live one layer up in
+lossless.  Batching and counters live one layer up in
 :class:`~repro.serving.engine.QueryEngine`.
 """
 
@@ -90,15 +90,13 @@ class NeighborInfo:
     best_confidence: float
 
 
-def next_generation() -> int:
-    """Mint a fresh process-unique generation token.
+_generations = itertools.count(1)
 
-    Draws from the same counter every :class:`BorderMap` (and compiled
-    map) uses, so a token minted here — e.g. the serving tier's two-phase
-    swap token — can never collide with any map's generation in this
-    process.
-    """
-    return next(BorderMap._generations)
+
+def next_generation() -> int:
+    """Mint a fresh process-unique token (the serving tier's two-phase
+    swap token); never 0, which means "no swap committed yet"."""
+    return next(_generations)
 
 
 class BorderMap:
@@ -111,13 +109,6 @@ class BorderMap:
     """
 
     FORMAT = BORDERMAP_FORMAT
-
-    # Process-unique generation tokens.  ``epoch`` is caller-assigned and
-    # can collide (two maps compiled with the default epoch 0), so cache
-    # keys derived from a map use ``generation`` — never reused within a
-    # process — to make answers from different map instances
-    # indistinguishable-proof.
-    _generations = itertools.count(1)
 
     def __init__(
         self,
@@ -136,7 +127,6 @@ class BorderMap:
         self.prefixes: Tuple[Tuple[Prefix, int], ...] = tuple(prefixes)
         self.epoch = epoch
         self.source = source
-        self.generation = next(BorderMap._generations)
 
         for position, router in enumerate(self.routers):
             if router.index != position:

@@ -143,9 +143,7 @@ class CompiledBorderMap:
     Never constructed directly — use :meth:`from_border_map` (lower a
     dict map at compile time) or :func:`load_compiled_map` (map a saved
     artifact).  Instances are immutable and safe to share across
-    threads; the engine's generation-token cache keying works unchanged
-    because instances draw from the same process-unique counter as
-    :class:`~repro.serving.bordermap.BorderMap`.
+    threads.
     """
 
     FORMAT = BIN_FORMAT
@@ -164,7 +162,6 @@ class CompiledBorderMap:
         self.vp_ases = frozenset(meta["vp_ases"])
         self.epoch: int = meta["epoch"]
         self.source: str = meta["source"]
-        self.generation = next(BorderMap._generations)
         self._strings: List[str] = list(meta["strings"])
         self._meta = meta
         self._tables = tables
@@ -709,6 +706,22 @@ def load_compiled_map(path: str, verify: bool = True) -> CompiledBorderMap:
     except DataError:
         container.close()
         raise
+
+
+def load_served_map(path: str) -> CompiledBorderMap:
+    """Load either artifact format as a compiled map, for serving.
+
+    A binary artifact maps zero-copy; a JSON artifact parses to the dict
+    :class:`BorderMap` and is lowered once here.  Either way every
+    answer comes from the compiled map's memos — the serving read path
+    keeps no result cache of its own.
+    """
+    from ..io import load_border_map
+
+    bmap = load_border_map(path)
+    if isinstance(bmap, CompiledBorderMap):
+        return bmap
+    return compile_map(bmap)
 
 
 # -- in-place patching --------------------------------------------------------

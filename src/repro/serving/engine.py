@@ -1,14 +1,18 @@
-"""The query engine: cached, counted lookups over one border map.
+"""The query engine: counted lookups over one border map.
 
 The engine is the hot path of the serving subsystem.  It wraps one
 immutable map backend — the dict
 :class:`~repro.serving.bordermap.BorderMap` or the flat
 :class:`~repro.serving.compiled.CompiledBorderMap`, anything satisfying
-:class:`~repro.serving.backend.BorderMapBackend` — with an LRU result
-cache (border queries for popular destinations repeat heavily in any real
-workload) and per-operation hit/miss/latency counters, and exposes
-batched variants that dedupe keys and amortize clock reads — the shape a
-front end feeding it micro-batches wants.
+:class:`~repro.serving.backend.BorderMapBackend` — with per-operation
+call and latency counters, and exposes batched variants that read the
+clock twice per batch instead of twice per key — the shape a front end
+feeding it micro-batches wants.  It keeps no result cache: the compiled
+map already memoizes every answer row it materializes, and the tier and
+the CLI serve every artifact in that form
+(:func:`~repro.serving.compiled.load_served_map` lowers a JSON one).  A
+dict map handed to an engine directly is answered uncached — it is the
+reference backend, not the served one.
 
 The engine never mutates its map, so many engines may share one map and
 a service may drop an engine on the floor mid-request during a hot swap:
@@ -17,8 +21,7 @@ in-flight queries finish against the map they started on.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import perf_clock
@@ -26,48 +29,10 @@ from .backend import BorderMapBackend
 from .bordermap import BorderLink, NeighborInfo, Ownership
 
 
-class LRUCache:
-    """A plain ordered-dict LRU: small, dependency-free, O(1) ops."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._store: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, key: Hashable) -> Tuple[bool, Any]:
-        """Return ``(found, value)``; a hit refreshes recency."""
-        try:
-            value = self._store[key]
-        except KeyError:
-            self.misses += 1
-            return False, None
-        self._store.move_to_end(key)
-        self.hits += 1
-        return True, value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        store = self._store
-        if key in store:
-            store.move_to_end(key)
-        store[key] = value
-        if len(store) > self.capacity:
-            store.popitem(last=False)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class OpStats:
-    """Per-operation accounting: a view over registry slots
-    (``<prefix>calls`` / ``hits`` / ``misses`` counters and a
-    ``<prefix>seconds`` timer).  The field API is unchanged —
-    ``stats.calls += 1`` still works."""
+    """Per-operation accounting: a view over registry slots (a
+    ``<prefix>calls`` counter and a ``<prefix>seconds`` timer) that
+    reads and writes like plain fields (``stats.calls += 1``)."""
 
     __slots__ = ("_registry", "_prefix")
 
@@ -84,33 +49,12 @@ class OpStats:
         self._registry.set_counter(self._prefix + "calls", value)
 
     @property
-    def hits(self) -> int:
-        return self._registry.counter(self._prefix + "hits")
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._registry.set_counter(self._prefix + "hits", value)
-
-    @property
-    def misses(self) -> int:
-        return self._registry.counter(self._prefix + "misses")
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._registry.set_counter(self._prefix + "misses", value)
-
-    @property
     def seconds(self) -> float:
         return self._registry.timer(self._prefix + "seconds")
 
     @seconds.setter
     def seconds(self, value: float) -> None:
         self._registry.set_timer(self._prefix + "seconds", value)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class EngineStats:
@@ -119,8 +63,13 @@ class EngineStats:
     Counts live in a :class:`~repro.obs.metrics.MetricsRegistry` under
     ``serving.<op>.*`` — a private one by default, or the run's shared
     registry when one is passed — so ``repro metrics`` sees the same
-    hit/miss/latency numbers the benchmark report quotes.
+    call/latency numbers the engine keeps.
     """
+
+    #: With no result cache nothing hits or misses; both read 0 for
+    #: callers that still meter them.
+    hits = 0
+    misses = 0
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  prefix: str = "serving.") -> None:
@@ -143,151 +92,69 @@ class EngineStats:
         return sum(s.calls for s in self.ops.values())
 
     @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self.ops.values())
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self.ops.values())
-
-    @property
     def seconds(self) -> float:
         return sum(s.seconds for s in self.ops.values())
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def summary(self) -> str:
-        lines = [
-            "engine: %d calls, %.1f%% cache hits, %.3f ms total"
-            % (self.calls, 100 * self.hit_rate, 1e3 * self.seconds)
-        ]
-        for name in sorted(self.ops):
-            stats = self.ops[name]
-            lines.append(
-                "  %-10s calls=%-7d hits=%-7d misses=%-7d %.3f ms"
-                % (name, stats.calls, stats.hits, stats.misses,
-                   1e3 * stats.seconds)
-            )
-        return "\n".join(lines)
-
 
 class QueryEngine:
-    """Cached query front end over one immutable border map (either
+    """Counted query front end over one immutable border map (either
     backend: dict or compiled)."""
 
-    def __init__(self, border_map: BorderMapBackend, cache_size: int = 4096,
+    def __init__(self, border_map: BorderMapBackend,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.map = border_map
-        self.cache = LRUCache(cache_size)
         self.metrics = metrics
         self.stats = EngineStats(metrics)
-        # Cache keys carry the map's process-unique generation token, so
-        # an entry can never answer for a different map instance — even
-        # if an engine (or its cache) outlives a hot swap, or two maps
-        # share an epoch number.  ``epoch`` alone is caller-assigned and
-        # collides across independently compiled maps.
-        self._gen = getattr(border_map, "generation", id(border_map))
 
     @property
     def epoch(self) -> int:
         return self.map.epoch
 
-    @property
-    def generation(self) -> int:
-        """The served map's process-unique generation token (the value
-        cache keys carry, and the token the sharded tier's two-phase
-        swap compares across replicas)."""
-        return self._gen
-
-    # -- single-key queries -------------------------------------------------
-
-    def _cached(self, op: str, key: Hashable,
-                compute: Callable[[Any], Any]) -> Any:
+    def _counted(self, op: str, count: int,
+                 call: Callable[[Any], Any], arg: Any) -> Any:
+        """One timed map call answering ``count`` requests of ``op``."""
         started = perf_clock()
+        value = call(arg)
         stats = self.stats.op(op)
-        stats.calls += 1
-        found, value = self.cache.get((self._gen, op, key))
-        if found:
-            stats.hits += 1
-        else:
-            stats.misses += 1
-            value = compute(key)
-            self.cache.put((self._gen, op, key), value)
+        stats.calls += count
         stats.seconds += perf_clock() - started
         return value
 
+    # -- single-key queries -------------------------------------------------
+
     def owner_of(self, addr: int) -> Optional[Ownership]:
-        return self._cached("owner", addr, self.map.owner_of)
+        return self._counted("owner", 1, self.map.owner_of, addr)
 
     def border_for(self, addr: int) -> Tuple[BorderLink, ...]:
-        return self._cached("border", addr, self.map.border_for)
+        return self._counted("border", 1, self.map.border_for, addr)
 
     def neighbors(self, asn: int) -> Optional[NeighborInfo]:
-        return self._cached("neighbors", asn, self.map.neighbors)
+        return self._counted("neighbors", 1, self.map.neighbors, asn)
 
     # -- batched variants ---------------------------------------------------
-
-    def _batched(
-        self,
-        op: str,
-        keys: Sequence[Hashable],
-        compute: Callable[[Any], Any],
-        compute_batch: Optional[Callable[[Sequence[Any]], List[Any]]] = None,
-    ) -> List[Any]:
-        """One timed pass over a batch.
-
-        Duplicate keys inside the batch cost one computation, the clock
-        is read twice per batch instead of twice per key, and — when the
-        map has a bulk path (``compute_batch``) — every cache miss is
-        resolved in a single call.
-        """
-        started = perf_clock()
-        stats = self.stats.op(op)
-        stats.calls += len(keys)
-        cache = self.cache
-        answers: List[Any] = [None] * len(keys)
-        miss_keys: List[Hashable] = []
-        miss_positions: Dict[Hashable, List[int]] = {}
-        for position, key in enumerate(keys):
-            positions = miss_positions.get(key)
-            if positions is not None:  # duplicate of an earlier miss
-                stats.hits += 1
-                positions.append(position)
-                continue
-            found, value = cache.get((self._gen, op, key))
-            if found:
-                stats.hits += 1
-                answers[position] = value
-            else:
-                stats.misses += 1
-                miss_keys.append(key)
-                miss_positions[key] = [position]
-        if miss_keys:
-            if compute_batch is not None:
-                values = compute_batch(miss_keys)
-            else:
-                values = [compute(key) for key in miss_keys]
-            for key, value in zip(miss_keys, values):
-                cache.put((self._gen, op, key), value)
-                for position in miss_positions[key]:
-                    answers[position] = value
-        stats.seconds += perf_clock() - started
-        return answers
+    #
+    # Owner lookups have a bulk path on the map; the other two ops make
+    # one map call per key.
 
     def owner_of_batch(self, addrs: Sequence[int]) -> List[Optional[Ownership]]:
-        return self._batched(
-            "owner", addrs, self.map.owner_of, self.map.owner_of_batch
+        return self._counted(
+            "owner", len(addrs), self.map.owner_of_batch, addrs
         )
 
     def border_for_batch(
         self, addrs: Sequence[int]
     ) -> List[Tuple[BorderLink, ...]]:
-        return self._batched("border", addrs, self.map.border_for)
+        border_for = self.map.border_for
+        return self._counted(
+            "border", len(addrs),
+            lambda keys: [border_for(key) for key in keys], addrs,
+        )
 
     def neighbors_batch(
         self, asns: Sequence[int]
     ) -> List[Optional[NeighborInfo]]:
-        return self._batched("neighbors", asns, self.map.neighbors)
+        neighbors = self.map.neighbors
+        return self._counted(
+            "neighbors", len(asns),
+            lambda keys: [neighbors(key) for key in keys], asns,
+        )

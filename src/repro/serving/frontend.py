@@ -8,10 +8,10 @@ interconnection — the common case for border queries):
 
 * **Singleflight coalescing** — concurrent duplicate ``(op, key)``
   requests collapse into one in-flight shard call through a
-  future-keyed table.  The engine already dedupes *inside*
-  ``QueryEngine.batch``, but the framed shard payload still carried
-  every duplicate across two JSON hops; here each distinct key crosses
-  the wire exactly once per epoch and every waiter shares the answer.
+  future-keyed table.  The synchronous path carries every duplicate
+  across two JSON hops in the framed shard payload; here each distinct
+  key crosses the wire exactly once per epoch and every waiter shares
+  the answer.
 * **Pipelined shard waves** — per-shard groups are dispatched as
   concurrent waves instead of ``batch()``'s sequential
   ``sorted(groups.items())`` loop, bounded by a per-shard
@@ -50,7 +50,7 @@ import asyncio
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DataError, MeasurementError
-from .service import Answer
+from .service import Answer, check_ops
 from .shard import AsyncShardTransport, SpawnProcessTransport
 from .server import (
     ShardedBorderServer,
@@ -162,11 +162,14 @@ class AsyncBorderFrontEnd:
 
         Every position in ``requests`` gets an answer in order.
         Duplicate ``(op, key)`` pairs — inside this batch or across
-        concurrent ``batch()`` calls — share one shard call.
+        concurrent ``batch()`` calls — share one shard call.  An unknown
+        op raises :class:`DataError` before any shard work, as in the
+        synchronous path.
         """
         requests = list(requests)
         if not requests:
             return []
+        check_ops(requests)
         self._bind_loop()
         loop = self._loop
         server = self.server

@@ -2,10 +2,8 @@
 
 This is what downstream consumers did before the BorderMap existed —
 rescan every :class:`~repro.core.report.BdrmapResult` (and the BGP view)
-on *every* lookup.  It exists to (a) anchor the serving benchmark's
-speedup claim against a real alternative and (b) cross-check the
-compiled map's answers in tests: for any address, compiled and naive
-must agree.
+on *every* lookup.  It exists to cross-check the compiled map's answers
+in tests: for any address, compiled and naive must agree.
 """
 
 from __future__ import annotations

@@ -23,11 +23,11 @@ degradation*:
   epoch are delivered (they are correct for their own epoch) but marked
   ``degraded`` with ``note="stale-epoch"``.
 
-The **two-phase swap** (:meth:`ShardedBorderServer.swap`) reuses the
-process-unique generation counter
-(:func:`~repro.serving.bordermap.next_generation`) as its token: phase
-one stages the new artifact on every live shard (load happens while the
-old epoch serves); only if *all* prepares succeed is the epoch
+The **two-phase swap** (:meth:`ShardedBorderServer.swap`) draws its
+token from the process-unique counter
+(:func:`~repro.serving.bordermap.next_generation`): phase one stages
+the new artifact on every live shard (load happens while the old epoch
+serves); only if *all* prepares succeed is the epoch
 committed — otherwise every stage is aborted and the old epoch keeps
 serving (keep-last-good).  Phase two commits shard by shard; a shard
 that dies between prepare and commit is restarted by the supervisor
@@ -45,7 +45,7 @@ from ..net.faults import ChannelFaultPolicy
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, perf_clock
 from .bordermap import next_generation
-from .service import Answer
+from .service import Answer, check_ops
 from .shard import (
     InProcessTransport,
     ShardChannel,
@@ -62,7 +62,7 @@ def shard_index(key: int, count: int) -> int:
 
     A pure function of the key, identical in every process, so a front
     end restart (or a second front end) routes the same keys to the
-    same replicas and their caches stay warm.
+    same replicas and their answer memos stay warm.
     """
     x = (key + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -141,6 +141,8 @@ class ShardedBorderServer:
     ) -> None:
         if not channels:
             raise ValueError("a sharded server needs at least one shard")
+        if max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
         # One canonical registry.  Internal bookkeeping (request/shed/
         # degraded counters back the public properties) always needs a
         # real registry, so a None/disabled argument gets a private one;
@@ -221,11 +223,14 @@ class ShardedBorderServer:
         Admission control caps the accepted wave at ``max_inflight``;
         overflow is shed up front (cheaply, before any shard work) so
         an overloaded tier stays responsive for the requests it does
-        accept.
+        accept.  An op outside :data:`~repro.serving.service.OPS` is
+        the caller's error: it raises :class:`DataError` before any
+        shard work, so no replica's breaker counts it as a failure.
         """
         requests = list(requests)
         if not requests:
             return []
+        check_ops(requests)
         self._count("requests", len(requests))
         self.metrics.set_gauge(
             "serving.server.queue_depth", float(len(requests))
@@ -487,7 +492,6 @@ def make_local_server(
     artifact_path: str,
     epoch: int,
     shards: int = 3,
-    cache_size: int = 4096,
     max_inflight: int = 256,
     deadline_s: float = 5.0,
     faults: Optional[ChannelFaultPolicy] = None,
@@ -521,9 +525,7 @@ def make_local_server(
                 delay_seconds=faults.delay_seconds,
                 seed=fault_seed * 1000003 + shard_id,
             )
-        transport = InProcessTransport(
-            artifact_path, shard_id=shard_id, cache_size=cache_size
-        )
+        transport = InProcessTransport(artifact_path, shard_id=shard_id)
         channels.append(
             ShardChannel(
                 transport, faults=policy, deadline_s=deadline_s,
@@ -544,7 +546,6 @@ def make_process_server(
     artifact_path: str,
     epoch: int,
     shards: int = 2,
-    cache_size: int = 4096,
     max_inflight: int = 256,
     deadline_s: float = 10.0,
     failure_threshold: int = 3,
@@ -559,9 +560,7 @@ def make_process_server(
     wall-time source)."""
     channels = [
         ShardChannel(
-            SpawnProcessTransport(
-                artifact_path, shard_id=shard_id, cache_size=cache_size
-            ),
+            SpawnProcessTransport(artifact_path, shard_id=shard_id),
             deadline_s=deadline_s,
         )
         for shard_id in range(shards)

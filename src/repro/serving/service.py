@@ -11,22 +11,71 @@ the old map or the new one — never a partially built one.
 
 Every answer is tagged with the epoch of the map that produced it, which
 is what the hot-swap tests (and any cache-invalidation layer above) key
-on.
+on.  :func:`make_workload` draws the deterministic query mix the CLI's
+``health``/``top`` sample and the tests replay.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import DataError
 from ..obs.metrics import MetricsRegistry
+from ..rng import make_rng
 from .backend import BorderMapBackend
 from .engine import QueryEngine
 
 #: Operations the service accepts, mapping to QueryEngine batch methods.
 OPS = ("owner", "border", "neighbors")
+
+
+def check_ops(requests: Sequence[Tuple[str, int]]) -> None:
+    """Raise :class:`DataError` if any request names an op outside
+    :data:`OPS` — before any of the batch is answered or counted."""
+    for op, _ in requests:
+        if op not in OPS:
+            raise DataError("unknown query op %r (want one of %s)"
+                            % (op, "/".join(OPS)))
+
+
+def make_workload(
+    bmap, view, count: int, seed: int = 0
+) -> List[Tuple[str, int]]:
+    """A deterministic serving workload over one compiled map.
+
+    Mixes the query shapes a deployment sees: owner lookups on observed
+    interfaces (the common case), owner/border lookups on arbitrary
+    routed addresses, border lookups toward announced prefixes, a few
+    unrouted addresses, and neighbor summaries.
+    """
+    rng = make_rng((seed << 8) ^ 0x5E21)
+    interfaces = sorted(
+        {addr for router in bmap.routers for addr in router.addrs}
+    )
+    prefixes = [prefix for prefix, _ in bmap.prefixes] or None
+    neighbor_ases = list(bmap.neighbor_ases()) or [bmap.focal_asn]
+    workload: List[Tuple[str, int]] = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.40 and interfaces:
+            workload.append(("owner", rng.choice(interfaces)))
+        elif roll < 0.60 and prefixes is not None:
+            prefix = rng.choice(prefixes)
+            workload.append(
+                ("owner", prefix.addr + rng.randrange(prefix.size))
+            )
+        elif roll < 0.90 and prefixes is not None:
+            prefix = rng.choice(prefixes)
+            workload.append(
+                ("border", prefix.addr + rng.randrange(prefix.size))
+            )
+        elif roll < 0.95:
+            workload.append(("neighbors", rng.choice(neighbor_ases)))
+        else:
+            workload.append(("owner", rng.randrange(1 << 32)))
+    return workload
 
 
 @dataclass(frozen=True)
@@ -62,7 +111,6 @@ class BorderMapService:
     def __init__(
         self,
         border_map: BorderMapBackend,
-        cache_size: int = 4096,
         batch_size: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -74,10 +122,7 @@ class BorderMapService:
         else:
             self._metrics = metrics
             self.metrics = metrics
-        self._engine = QueryEngine(
-            border_map, cache_size=cache_size, metrics=self.metrics
-        )
-        self.cache_size = cache_size
+        self._engine = QueryEngine(border_map, metrics=self.metrics)
         self.batch_size = batch_size
         self._pending: List[Tuple[str, int]] = []
         self._swap_lock = threading.Lock()
@@ -141,9 +186,7 @@ class BorderMapService:
     def submit(self, op: str, key: int) -> List[Answer]:
         """Queue a request; returns the flushed answers when this request
         filled the batch, else an empty list."""
-        if op not in OPS:
-            raise DataError("unknown query op %r (want one of %s)"
-                            % (op, "/".join(OPS)))
+        check_ops([(op, key)])
         self._pending.append((op, key))
         if len(self._pending) >= self.batch_size:
             return self.flush()
@@ -161,6 +204,7 @@ class BorderMapService:
     def _answer_batch(self, requests: List[Tuple[str, int]]) -> List[Answer]:
         if not requests:
             return []
+        check_ops(requests)
         engine = self._engine  # one snapshot for the whole batch
         epoch = engine.map.epoch
         self.requests += len(requests)
@@ -182,10 +226,6 @@ class BorderMapService:
                     op=op, key=requests[position][1],
                     value=value, epoch=epoch,
                 )
-        for position, (op, key) in enumerate(requests):
-            if answers[position] is None:
-                raise DataError("unknown query op %r (want one of %s)"
-                                % (op, "/".join(OPS)))
         return answers  # type: ignore[return-value]
 
     # -- hot swap -----------------------------------------------------------
@@ -193,17 +233,12 @@ class BorderMapService:
     def swap(self, new_map: BorderMapBackend) -> int:
         """Serve ``new_map`` from now on; returns the retired epoch.
 
-        The new engine (map indexes, empty cache, fresh counters) is
-        fully constructed *before* the single reference assignment that
+        The new engine (fresh counters over the new map) is fully
+        constructed *before* the single reference assignment that
         publishes it, so concurrent readers see the old engine or the
-        new one, never an intermediate state.  Engine caches are
-        additionally keyed by the map's process-unique generation token,
-        so even a cache that outlived a swap could never serve a
-        previous epoch's answer.
+        new one, never an intermediate state.
         """
-        new_engine = QueryEngine(
-            new_map, cache_size=self.cache_size, metrics=self.metrics
-        )
+        new_engine = QueryEngine(new_map, metrics=self.metrics)
         with self._swap_lock:
             retired = self._engine.map.epoch
             self._engine = new_engine
@@ -233,15 +268,12 @@ class BorderMapService:
         return new_map
 
     def summary(self) -> str:
-        stats = self._engine.stats
         return (
             "service: epoch %d, %d requests in %d batches, %d swaps\n"
-            "  map: %s\n"
-            "  cache: %.1f%% hits (%d entries)"
+            "  map: %s"
             % (
                 self.epoch, self.requests, self.batches, self.swaps,
                 ", ".join("%s=%d" % (k, v)
                           for k, v in sorted(self.map.stats().items())),
-                100 * stats.hit_rate, len(self._engine.cache),
             )
         )

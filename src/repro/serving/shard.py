@@ -48,6 +48,7 @@ from ..remote.protocol import (
 )
 from .backend import close_backend
 from .bordermap import BorderLink, NeighborInfo, Ownership
+from .compiled import load_served_map
 from .service import Answer, BorderMapService
 
 #: Shard-protocol operations.  ``query``, ``ping``, and ``harvest`` are
@@ -194,7 +195,8 @@ class ShardWorker:
     state of an in-progress two-phase swap.
 
     ``loader`` maps an artifact path to a backend (the default is
-    :func:`repro.io.load_border_map`, magic-sniffed JSON or binary).
+    :func:`repro.serving.compiled.load_served_map`: either artifact
+    format, served as a compiled map).
     The worker itself is transport-agnostic: :meth:`handle_frame` takes
     one framed request and returns one framed reply, and both
     transports just move those bytes.
@@ -204,19 +206,15 @@ class ShardWorker:
         self,
         artifact_path: str,
         shard_id: int = 0,
-        cache_size: int = 4096,
         loader: Optional[Callable[[str], Any]] = None,
         token: int = 0,
     ) -> None:
         if loader is None:
-            from ..io import load_border_map as loader  # noqa: F811
+            loader = load_served_map
         self._loader = loader
         self.shard_id = shard_id
-        self.cache_size = cache_size
         self.artifact_path = artifact_path
-        self.service = BorderMapService(
-            loader(artifact_path), cache_size=cache_size
-        )
+        self.service = BorderMapService(loader(artifact_path))
         # Two-phase swap staging: (token, path, backend) or None.
         self._staged: Optional[Tuple[int, str, Any]] = None
         # The swap token of the epoch currently being served; 0 until
@@ -477,14 +475,11 @@ class InProcessTransport:
     """
 
     def __init__(self, artifact_path: str, shard_id: int = 0,
-                 cache_size: int = 4096,
                  loader: Optional[Callable[[str], Any]] = None) -> None:
         self.shard_id = shard_id
-        self.cache_size = cache_size
         self._loader = loader
         self.worker: Optional[ShardWorker] = ShardWorker(
-            artifact_path, shard_id=shard_id, cache_size=cache_size,
-            loader=loader,
+            artifact_path, shard_id=shard_id, loader=loader,
         )
         self.exchanges = 0
 
@@ -506,8 +501,8 @@ class InProcessTransport:
     def restart(self, artifact_path: str, token: int = 0) -> None:
         self.kill()
         self.worker = ShardWorker(
-            artifact_path, shard_id=self.shard_id,
-            cache_size=self.cache_size, loader=self._loader, token=token,
+            artifact_path, shard_id=self.shard_id, loader=self._loader,
+            token=token,
         )
 
     def close(self) -> None:
@@ -524,10 +519,8 @@ class SpawnProcessTransport:
     path it is given (normally the last *committed* epoch).
     """
 
-    def __init__(self, artifact_path: str, shard_id: int = 0,
-                 cache_size: int = 4096) -> None:
+    def __init__(self, artifact_path: str, shard_id: int = 0) -> None:
         self.shard_id = shard_id
-        self.cache_size = cache_size
         self._ctx = multiprocessing.get_context("spawn")
         self._process = None
         self._conn = None
@@ -537,8 +530,7 @@ class SpawnProcessTransport:
         parent, child = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=shard_process_main,
-            args=(child, artifact_path, self.shard_id, self.cache_size,
-                  token),
+            args=(child, artifact_path, self.shard_id, token),
             daemon=True,
         )
         process.start()
@@ -591,13 +583,10 @@ class SpawnProcessTransport:
 
 
 def shard_process_main(conn, artifact_path: str, shard_id: int,
-                       cache_size: int, token: int = 0) -> None:
+                       token: int = 0) -> None:
     """Entry point of a spawned shard process: serve framed requests
     from ``conn`` until a shutdown command or EOF."""
-    worker = ShardWorker(
-        artifact_path, shard_id=shard_id, cache_size=cache_size,
-        token=token,
-    )
+    worker = ShardWorker(artifact_path, shard_id=shard_id, token=token)
     try:
         while True:
             try:

@@ -29,6 +29,7 @@ from repro.serving import (
     compile_border_map,
     compile_map,
     load_compiled_map,
+    load_served_map,
     save_compiled_map,
 )
 from repro.serving.compiled import NONE_U32, _U32_SECTIONS
@@ -96,12 +97,6 @@ class TestLowering:
         rehydrated = flat_map.to_border_map()
         assert bordermap_to_dict(rehydrated) == bordermap_to_dict(dict_map)
 
-    def test_generation_is_process_unique(self, dict_map):
-        first = CompiledBorderMap.from_border_map(dict_map)
-        second = CompiledBorderMap.from_border_map(dict_map)
-        assert first.generation != second.generation
-        assert second.generation != dict_map.generation
-
     def test_lpm_index_starts_at_zero(self, flat_map):
         assert flat_map._lpm_base[0] == 0
 
@@ -111,6 +106,20 @@ class TestLowering:
     def test_satisfies_backend_protocol(self, dict_map, flat_map):
         assert isinstance(dict_map, BorderMapBackend)
         assert isinstance(flat_map, BorderMapBackend)
+
+    def test_load_is_lazy(self, flat_map, tmp_path):
+        """Loading the binary must not materialize any dataclass rows —
+        that is what keeps load O(sections)."""
+        path = str(tmp_path / "map.bdrm")
+        save_compiled_map(flat_map, path)
+        loaded = load_compiled_map(path)
+        try:
+            assert loaded._routers_memo is None
+            assert loaded._prefixes_memo is None
+            assert not any(loaded._link_memo)
+            assert not any(loaded._owner_memo)
+        finally:
+            loaded.close()
 
 
 class TestBinaryRoundTrip:
@@ -156,6 +165,20 @@ class TestBinaryRoundTrip:
         loaded = load_border_map(path)
         assert isinstance(loaded, BorderMap)
         assert bordermap_to_dict(loaded) == bordermap_to_dict(dict_map)
+
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    def test_load_served_map_is_compiled(self, dict_map, tmp_path, fmt):
+        """Both artifact formats are served as a compiled map (a JSON
+        one lowered on load) with the dict map's answers."""
+        path = str(tmp_path / "map.out")
+        save_border_map(dict_map, path, format=fmt)
+        loaded = load_served_map(path)
+        try:
+            assert isinstance(loaded, CompiledBorderMap)
+            assert loaded.epoch == dict_map.epoch
+            _assert_identical_answers(dict_map, loaded)
+        finally:
+            loaded.close()
 
     def test_wrong_meta_format_rejected(self, flat_map, tmp_path):
         path = str(tmp_path / "bad.bdrm")
@@ -246,10 +269,6 @@ class TestBackendsBehindEngine:
             assert flat_engine.border_for(addr) == dict_engine.border_for(
                 addr
             )
-        # Same queries again: the second pass must be served by the LRU.
-        for addr in addrs:
-            flat_engine.owner_of(addr)
-        assert flat_engine.stats.op("owner").hits >= len(addrs)
 
     def test_service_serves_compiled(self, dict_map, flat_map):
         service = BorderMapService(flat_map, batch_size=4)

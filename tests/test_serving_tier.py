@@ -319,6 +319,11 @@ class TestShardWorker:
         assert payload == {"ok": True, "shard": 2, "epoch": 1, "token": 0}
         worker.close()
 
+    def test_json_artifact_served_compiled(self, tier):
+        worker = ShardWorker(tier.path1)
+        assert isinstance(worker.service.map, CompiledBorderMap)
+        worker.close()
+
     def test_query_matches_single_process_oracle(self, tier):
         worker = ShardWorker(tier.path1)
         requests = tier.workload[:40]
@@ -479,6 +484,42 @@ class TestShardedServer:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("max_inflight", [0, -1])
+    def test_nonpositive_max_inflight_rejected(self, tier, max_inflight):
+        with pytest.raises(ValueError):
+            make_local_server(
+                tier.path1, epoch=1, shards=2, max_inflight=max_inflight
+            )
+
+    def test_unknown_op_rejected_before_any_shard_work(self, tier):
+        """A bad op is the caller's error: it must not count as a shard
+        failure, or three such batches open every breaker and the next
+        valid query is refused."""
+        from repro.serving.frontend import make_async_frontend
+
+        server, _ = make_local_server(tier.path1, epoch=1, shards=3)
+        frontend = make_async_frontend(server)
+        try:
+            addr = next(key for op, key in tier.workload if op == "owner")
+            bad = [("owner", addr), ("frobnicate", addr)]
+            for _ in range(3):
+                with pytest.raises(DataError):
+                    server.batch(bad)
+                with pytest.raises(DataError):
+                    frontend.batch_sync(bad)
+            for shard in server.supervisor.shards:
+                assert shard.breaker.state == CLOSED
+                assert shard.breaker.failures == 0
+            assert server.requests == 0
+            wave = tier.workload[:10]
+            oracle = [a.value for a in tier.oracle1.batch(wave)]
+            for answers in (server.batch(wave), frontend.batch_sync(wave)):
+                assert [a.value for a in answers] == oracle
+                assert not any(a.degraded for a in answers)
+        finally:
+            frontend.close()
+            server.close()
+
     def test_failover_keeps_answers_identical(self, tier):
         server, clock = make_local_server(tier.path1, epoch=1, shards=3)
         try:
@@ -585,64 +626,20 @@ class TestShardedServer:
             server.close()
 
 
-# -- open-loop load generator accounting ------------------------------------
+@pytest.mark.parametrize("argv", [
+    ["serve", "--shards", "0", "owner", "1.0.0.0"],
+    ["serve", "--max-inflight", "-1", "owner", "1.0.0.0"],
+    ["health", "--shards", "0"],
+    ["top", "--max-inflight", "0", "--iterations", "1", "--interval", "0",
+     "--no-clear"],
+])
+def test_cli_rejects_nonpositive_tier_counts(tier, argv, capsys):
+    from repro.cli import main
 
-
-class _FixedServer:
-    """Deterministic stand-in: admission like the real server, answers
-    instantly (the fake clock below supplies the 'service time')."""
-
-    def __init__(self, max_inflight):
-        self.max_inflight = max_inflight
-
-    def batch(self, wave):
-        answers = []
-        for position, (op, key) in enumerate(wave):
-            if position < self.max_inflight:
-                answers.append(Answer(op=op, key=key, value=1, epoch=1))
-            else:
-                answers.append(Answer(
-                    op=op, key=key, value=None, epoch=1,
-                    degraded=True, note="shed: server over capacity",
-                ))
-        return answers
-
-
-class TestOpenLoopAccounting:
-    def test_burst_wave_sheds_exactly_the_overflow(self, monkeypatch):
-        from repro.serving import bench as bench_mod
-
-        ticks = iter(0.001 * n for n in range(1000))
-        monkeypatch.setattr(bench_mod, "perf_clock", lambda: next(ticks))
-        workload = [("owner", k) for k in range(100)]
-        arrivals = [0.0] * 100          # one simultaneous burst
-        measured = bench_mod.bench_service(
-            _FixedServer(max_inflight=64), workload, arrivals
-        )
-        assert measured["waves"] == 1
-        assert measured["accepted"] == 64
-        assert measured["shed"] == 36
-        assert measured["degraded"] == 0
-        # Every accepted request finished at the wave's completion
-        # instant (one 1 ms clock delta), so p50 == p99 == max.
-        assert measured["p50_ms"] == pytest.approx(1.0)
-        assert measured["p99_ms"] == pytest.approx(1.0)
-        assert measured["max_ms"] == pytest.approx(1.0)
-
-    def test_spaced_arrivals_never_queue_or_shed(self, monkeypatch):
-        from repro.serving import bench as bench_mod
-
-        ticks = iter(0.001 * n for n in range(1000))
-        monkeypatch.setattr(bench_mod, "perf_clock", lambda: next(ticks))
-        workload = [("owner", k) for k in range(10)]
-        arrivals = [0.1 * k for k in range(10)]   # far apart vs 1 ms
-        measured = bench_mod.bench_service(
-            _FixedServer(max_inflight=4), workload, arrivals
-        )
-        assert measured["waves"] == 10
-        assert measured["accepted"] == 10
-        assert measured["shed"] == 0
-        assert measured["p50_ms"] == pytest.approx(1.0)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--map", tier.path1] + argv[1:])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # -- real processes ----------------------------------------------------------
