@@ -174,15 +174,15 @@ class BinaryContainer:
         except (OSError, ValueError) as exc:
             self._file.close()
             raise DataError("cannot map %s: %s" % (self.path, exc)) from exc
+        self._checked: Dict[str, bool] = {}
         try:
             self._entries = self._read_table(size)
+            if verify:
+                for name in self._entries:
+                    self._verify(name)
         except DataError:
             self.close()
             raise
-        self._checked: Dict[str, bool] = {}
-        if verify:
-            for name in self._entries:
-                self._verify(name)
 
     # -- table ---------------------------------------------------------------
 

@@ -9,9 +9,9 @@ interconnection — the common case for border queries):
 * **Singleflight coalescing** — concurrent duplicate ``(op, key)``
   requests collapse into one in-flight shard call through a
   future-keyed table.  The synchronous path carries every duplicate
-  across two JSON hops in the framed shard payload; here each distinct
-  key crosses the wire exactly once per epoch and every waiter shares
-  the answer.
+  both ways in the typed shard query frames; here each distinct key
+  crosses the wire exactly once per epoch and every waiter shares the
+  answer.
 * **Pipelined shard waves** — per-shard groups are dispatched as
   concurrent waves instead of ``batch()``'s sequential
   ``sorted(groups.items())`` loop, bounded by a per-shard

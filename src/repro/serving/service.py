@@ -30,14 +30,23 @@ from .engine import QueryEngine
 #: Operations the service accepts, mapping to QueryEngine batch methods.
 OPS = ("owner", "border", "neighbors")
 
+#: The key range a query may name: shard query frames carry keys as
+#: signed 64-bit integers (:mod:`repro.serving.wire`).
+KEY_MIN = -(1 << 63)
+KEY_MAX = (1 << 63) - 1
+
 
 def check_ops(requests: Sequence[Tuple[str, int]]) -> None:
     """Raise :class:`DataError` if any request names an op outside
-    :data:`OPS` — before any of the batch is answered or counted."""
-    for op, _ in requests:
+    :data:`OPS` or a key outside ``[KEY_MIN, KEY_MAX]`` — before any of
+    the batch is answered or counted."""
+    for op, key in requests:
         if op not in OPS:
             raise DataError("unknown query op %r (want one of %s)"
                             % (op, "/".join(OPS)))
+        if not KEY_MIN <= key <= KEY_MAX:
+            raise DataError("query key %r outside the signed 64-bit range"
+                            % (key,))
 
 
 def make_workload(

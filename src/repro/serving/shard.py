@@ -24,9 +24,13 @@ the front end talks through:
   error taxonomy (:class:`~repro.errors.MeasurementTimeout`,
   :class:`~repro.errors.DataError`, :class:`~repro.errors.ChannelError`).
 
-Every message crosses the wire as a length-framed JSON blob even
+Every message crosses the wire as one length-prefixed frame, even
 in-process, so the serialization path the production transport depends
-on is exercised by every test.
+on is exercised by every test.  A ``query`` travels as the typed binary
+frames of :mod:`repro.serving.wire` (a packed op/key column out, a
+CRC-sealed answer table back); every other op, and every error reply,
+is a JSON body from :mod:`repro.remote.protocol`.  The first body byte
+tells the two apart: a JSON body starts with ``{``.
 """
 
 from __future__ import annotations
@@ -47,120 +51,34 @@ from ..remote.protocol import (
     unpack_frame,
 )
 from .backend import close_backend
-from .bordermap import BorderLink, NeighborInfo, Ownership
 from .compiled import load_served_map
 from .service import Answer, BorderMapService
-
-#: Shard-protocol operations.  ``query``, ``ping``, and ``harvest`` are
-#: idempotent and safe to re-issue; the swap ops carry a token that
-#: makes replays harmless (prepare/commit/abort for an already-settled
-#: token is a no-op acknowledged with the current state).
-SHARD_OPS = (
-    "ping", "query", "prepare", "commit", "abort", "harvest", "stats",
-    "shutdown",
+from .wire import (
+    AnswerTable,
+    decode_answers,
+    decode_query,
+    encode_answers,
+    encode_query,
 )
 
+#: Shard-protocol operations carried as JSON commands; the ``query`` op
+#: has its own typed frame (:mod:`repro.serving.wire`).  ``query``,
+#: ``ping``, and ``harvest`` are idempotent and safe to re-issue; the
+#: swap ops carry a token that makes replays harmless (prepare/commit/
+#: abort for an already-settled token is a no-op acknowledged with the
+#: current state).
+SHARD_OPS = (
+    "ping", "prepare", "commit", "abort", "harvest", "stats", "shutdown",
+)
 
-# -- answers over the wire ---------------------------------------------------
-#
-# Answers carry frozen-dataclass object graphs (Ownership, BorderLink,
-# NeighborInfo).  Dataclass equality is the oracle check the chaos tests
-# rely on, so the wire codec must reconstruct *equal* objects, not
-# look-alike dicts.
-
-def _link_to_wire(link: BorderLink) -> Dict[str, Any]:
-    return {
-        "index": link.index,
-        "vp_name": link.vp_name,
-        "near_router": link.near_router,
-        "far_router": link.far_router,
-        "neighbor_as": link.neighbor_as,
-        "relationship": link.relationship,
-        "reason": link.reason,
-        "via_ixp": link.via_ixp,
-    }
+#: The first byte of every JSON body; a typed frame starts with its kind.
+_JSON = b"{"
 
 
-def _link_from_wire(entry: Dict[str, Any]) -> BorderLink:
-    return BorderLink(
-        index=entry["index"],
-        vp_name=entry["vp_name"],
-        near_router=entry["near_router"],
-        far_router=entry["far_router"],
-        neighbor_as=entry["neighbor_as"],
-        relationship=entry["relationship"],
-        reason=entry["reason"],
-        via_ixp=entry["via_ixp"],
-    )
-
-
-def _value_to_wire(op: str, value: Any) -> Any:
-    if value is None:
-        return None
-    if op == "owner":
-        return {
-            "asn": value.asn, "source": value.source, "router": value.router,
-        }
-    if op == "border":
-        return [_link_to_wire(link) for link in value]
-    if op == "neighbors":
-        return {
-            "asn": value.asn,
-            "relationship": value.relationship,
-            "links": [_link_to_wire(link) for link in value.links],
-            "best_confidence": value.best_confidence,
-        }
-    raise DataError("cannot encode value for op %r" % op)
-
-
-def _value_from_wire(op: str, value: Any) -> Any:
-    if value is None:
-        return None
-    try:
-        if op == "owner":
-            return Ownership(
-                asn=value["asn"], source=value["source"],
-                router=value["router"],
-            )
-        if op == "border":
-            return tuple(_link_from_wire(entry) for entry in value)
-        if op == "neighbors":
-            return NeighborInfo(
-                asn=value["asn"],
-                relationship=value["relationship"],
-                links=tuple(
-                    _link_from_wire(entry) for entry in value["links"]
-                ),
-                best_confidence=value["best_confidence"],
-            )
-    except (KeyError, TypeError) as exc:
-        raise DataError("malformed %r answer value: %s" % (op, exc)) from exc
-    raise DataError("cannot decode value for op %r" % op)
-
-
-def answer_to_wire(answer: Answer) -> Dict[str, Any]:
-    return {
-        "op": answer.op,
-        "key": answer.key,
-        "value": _value_to_wire(answer.op, answer.value),
-        "epoch": answer.epoch,
-        "degraded": answer.degraded,
-        "note": answer.note,
-    }
-
-
-def answer_from_wire(entry: Dict[str, Any]) -> Answer:
-    try:
-        return Answer(
-            op=entry["op"],
-            key=entry["key"],
-            value=_value_from_wire(entry["op"], entry["value"]),
-            epoch=entry["epoch"],
-            degraded=entry.get("degraded", False),
-            note=entry.get("note", ""),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DataError("malformed answer: %s" % exc) from exc
+def answer_from_wire(entry: Tuple[str, int, Any, int]) -> Answer:
+    """Rebuild one :class:`Answer` from an ``(op, key, value, epoch)``
+    entry of :func:`~repro.serving.wire.decode_answers`."""
+    return Answer(*entry)
 
 
 def span_to_wire(span) -> List[Any]:
@@ -234,32 +152,46 @@ class ShardWorker:
         self.tracer: Tracer = NULL_TRACER
         self._frame_bytes = 0
         self._batches = 0
+        # Set once a shutdown command is answered; a process loop exits
+        # after sending that reply.
+        self.shut_down = False
 
     # -- framed entry point -------------------------------------------------
 
     def handle_frame(self, data: bytes) -> bytes:
-        """Decode one framed Command, execute it, return a framed Reply.
+        """Decode one framed command, execute it, return a framed reply.
 
-        Malformed frames still produce a framed error reply (seq 0) so
+        A typed query frame gets a typed answer table back; a JSON
+        command gets a JSON :class:`Reply`.  A failed op, and a
+        malformed frame (seq 0), still get a framed JSON error reply so
         the channel's decode layer — not the worker — decides how to
         classify the failure.
         """
         self._frame_bytes = len(data)
+        command = None
         try:
-            command = decode(unpack_frame(data))
-            if not isinstance(command, Command):
-                raise DataError("expected a command, got %r" % (command,))
+            body = unpack_frame(data)
+            if body[:1] == _JSON:
+                command = decode(body)
+                if not isinstance(command, Command):
+                    raise DataError("expected a command, got %r"
+                                    % (command,))
+                seq = command.seq
+            else:
+                seq, ctx, requests = decode_query(body)
         except DataError as exc:
             self.metrics.inc("worker.bad_frames")
             reply = Reply(seq=0, payload={}, error="bad frame: %s" % exc)
             return pack_frame(encode(reply))
         try:
+            if command is None:
+                return pack_frame(self._handle_query(seq, requests, ctx))
             payload = self.handle(command.op, command.args, command.trace)
-            reply = Reply(seq=command.seq, payload=payload)
+            reply = Reply(seq=seq, payload=payload)
         except Exception as exc:  # noqa: BLE001 - becomes a wire error
             self.metrics.inc("worker.errors")
             reply = Reply(
-                seq=command.seq, payload={},
+                seq=seq, payload={},
                 error="%s: %s" % (type(exc).__name__, exc),
             )
         return pack_frame(encode(reply))
@@ -276,8 +208,6 @@ class ShardWorker:
                 "epoch": self.service.epoch,
                 "token": self.token,
             }
-        if op == "query":
-            return self._handle_query(args, ctx)
         if op == "prepare":
             return self._handle_prepare(args, ctx)
         if op == "commit":
@@ -296,6 +226,7 @@ class ShardWorker:
                 "staged": self._staged is not None,
             }
         if op == "shutdown":
+            self.shut_down = True
             return {"ok": True}
         raise DataError(
             "unknown shard op %r (want one of %s)" % (op, "/".join(SHARD_OPS))
@@ -326,11 +257,10 @@ class ShardWorker:
     #: batches keep the breakdown visible in every merged trace.
     DETAIL_EVERY = 8
 
-    def _handle_query(self, args: Dict[str, Any],
-                      ctx: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        requests = [
-            (str(op), int(key)) for op, key in args.get("requests", ())
-        ]
+    def _handle_query(self, seq: int, requests: List[Tuple[str, int]],
+                      ctx: Optional[Dict[str, Any]] = None) -> bytes:
+        """Answer one decoded query frame; returns the answer-table
+        body (:func:`~repro.serving.wire.encode_answers`)."""
         self.queries += len(requests)
         self._batches += 1
         self.metrics.inc("worker.queries", len(requests))
@@ -353,11 +283,9 @@ class ShardWorker:
         self.metrics.time("worker.query.seconds", elapsed)
         self.metrics.observe("worker.query.ms", 1e3 * elapsed,
                              bounds=LATENCY_BUCKETS_MS)
-        return {
-            "answers": [answer_to_wire(answer) for answer in answers],
-            "epoch": self.service.epoch,
-            "token": self.token,
-        }
+        # One engine snapshot answered the batch: its epoch is theirs.
+        epoch = answers[0].epoch if answers else self.service.epoch
+        return encode_answers(seq, epoch, self.token, answers)
 
     def _handle_harvest(self) -> Dict[str, Any]:
         """Delta-since-last-harvest of the worker registry plus every
@@ -598,13 +526,9 @@ def shard_process_main(conn, artifact_path: str, shard_id: int,
                 conn.send_bytes(response)
             except (BrokenPipeError, OSError):
                 return
-            # Peek at our own reply for the shutdown handshake: replying
-            # first, then exiting, lets the parent join cleanly.
-            try:
-                command = decode(unpack_frame(data))
-            except DataError:
-                continue
-            if isinstance(command, Command) and command.op == "shutdown":
+            # The shutdown handshake: replying first, then exiting, lets
+            # the parent join cleanly.
+            if worker.shut_down:
                 return
     finally:
         worker.close()
@@ -669,11 +593,18 @@ class ShardChannel:
         ``trace`` (keyword-only, never an op argument) is the optional
         trace context stamped into the command so the worker parents
         its spans under the front-end span that issued this request.
+        A ``query`` (``requests=[(op, key), ...]``) travels as a typed
+        frame and returns ``{"epoch", "token", "answers"}``, the answers
+        as decoded entries for :meth:`answers_from`.
         """
         self._seq += 1
         self.requests += 1
-        wire_out = pack_frame(encode(Command(op=op, args=args,
-                                             seq=self._seq, trace=trace)))
+        if op == "query":
+            body = encode_query(self._seq, args["requests"], trace)
+        else:
+            body = encode(Command(op=op, args=args, seq=self._seq,
+                                  trace=trace))
+        wire_out = pack_frame(body)
         self.bytes_out += len(wire_out)
 
         fault = self.faults.next_fault() if self.faults is not None else None
@@ -702,11 +633,24 @@ class ShardChannel:
 
         self.bytes_in += len(wire_in)
         try:
-            reply = decode(unpack_frame(wire_in))
+            body = unpack_frame(wire_in)
+            if body[:1] == _JSON:
+                reply = decode(body)
+            else:
+                reply = decode_answers(body)
         except DataError:
             if fault != "garble":
                 self.garbled += 1
             raise
+        if isinstance(reply, AnswerTable):
+            if op != "query" or reply.seq != self._seq:
+                raise DataError(
+                    "shard %d sent an answer table (seq %d) for %r "
+                    "request seq %d" % (self.shard_id, reply.seq, op,
+                                        self._seq)
+                )
+            return {"epoch": reply.epoch, "token": reply.token,
+                    "answers": reply.entries}
         if not isinstance(reply, Reply):
             raise DataError("expected a reply, got %r" % (reply,))
         if reply.error is not None:
@@ -714,14 +658,14 @@ class ShardChannel:
                 "shard %d error for op %r: %s"
                 % (self.shard_id, op, reply.error)
             )
+        if op == "query":
+            raise DataError("shard %d answered a query without an answer "
+                            "table" % self.shard_id)
         return reply.payload
 
     def query(self, requests: Sequence[Tuple[str, int]],
               trace: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        return self.request(
-            "query", trace=trace,
-            requests=[[op, key] for op, key in requests],
-        )
+        return self.request("query", trace=trace, requests=requests)
 
     def answers_from(self, payload: Dict[str, Any]) -> List[Answer]:
         return [answer_from_wire(entry) for entry in payload["answers"]]
@@ -783,10 +727,7 @@ class AsyncShardTransport:
     async def query(self, requests: Sequence[Tuple[str, int]],
                     trace: Optional[Dict[str, Any]] = None
                     ) -> Dict[str, Any]:
-        return await self.request(
-            "query", trace=trace,
-            requests=[[op, key] for op, key in requests],
-        )
+        return await self.request("query", trace=trace, requests=requests)
 
     def answers_from(self, payload: Dict[str, Any]) -> List[Answer]:
         return self.channel.answers_from(payload)

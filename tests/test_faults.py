@@ -353,16 +353,31 @@ def test_channel_policy_is_seed_deterministic():
 
 def test_channel_garble_defeats_decoder():
     """Both corruption modes — truncation and a 0xFF bit-flip — must make
-    the frame undecodable, and decode must say so with DataError."""
+    the frame undecodable, and decode must say so with DataError: for a
+    JSON reply and for both typed shard query frames, whose binary
+    bodies only their CRC protects."""
     from repro.remote.protocol import Reply, decode, encode
+    from repro.serving.wire import (
+        decode_answers,
+        decode_query,
+        encode_answers,
+        encode_query,
+    )
+    from tests.test_wire import small_answers
 
     policy = ChannelFaultPolicy(seed=1)
-    wire = encode(Reply(seq=4, payload={"hops": []}))
-    for _ in range(30):
-        corrupted = policy.garble(wire)
-        assert corrupted != wire
-        with pytest.raises(DataError):
-            decode(corrupted)
+    inputs = [
+        (encode(Reply(seq=4, payload={"hops": []})), decode),
+        (encode_query(4, [("owner", 16843009), ("border", 2 ** 40)],
+                      {"id": "00deadbeef00cafe", "seed": 5}), decode_query),
+        (encode_answers(4, 1, 7, small_answers()), decode_answers),
+    ]
+    for wire, decoder in inputs:
+        for _ in range(30):
+            corrupted = policy.garble(wire)
+            assert corrupted != wire
+            with pytest.raises(DataError):
+                decoder(corrupted)
 
 
 # ---------------------------------------------------------------- exceptions

@@ -37,10 +37,17 @@ from repro.obs import (
     span_tree,
 )
 from repro.obs.trace import NULL_TRACER
-from repro.remote.protocol import Command, decode, encode
+from repro.remote.protocol import (
+    Command,
+    decode,
+    encode,
+    pack_frame,
+    unpack_frame,
+)
 from repro.serving import compile_border_map, make_workload
 from repro.serving.server import make_local_server, make_process_server
 from repro.serving.shard import ShardWorker, span_from_wire, span_to_wire
+from repro.serving.wire import decode_answers, encode_query
 
 
 @pytest.fixture(scope="module")
@@ -207,9 +214,9 @@ class TestSpanTree:
 
 class TestWorkerHarvest:
     def _query(self, worker, ctx):
-        requests = [list(pair) for pair in
-                    [("owner", 1), ("owner", 2), ("border", 1)]]
-        return worker.handle("query", {"requests": requests}, ctx)
+        requests = [("owner", 1), ("owner", 2), ("border", 1)]
+        frame = pack_frame(encode_query(1, requests, ctx))
+        return decode_answers(unpack_frame(worker.handle_frame(frame)))
 
     def test_harvest_returns_delta_then_empty(self, artifact):
         worker = ShardWorker(artifact.path, shard_id=0)

@@ -38,6 +38,7 @@ from repro.serving.server import (
     shard_index,
 )
 from repro.serving.shard import ShardWorker
+from repro.serving.wire import decode_answers, encode_query
 from repro.serving.supervisor import (
     CLOSED,
     HALF_OPEN,
@@ -327,13 +328,15 @@ class TestShardWorker:
     def test_query_matches_single_process_oracle(self, tier):
         worker = ShardWorker(tier.path1)
         requests = tier.workload[:40]
-        payload = worker.handle("query", {"requests": requests})
+        frame = pack_frame(encode_query(5, requests))
+        table = decode_answers(unpack_frame(worker.handle_frame(frame)))
         oracle = tier.oracle1.batch(requests)
         from repro.serving.shard import answer_from_wire
 
-        answers = [answer_from_wire(entry) for entry in payload["answers"]]
+        answers = [answer_from_wire(entry) for entry in table.entries]
         assert [a.value for a in answers] == [a.value for a in oracle]
         assert all(a.epoch == 1 for a in answers)
+        assert (table.seq, table.epoch, table.token) == (5, 1, 0)
         worker.close()
 
     def test_framed_roundtrip(self, tier):
@@ -393,6 +396,55 @@ class TestShardWorker:
         with pytest.raises(DataError):
             worker.handle("format-disk", {})
         worker.close()
+
+
+class TestShardChannel:
+    def _channel(self, tier, transport=None):
+        from repro.serving.shard import InProcessTransport, ShardChannel
+
+        return ShardChannel(transport or InProcessTransport(tier.path1))
+
+    def test_query_round_trip_is_metered(self, tier):
+        channel = self._channel(tier)
+        requests = tier.workload[:30]
+        payload = channel.query(requests)
+        assert (payload["epoch"], payload["token"]) == (1, 0)
+        assert channel.answers_from(payload) == tier.oracle1.batch(requests)
+        assert channel.bytes_out > 9 * len(requests)
+        assert channel.bytes_in > channel.bytes_out
+        channel.close()
+
+    def test_stale_reply_is_refused(self, tier):
+        """A reply whose seq is not the request's (say, one that
+        arrived after its deadline) must not answer the next query."""
+        from repro.serving.shard import InProcessTransport
+
+        class Replaying(InProcessTransport):
+            last = None
+
+            def exchange(self, data, deadline_s):
+                reply = self.last or super().exchange(data, deadline_s)
+                self.last = reply
+                return reply
+
+        channel = self._channel(tier, Replaying(tier.path1))
+        channel.query(tier.workload[:5])
+        with pytest.raises(DataError, match="seq"):
+            channel.query(tier.workload[5:10])
+        channel.close()
+
+    def test_worker_failure_is_a_channel_error(self, tier):
+        channel = self._channel(tier)
+        worker = channel.transport.worker
+
+        def broken(requests):
+            raise RuntimeError("map unreadable")
+
+        worker.service.batch = broken
+        with pytest.raises(ChannelError, match="map unreadable"):
+            channel.query(tier.workload[:5])
+        assert worker.metrics.counter("worker.errors") == 1
+        channel.close()
 
 
 # -- supervision primitives --------------------------------------------------
@@ -516,6 +568,56 @@ class TestShardedServer:
             for answers in (server.batch(wave), frontend.batch_sync(wave)):
                 assert [a.value for a in answers] == oracle
                 assert not any(a.degraded for a in answers)
+        finally:
+            frontend.close()
+            server.close()
+
+    @pytest.mark.parametrize("key", [2 ** 64, -(2 ** 63) - 1])
+    def test_key_outside_64_bits_rejected_before_any_shard_work(self, tier,
+                                                                 key):
+        """Query frames carry signed 64-bit keys, so a wider key is the
+        caller's error, like an unknown op: no breaker may count it."""
+        from repro.serving.frontend import make_async_frontend
+
+        server, _ = make_local_server(tier.path1, epoch=1, shards=3)
+        frontend = make_async_frontend(server)
+        try:
+            bad = [("owner", 1), ("border", key)]
+            for _ in range(3):
+                with pytest.raises(DataError, match="64-bit"):
+                    server.batch(bad)
+                with pytest.raises(DataError, match="64-bit"):
+                    frontend.batch_sync(bad)
+            for shard in server.supervisor.shards:
+                assert shard.breaker.state == CLOSED
+                assert shard.breaker.failures == 0
+            assert server.requests == 0
+            wave = tier.workload[:10]
+            oracle = [a.value for a in tier.oracle1.batch(wave)]
+            for answers in (server.batch(wave), frontend.batch_sync(wave)):
+                assert [a.value for a in answers] == oracle
+                assert not any(a.degraded for a in answers)
+        finally:
+            frontend.close()
+            server.close()
+
+    def test_keys_past_32_bits_answer_not_found(self, tier):
+        """-1 and 2**32 are no addresses, but they fit the key column:
+        every op answers them as not found, as a single engine does."""
+        from repro.serving.frontend import make_async_frontend
+
+        server, _ = make_local_server(tier.path1, epoch=1, shards=3)
+        frontend = make_async_frontend(server)
+        try:
+            requests = [(op, key) for op in ("owner", "border", "neighbors")
+                        for key in (-1, 2 ** 32, 2 ** 63 - 1, -(2 ** 63))]
+            oracle = tier.oracle1.batch(requests)
+            assert all(a.value in (None, ()) for a in oracle)
+            for answers in (server.batch(requests),
+                            frontend.batch_sync(requests)):
+                assert answers == oracle
+            for shard in server.supervisor.shards:
+                assert shard.breaker.failures == 0
         finally:
             frontend.close()
             server.close()
@@ -661,6 +763,54 @@ class TestProcessShards:
             assert server.failovers > 0
         finally:
             server.close()
+
+
+    def test_process_loop_decodes_once_and_exits_after_shutdown(
+            self, tier, monkeypatch):
+        """``shard_process_main`` over an in-process pipe: each request
+        is decoded once (by ``handle_frame``), and a shutdown is
+        answered before the loop returns and closes its end."""
+        import multiprocessing
+        import threading
+
+        from repro.remote.protocol import Command, decode, encode
+        from repro.serving import shard
+
+        decoded = []
+
+        def counted(original):
+            def decoder(body):
+                decoded.append(body[:1])
+                return original(body)
+            return decoder
+
+        for name in ("decode", "decode_query"):
+            monkeypatch.setattr(shard, name, counted(getattr(shard, name)))
+
+        def exchange(body):
+            parent.send_bytes(pack_frame(body))
+            assert parent.poll(30)
+            return unpack_frame(parent.recv_bytes())
+
+        parent, child = multiprocessing.Pipe(duplex=True)
+        loop = threading.Thread(target=shard.shard_process_main,
+                                args=(child, tier.path1, 0), daemon=True)
+        loop.start()
+        try:
+            ping = decode(exchange(encode(Command("ping", {}, seq=1))))
+            assert ping.seq == 1 and ping.payload["epoch"] == 1
+            requests = tier.workload[:20]
+            table = decode_answers(exchange(encode_query(2, requests)))
+            assert [entry[2] for entry in table.entries] == \
+                [a.value for a in tier.oracle1.batch(requests)]
+            bye = decode(exchange(encode(Command("shutdown", {}, seq=3))))
+            assert bye.payload == {"ok": True}
+            loop.join(timeout=30)
+            assert not loop.is_alive()
+            assert child.closed
+            assert decoded == [b"{", b"Q", b"{"]
+        finally:
+            parent.close()
 
 
 # -- dead code guard ---------------------------------------------------------
