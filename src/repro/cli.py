@@ -1121,7 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shards", type=_positive_int, default=3,
                          help="replica count")
     p_serve.add_argument("--max-inflight", type=_positive_int, default=256,
-                         help="admission-control cap per batch wave")
+                         help="requests admitted into the tier at once")
     p_serve.add_argument("--processes", action="store_true",
                          help="spawn one OS process per shard (default: "
                               "in-process replicas on a virtual clock)")
@@ -1146,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="replica count")
         parser.add_argument("--max-inflight", type=_positive_int,
                             default=64,
-                            help="admission-control cap per wave")
+                            help="requests admitted into the tier at once")
         parser.add_argument("--processes", action="store_true",
                             help="spawn one OS process per shard")
         parser.add_argument("--queries", type=int, default=200,

@@ -32,6 +32,7 @@ because they are pure functions of the static topology.
 Checkpointing mirrors the sequential orchestrator: each worker writes a
 partial checkpoint (``<path>.worker<K>``) after every VP, and the parent
 merges the partials into the canonical checkpoint at ``<path>`` on join.
+Both writes are atomic, so a crash mid-write leaves the previous file.
 ``resume=True`` reloads the canonical checkpoint *and* any leftover
 partials from a crashed run, skips the completed VPs, and replays their
 stored metrics deltas so the resumed registry equals a fresh run's.
@@ -43,7 +44,7 @@ import glob
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
@@ -151,11 +152,12 @@ def _run_single_vp(scenario, data, index: int, config: BdrmapConfig,
     return payload
 
 
-def _write_partial_checkpoint(path: str,
-                              payloads: List[Dict[str, Any]]) -> None:
-    """One worker's completed VPs so far, in canonical checkpoint form
-    (failed VPs excluded, like the sequential orchestrator)."""
-    from ..io.serialize import CHECKPOINT_FORMAT
+def _write_checkpoint(path: str, payloads: List[Dict[str, Any]]) -> None:
+    """Atomically write the completed VPs among ``payloads`` in
+    canonical checkpoint form (failed VPs excluded, like the sequential
+    orchestrator).  The whole document is serialized before the file is
+    touched, so a failed write leaves the previous checkpoint whole."""
+    from ..io.serialize import CHECKPOINT_FORMAT, atomic_write_text
 
     entries = []
     for payload in payloads:
@@ -168,9 +170,9 @@ def _write_partial_checkpoint(path: str,
         if "metrics" in payload:
             entry["metrics"] = payload["metrics"]
         entries.append(entry)
-    with open(path, "w") as handle:
-        json.dump({"format": CHECKPOINT_FORMAT, "vps": entries}, handle,
-                  indent=1)
+    atomic_write_text(path, json.dumps(
+        {"format": CHECKPOINT_FORMAT, "vps": entries}, indent=1
+    ))
 
 
 def _worker_run(spec: ScenarioSpec, indices: List[int],
@@ -186,7 +188,7 @@ def _worker_run(spec: ScenarioSpec, indices: List[int],
             _run_single_vp(scenario, data, index, config, collect_metrics)
         )
         if checkpoint_path:
-            _write_partial_checkpoint(checkpoint_path, payloads)
+            _write_checkpoint(checkpoint_path, payloads)
     return payloads
 
 
@@ -230,7 +232,11 @@ class ParallelOrchestrator:
 
     def _partial_paths(self) -> List[str]:
         assert self.checkpoint_path
-        return sorted(glob.glob(self.checkpoint_path + ".worker*"))
+        # A ".tmp" is an atomic write a crash stranded, not a partial.
+        return sorted(
+            path for path in glob.glob(self.checkpoint_path + ".worker*")
+            if not path.endswith(".tmp")
+        )
 
     def _load_done_entries(self) -> Dict[str, Dict[str, Any]]:
         """vp_name -> checkpoint entry for every VP completed by a prior
@@ -315,29 +321,20 @@ class ParallelOrchestrator:
                                 payloads_by_vp: Dict[str, Dict[str, Any]]
                                 ) -> None:
         """Fold partials + resumed entries into the canonical checkpoint
-        and clear the per-worker partial files."""
-        from ..io.serialize import CHECKPOINT_FORMAT
-
+        and clear the per-worker partial files, and the temp files of
+        any write a crash stranded."""
         if not self.checkpoint_path:
             return
-        entries = []
+        payloads = []
         for vp in scenario.vps:
             payload = payloads_by_vp.get(vp.name)
             if payload is None:
                 payload = entries_by_vp.get(vp.name)
-            if payload is None or "result" not in payload:
-                continue
-            entry = {
-                "report": payload["report"],
-                "result": payload["result"],
-            }
-            if "metrics" in payload:
-                entry["metrics"] = payload["metrics"]
-            entries.append(entry)
-        with open(self.checkpoint_path, "w") as handle:
-            json.dump({"format": CHECKPOINT_FORMAT, "vps": entries},
-                      handle, indent=1)
-        for path in self._partial_paths():
+            if payload is not None:
+                payloads.append(payload)
+        _write_checkpoint(self.checkpoint_path, payloads)
+        stranded = glob.glob(self.checkpoint_path + ".*.tmp")
+        for path in self._partial_paths() + stranded:
             os.remove(path)
 
     # -- run ------------------------------------------------------------------
@@ -393,7 +390,7 @@ class ParallelOrchestrator:
                     )
                 )
             if partial:
-                _write_partial_checkpoint(partial, payloads)
+                _write_checkpoint(partial, payloads)
         return payloads
 
     def _run_pool(self, todo: List[int],

@@ -43,7 +43,6 @@ from .server import (
 )
 from .service import Answer, BorderMapService, make_workload
 from .shard import (
-    AsyncShardTransport,
     InProcessTransport,
     ShardChannel,
     ShardWorker,
@@ -90,7 +89,6 @@ __all__ = [
     "shard_index",
     "AsyncBorderFrontEnd",
     "make_async_frontend",
-    "AsyncShardTransport",
     "InProcessTransport",
     "ShardChannel",
     "ShardWorker",

@@ -13,22 +13,28 @@ interconnection — the common case for border queries):
   crosses the wire exactly once per epoch and every waiter shares the
   answer.
 * **Pipelined shard waves** — per-shard groups are dispatched as
-  concurrent waves instead of ``batch()``'s sequential
-  ``sorted(groups.items())`` loop, bounded by a per-shard
-  outstanding-wave cap (the async tier's admission control, replacing
-  the synchronous slice-at-``max_inflight``): when a shard's in-flight
-  distinct demand exceeds ``wave_size * max_waves_per_shard``, the
-  overflow is shed immediately with an explicit degraded answer —
-  never queued unboundedly, never silently dropped.
-* **PR 7 semantics preserved** — key-hash routing
-  (:func:`~repro.serving.server.shard_index`), ring-order failover to
-  live replicas, explicit degraded/shed/stale-epoch answers, and
-  two-phase swap safety: :meth:`swap` fences new waves and drains
-  every in-flight coalesced call before the commit, so no coalesced
-  future ever resolves with answers from a mix of epochs (the
-  singleflight table is additionally keyed by the committed swap
-  token, so a request arriving mid-swap can never join a
-  previous epoch's future).
+  concurrent waves of at most :data:`WAVE_KEYS` distinct keys instead
+  of ``batch()``'s sequential ``sorted(groups.items())`` loop, one wave
+  per shard at a time (a channel carries one exchange at a time).
+* **One admission knob** — the server's ``max_inflight`` caps the
+  distinct requests in flight across the tier: once the singleflight
+  table holds that many, a new distinct request is shed immediately
+  with the server's explicit shed answer — never queued unboundedly,
+  never silently dropped.  Duplicates of an in-flight request join it
+  and are never shed.  The table spans concurrent ``batch()`` calls.
+  The synchronous path, which sends every duplicate to its shard,
+  counts requests instead; on a lone batch without duplicates the two
+  shed alike.
+* **The server's dispatch steps** — key-hash routing
+  (:func:`~repro.serving.server.shard_index`), ring-order failover,
+  stale-epoch marking, unavailable and shed answers, and the
+  end-of-batch tally are the server's own; this module only awaits
+  the exchange.  Two-phase swap safety: :meth:`swap` fences new waves
+  and drains every in-flight coalesced call before the commit, so no
+  coalesced future ever resolves with answers from a mix of epochs
+  (the singleflight table is additionally keyed by the committed swap
+  token, so a request arriving mid-swap can never join a previous
+  epoch's future).
 * **Trace propagation** — each coalesced shard call records one
   ``server.query_group`` span with a ``coalesced=N`` attribute (the
   number of requests folded into the wave) whose id rides the framed
@@ -40,74 +46,53 @@ actually blocks (exchanges are function calls), so wave dispatch order
 — and therefore fault-policy draws, failover order, and the merged
 trace — is deterministic under a seed, which is what lets the chaos
 tests assert byte-identity against the synchronous path.  Process-
-backed shards pass an executor to :class:`~repro.serving.shard.\
-AsyncShardTransport` and genuinely overlap in wall time.
+backed shards get an executor: each exchange runs in a worker thread
+(``ShardChannel.request`` holds the channel's lock), so waves to
+different shards genuinely overlap in wall time.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DataError, MeasurementError
 from .service import Answer, check_ops
-from .shard import AsyncShardTransport, SpawnProcessTransport
-from .server import (
-    ShardedBorderServer,
-    is_shed,
-    mark_stale,
-    shard_index,
-    unavailable_answers,
-)
+from .shard import SpawnProcessTransport
+from .server import ShardedBorderServer, shard_index
 
-#: Note stamped on answers shed by the per-shard wave cap; starts with
-#: "shed" so :func:`~repro.serving.server.is_shed` (and the disjoint
-#: shed/degraded accounting) treats both admission controllers alike.
-SHED_NOTE = "shed: shard wave cap"
+#: Distinct keys per coalesced shard call.
+WAVE_KEYS = 64
 
 
 class AsyncBorderFrontEnd:
     """Asyncio front end over a :class:`ShardedBorderServer`'s shards.
 
     The front end reuses the server's supervisor (breakers, restarts,
-    heartbeats), committed epoch/token state, metrics registry, and
-    tracer — it replaces only the dispatch loop, so health reports,
-    chaos harnesses, and ``swap()`` bookkeeping read exactly the same
-    tier state whichever path served the traffic.
+    heartbeats), committed epoch/token state, admission cap, dispatch
+    steps, metrics registry, and tracer — it replaces only the
+    per-batch loop, so health reports, chaos harnesses, and ``swap()``
+    bookkeeping read exactly the same tier state whichever path served
+    the traffic.
     """
 
     def __init__(
         self,
         server: ShardedBorderServer,
-        wave_size: int = 64,
-        max_waves_per_shard: int = 4,
         executor=None,
         own_executor: bool = False,
     ) -> None:
-        if wave_size < 1:
-            raise ValueError("wave_size must be >= 1")
-        if max_waves_per_shard < 1:
-            raise ValueError("max_waves_per_shard must be >= 1")
         self.server = server
         self.metrics = server.metrics
         self.tracer = server.tracer
-        self.wave_size = wave_size
-        self.max_waves_per_shard = max_waves_per_shard
-        self.transports = [
-            AsyncShardTransport(channel, executor=executor)
-            for channel in server.channels
-        ]
         self._executor = executor
         self._own_executor = own_executor
-        # Per-shard admission cap: distinct in-flight keys, not waves —
-        # a full pipeline of max_waves_per_shard waves of wave_size.
-        self._capacity = wave_size * max_waves_per_shard
         # asyncio primitives are loop-bound; (re)built lazily so the
         # front end survives repeated asyncio.run() calls.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._inflight: Dict[Tuple[int, str, int], asyncio.Future] = {}
-        self._shard_load: List[int] = [0] * len(server.channels)
-        self._semaphores: List[asyncio.Semaphore] = []
+        self._locks: List[asyncio.Lock] = []
         self._fence: Optional[asyncio.Event] = None
         self._drained: Optional[asyncio.Event] = None
         self._swap_lock: Optional[asyncio.Lock] = None
@@ -138,11 +123,7 @@ class AsyncBorderFrontEnd:
             return
         self._loop = loop
         self._inflight = {}
-        self._shard_load = [0] * len(self.transports)
-        self._semaphores = [
-            asyncio.Semaphore(self.max_waves_per_shard)
-            for _ in self.transports
-        ]
+        self._locks = [asyncio.Lock() for _ in self.server.channels]
         self._fence = asyncio.Event()
         self._fence.set()
         self._drained = asyncio.Event()
@@ -152,13 +133,11 @@ class AsyncBorderFrontEnd:
 
     # -- querying ------------------------------------------------------------
 
-    async def query(self, op: str, key: int) -> Answer:
-        return (await self.batch([(op, key)]))[0]
-
     async def batch(
         self, requests: Sequence[Tuple[str, int]]
     ) -> List[Answer]:
-        """Answer a batch: coalesce, route, pipeline, degrade explicitly.
+        """Answer a batch: coalesce, admit, route, pipeline, degrade
+        explicitly.
 
         Every position in ``requests`` gets an answer in order.
         Duplicate ``(op, key)`` pairs — inside this batch or across
@@ -173,9 +152,9 @@ class AsyncBorderFrontEnd:
         self._bind_loop()
         loop = self._loop
         server = self.server
-        count = len(self.transports)
+        count = len(server.channels)
         self._count("requests", len(requests))
-        self.metrics.inc("serving.server.requests", len(requests))
+        server._count("requests", len(requests))
 
         token = server.committed_token
         futures: List[asyncio.Future] = []
@@ -187,26 +166,20 @@ class AsyncBorderFrontEnd:
             if future is not None:
                 future.waiters += 1  # type: ignore[attr-defined]
                 joined += 1
-                futures.append(future)
-                continue
-            future = loop.create_future()
-            future.waiters = 1  # type: ignore[attr-defined]
-            home = shard_index(key, count)
-            if self._shard_load[home] >= self._capacity:
-                # The shard's pipeline is full: shed now, explicitly.
-                future.set_result(Answer(
-                    op=op, key=key, value=None,
-                    epoch=server.committed_epoch,
-                    degraded=True, note=SHED_NOTE,
-                ))
-                futures.append(future)
-                continue
-            self._inflight[fkey] = future
-            self._shard_load[home] += 1
-            future.add_done_callback(
-                lambda f, fkey=fkey, home=home: self._settled(fkey, home)
-            )
-            owned.setdefault(home, []).append((op, key, future))
+            elif len(self._inflight) >= server.max_inflight:
+                # The tier is full: shed now, explicitly.
+                future = loop.create_future()
+                future.set_result(server._shed_answer(op, key))
+            else:
+                future = loop.create_future()
+                future.waiters = 1  # type: ignore[attr-defined]
+                self._inflight[fkey] = future
+                future.add_done_callback(
+                    lambda _, fkey=fkey: self._inflight.pop(fkey, None)
+                )
+                owned.setdefault(shard_index(key, count), []).append(
+                    (op, key, future)
+                )
             futures.append(future)
         if joined:
             self._count("coalesced", joined)
@@ -216,43 +189,27 @@ class AsyncBorderFrontEnd:
         )
 
         tasks = [
-            loop.create_task(self._send_wave(home, entries[start:start
-                                                           + self.wave_size]))
+            loop.create_task(
+                self._send_wave(home, entries[start:start + WAVE_KEYS])
+            )
             for home, entries in sorted(owned.items())
-            for start in range(0, len(entries), self.wave_size)
+            for start in range(0, len(entries), WAVE_KEYS)
         ]
         if tasks:
             await asyncio.gather(*tasks)
         answers: List[Answer] = list(await asyncio.gather(*futures))
-
-        shed = sum(1 for answer in answers if is_shed(answer))
-        degraded = sum(
-            1 for answer in answers
-            if answer.degraded and not is_shed(answer)
-        )
+        shed = server._tally(answers, queue_depth=len(self._inflight))
         if shed:
             self._count("shed", shed)
-            self.metrics.inc("serving.server.shed", shed)
-        if degraded:
-            self.metrics.inc("serving.server.degraded", degraded)
-        self.metrics.set_gauge(
-            "serving.server.queue_depth", float(len(self._inflight))
-        )
         return answers
-
-    def _settled(self, fkey: Tuple[int, str, int], home: int) -> None:
-        """Done callback: retire a resolved future from the
-        singleflight table and release its admission slot."""
-        if self._inflight.pop(fkey, None) is not None:
-            self._shard_load[home] -= 1
 
     async def _send_wave(
         self, home: int, wave: List[Tuple[str, int, asyncio.Future]]
     ) -> None:
-        """One coalesced shard call: at most ``wave_size`` distinct
-        keys, bounded by the shard's outstanding-wave semaphore and the
-        swap fence."""
-        async with self._semaphores[home]:
+        """One coalesced shard call: at most :data:`WAVE_KEYS` distinct
+        keys, one wave per home shard at a time, behind the swap
+        fence."""
+        async with self._locks[home]:
             await self._fence.wait()
             self._outstanding += 1
             self._drained.clear()
@@ -282,34 +239,24 @@ class AsyncBorderFrontEnd:
         self, home: int, group: List[Tuple[str, int]],
         ctx: Optional[Dict[str, Any]],
     ) -> List[Answer]:
-        """The async twin of ``ShardedBorderServer._query_group``:
-        ring-order failover across live replicas, stale-epoch marking
-        against the committed token."""
+        """``ShardedBorderServer._query_group``'s loop, awaiting each
+        exchange: inline over in-process shards, in the executor over
+        process-backed ones."""
         server = self.server
-        supervisor = server.supervisor
-        count = len(self.transports)
-        for offset in range(count):
-            index = (home + offset) % count
-            shard = supervisor.shards[index]
-            if not supervisor.healthy(shard):
-                continue
-            if offset:
-                server._count("failovers")
+        for shard in server._replicas(home):
             try:
-                payload = await self.transports[index].query(group, trace=ctx)
+                if self._executor is None:
+                    payload = shard.channel.query(group, trace=ctx)
+                else:
+                    payload = await self._loop.run_in_executor(
+                        self._executor,
+                        functools.partial(shard.channel.query, group, ctx),
+                    )
             except (MeasurementError, DataError):
-                supervisor.record_failure(shard)
+                server.supervisor.record_failure(shard)
                 continue
-            supervisor.record_success(shard)
-            answers = self.transports[index].answers_from(payload)
-            token = payload.get("token", 0)
-            shard.last_seen_epoch = payload.get("epoch", -1)
-            shard.last_seen_token = token
-            if token != server.committed_token:
-                answers = mark_stale(answers, token, server.committed_token)
-            return answers
-        server._count("unavailable", len(group))
-        return unavailable_answers(group, server.committed_epoch)
+            return server._answers(shard, payload)
+        return server._unavailable(group)
 
     # -- two-phase epoch swap ------------------------------------------------
 
@@ -358,11 +305,7 @@ class AsyncBorderFrontEnd:
             self._executor.shutdown(wait=True)
 
 
-def make_async_frontend(
-    server: ShardedBorderServer,
-    wave_size: int = 64,
-    max_waves_per_shard: int = 4,
-) -> AsyncBorderFrontEnd:
+def make_async_frontend(server: ShardedBorderServer) -> AsyncBorderFrontEnd:
     """The standard front end for an existing server: inline (and
     deterministic) over in-process shards, thread-offloaded over
     process-backed shards whose pipe exchanges genuinely block."""
@@ -377,7 +320,5 @@ def make_async_frontend(
         )
         own_executor = True
     return AsyncBorderFrontEnd(
-        server, wave_size=wave_size,
-        max_waves_per_shard=max_waves_per_shard,
-        executor=executor, own_executor=own_executor,
+        server, executor=executor, own_executor=own_executor,
     )

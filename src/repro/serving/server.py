@@ -10,9 +10,12 @@ the replicas alive.  The contract under failure is *explicit
 degradation*:
 
 * **Admission control** — at most ``max_inflight`` requests are
-  accepted per batch wave; overflow is shed immediately with a
-  ``degraded`` :class:`~repro.serving.service.Answer` (``note="shed"``),
-  never silently dropped and never queued unboundedly.
+  admitted into the tier at once, counted as the shard work they cost:
+  every request on the synchronous path, which sends each duplicate
+  to its shard, and every distinct ``(op, key)`` on the coalescing
+  front end; overflow is shed immediately with a ``degraded``
+  :class:`~repro.serving.service.Answer` (``note=SHED_NOTE``), never
+  silently dropped and never queued unboundedly.
 * **Failover** — a request whose home shard is down or breaker-open is
   retried on the next healthy replica; replicas hold the same map, so a
   failover answer is byte-identical to the home shard's.  Only when no
@@ -33,12 +36,16 @@ serving (keep-last-good).  Phase two commits shard by shard; a shard
 that dies between prepare and commit is restarted by the supervisor
 from the *committed* artifact path, so it re-converges instead of
 resurrecting the old epoch.
+
+The server owns every dispatch step; :meth:`ShardedBorderServer.batch`
+and the async front end (:mod:`repro.serving.frontend`) run the same
+short per-group loop over them, and only the front end awaits.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import DataError, MeasurementError
 from ..net.faults import ChannelFaultPolicy
@@ -55,6 +62,10 @@ from .shard import (
 from .supervisor import RestartPolicy, ShardSupervisor, SupervisedShard
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Note on every answer admission control sheds, on either dispatch
+#: path; it starts with "shed", which is what :func:`is_shed` tests.
+SHED_NOTE = "shed: server over capacity"
 
 
 def shard_index(key: int, count: int) -> int:
@@ -84,8 +95,7 @@ def mark_stale(answers: Sequence[Answer], token: int,
                committed_token: int) -> List[Answer]:
     """Re-tag a replica's answers as stale-epoch degraded: correct for
     the epoch the replica serves, but not what a converged tier would
-    say.  Shared by the synchronous batch path and the async front
-    end so the marker text (and chaos-test oracles) stay identical."""
+    say."""
     return [
         Answer(
             op=answer.op, key=answer.key, value=answer.value,
@@ -94,18 +104,6 @@ def mark_stale(answers: Sequence[Answer], token: int,
                  % (token, committed_token),
         )
         for answer in answers
-    ]
-
-
-def unavailable_answers(group: Sequence[Tuple[str, int]],
-                        epoch: int) -> List[Answer]:
-    """Explicitly degraded answers for a group no replica could serve."""
-    return [
-        Answer(
-            op=op, key=key, value=None, epoch=epoch,
-            degraded=True, note="unavailable: no healthy shard",
-        )
-        for op, key in group
     ]
 
 
@@ -214,18 +212,17 @@ class ShardedBorderServer:
 
     # -- querying ------------------------------------------------------------
 
-    def query(self, op: str, key: int) -> Answer:
-        return self.batch([(op, key)])[0]
-
     def batch(self, requests: Sequence[Tuple[str, int]]) -> List[Answer]:
         """Answer a batch: route, fail over, degrade explicitly.
 
-        Admission control caps the accepted wave at ``max_inflight``;
-        overflow is shed up front (cheaply, before any shard work) so
-        an overloaded tier stays responsive for the requests it does
-        accept.  An op outside :data:`~repro.serving.service.OPS` is
-        the caller's error: it raises :class:`DataError` before any
-        shard work, so no replica's breaker counts it as a failure.
+        Admission control admits the first ``max_inflight`` requests,
+        duplicates included, since each one goes to its shard (nothing
+        else is in flight during a synchronous batch); overflow is shed
+        up front (cheaply, before any shard work) so an overloaded tier
+        stays responsive for the requests it does accept.  An op
+        outside :data:`~repro.serving.service.OPS` is the caller's
+        error: it raises :class:`DataError` before any shard work, so
+        no replica's breaker counts it as a failure.
         """
         requests = list(requests)
         if not requests:
@@ -236,11 +233,7 @@ class ShardedBorderServer:
             "serving.server.queue_depth", float(len(requests))
         )
         accepted = requests[: self.max_inflight]
-        overflow = requests[self.max_inflight:]
-        if overflow:
-            self._count("shed", len(overflow))
-
-        answers: List[Optional[Answer]] = [None] * len(requests)
+        answers: List[Answer] = [None] * len(accepted)  # type: ignore
         count = len(self.channels)
         groups: Dict[int, List[int]] = {}
         for position, (op, key) in enumerate(accepted):
@@ -254,26 +247,12 @@ class ShardedBorderServer:
                 for position, answer in zip(positions, got):
                     answers[position] = answer
 
-        for position, (op, key) in enumerate(requests):
-            if answers[position] is None:  # shed overflow
-                answers[position] = Answer(
-                    op=op, key=key, value=None,
-                    epoch=self.committed_epoch,
-                    degraded=True, note="shed: server over capacity",
-                )
-        # Shed answers carry degraded=True but are already counted under
-        # ``shed``; the degraded counter holds only non-shed degradation
-        # (stale-epoch, unavailable) so the two rates stay disjoint.
-        degraded = sum(
-            1 for answer in answers
-            if answer.degraded and not is_shed(answer)
-        )
-        if degraded:
-            self._count("degraded", degraded)
+        answers.extend(self._shed_answer(op, key)
+                       for op, key in requests[self.max_inflight:])
         # The wave is done: an idle tier reports an empty queue, not the
         # last wave's depth forever.
-        self.metrics.set_gauge("serving.server.queue_depth", 0.0)
-        return answers  # type: ignore[return-value]
+        self._tally(answers, queue_depth=0)
+        return answers
 
     def _trace_ctx(self) -> Optional[Dict[str, Any]]:
         """The compact trace context stamped into outgoing shard
@@ -288,39 +267,87 @@ class ShardedBorderServer:
     ) -> List[Answer]:
         """Send one shard's worth of requests, failing over in ring
         order across the replicas."""
-        supervisor = self.supervisor
-        count = len(self.channels)
         with self.tracer.span("server.query_group", home=home,
                               size=len(group)):
             ctx = self._trace_ctx()
-            for offset in range(count):
-                index = (home + offset) % count
-                shard = supervisor.shards[index]
-                if not supervisor.healthy(shard):
-                    continue
-                if offset:
-                    self._count("failovers")
+            for shard in self._replicas(home):
                 try:
                     payload = shard.channel.query(group, trace=ctx)
                 except (MeasurementError, DataError):
-                    supervisor.record_failure(shard)
+                    self.supervisor.record_failure(shard)
                     continue
-                supervisor.record_success(shard)
-                answers = shard.channel.answers_from(payload)
-                token = payload.get("token", 0)
-                shard.last_seen_epoch = payload.get("epoch", -1)
-                shard.last_seen_token = token
-                if token != self.committed_token:
-                    # The replica answered from an epoch the tier has
-                    # moved past (or not yet reached): correct for its
-                    # own epoch, but not what a converged tier would
-                    # say — mark it.
-                    answers = mark_stale(answers, token,
-                                         self.committed_token)
-                return answers
-            # No replica could answer.
-            self._count("unavailable", len(group))
-            return unavailable_answers(group, self.committed_epoch)
+                return self._answers(shard, payload)
+            return self._unavailable(group)
+
+    # -- dispatch steps shared with the async front end ----------------------
+
+    def _replicas(self, home: int) -> Iterator[SupervisedShard]:
+        """The healthy replicas for a group homed on shard ``home``, in
+        ring order; each one past the home counts as a failover.  Lazy,
+        so health is judged just before each try."""
+        supervisor = self.supervisor
+        count = len(self.channels)
+        for offset in range(count):
+            shard = supervisor.shards[(home + offset) % count]
+            if not supervisor.healthy(shard):
+                continue
+            if offset:
+                self._count("failovers")
+            yield shard
+
+    def _accept(self, shard: SupervisedShard,
+                payload: Dict[str, Any]) -> None:
+        """A replica replied: close its breaker's books and note the
+        epoch and swap token it serves."""
+        self.supervisor.record_success(shard)
+        shard.last_seen_epoch = payload.get("epoch", -1)
+        shard.last_seen_token = payload.get("token", -1)
+
+    def _answers(self, shard: SupervisedShard,
+                 payload: Dict[str, Any]) -> List[Answer]:
+        """Accept a replica's query reply and return its answers."""
+        self._accept(shard, payload)
+        answers = shard.channel.answers_from(payload)
+        token = shard.last_seen_token
+        if token != self.committed_token:
+            # The replica answered from an epoch the tier has moved past
+            # (or not yet reached): correct for its own epoch, but not
+            # what a converged tier would say — mark it.
+            answers = mark_stale(answers, token, self.committed_token)
+        return answers
+
+    def _unavailable(self, group: Sequence[Tuple[str, int]]) -> List[Answer]:
+        """Explicitly degraded answers for a group no replica could
+        serve."""
+        self._count("unavailable", len(group))
+        return [
+            Answer(
+                op=op, key=key, value=None, epoch=self.committed_epoch,
+                degraded=True, note="unavailable: no healthy shard",
+            )
+            for op, key in group
+        ]
+
+    def _shed_answer(self, op: str, key: int) -> Answer:
+        """The explicit answer to a request admission control refused."""
+        return Answer(op=op, key=key, value=None, epoch=self.committed_epoch,
+                      degraded=True, note=SHED_NOTE)
+
+    def _tally(self, answers: List[Answer], queue_depth: int) -> int:
+        """End-of-batch accounting; returns the shed count.  Shed
+        answers carry ``degraded=True`` but count only as ``shed``, so
+        the two rates stay disjoint; they are sought among the degraded
+        answers only, so a healthy batch costs one test per answer."""
+        degraded = [answer for answer in answers if answer.degraded]
+        shed = sum(1 for answer in degraded if is_shed(answer))
+        if shed:
+            self._count("shed", shed)
+        if len(degraded) > shed:
+            self._count("degraded", len(degraded) - shed)
+        self.metrics.set_gauge(
+            "serving.server.queue_depth", float(queue_depth)
+        )
+        return shed
 
     # -- two-phase epoch swap ------------------------------------------------
 
@@ -397,9 +424,7 @@ class ShardedBorderServer:
         except (MeasurementError, DataError):
             self.supervisor.record_failure(shard)
             return "failed"
-        self.supervisor.record_success(shard)
-        shard.last_seen_epoch = payload.get("epoch", -1)
-        shard.last_seen_token = payload.get("token", -1)
+        self._accept(shard, payload)
         self.metrics.merge_delta(
             payload.get("metrics", {}),
             prefix="shard.%d." % shard.shard_id,
@@ -573,8 +598,3 @@ def make_process_server(
         restart_policy=RestartPolicy(seed=restart_seed),
         metrics=metrics, tracer=tracer,
     )
-
-
-def collect_answer_values(answers: Sequence[Answer]) -> List[Any]:
-    """The values of a batch, in order — convenience for oracle diffs."""
-    return [answer.value for answer in answers]

@@ -36,6 +36,7 @@ tells the two apart: a JSON body starts with ``{``.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ChannelError, DataError, MeasurementTimeout
@@ -67,9 +68,7 @@ from .wire import (
 #: swap ops carry a token that makes replays harmless (prepare/commit/
 #: abort for an already-settled token is a no-op acknowledged with the
 #: current state).
-SHARD_OPS = (
-    "ping", "prepare", "commit", "abort", "harvest", "stats", "shutdown",
-)
+SHARD_OPS = ("ping", "prepare", "commit", "abort", "harvest", "shutdown")
 
 #: The first byte of every JSON body; a typed frame starts with its kind.
 _JSON = b"{"
@@ -141,8 +140,6 @@ class ShardWorker:
         # A *restarted* replica is handed the committed token it just
         # loaded (it starts converged, not stale).
         self.token = token
-        self.queries = 0
-        self.swaps = 0
         # Always-on worker telemetry: a real registry (dict bumps are
         # cheap enough to leave on) harvested as deltas by the front
         # end, and a tracer that stays null until the first command
@@ -216,15 +213,6 @@ class ShardWorker:
             return self._handle_abort(args, ctx)
         if op == "harvest":
             return self._handle_harvest()
-        if op == "stats":
-            return {
-                "shard": self.shard_id,
-                "queries": self.queries,
-                "swaps": self.swaps,
-                "epoch": self.service.epoch,
-                "token": self.token,
-                "staged": self._staged is not None,
-            }
         if op == "shutdown":
             self.shut_down = True
             return {"ok": True}
@@ -261,7 +249,6 @@ class ShardWorker:
                       ctx: Optional[Dict[str, Any]] = None) -> bytes:
         """Answer one decoded query frame; returns the answer-table
         body (:func:`~repro.serving.wire.encode_answers`)."""
-        self.queries += len(requests)
         self._batches += 1
         self.metrics.inc("worker.queries", len(requests))
         self.metrics.inc("worker.batches")
@@ -362,7 +349,6 @@ class ShardWorker:
             close_backend(retired)
         self.artifact_path = path
         self.token = token
-        self.swaps += 1
         self.metrics.inc("worker.swaps")
         return {"ok": True, "epoch": self.service.epoch, "token": self.token}
 
@@ -572,6 +558,7 @@ class ShardChannel:
         self.severed = 0
         self.delays = 0
         self._seq = 0
+        self._lock = threading.Lock()
 
     @property
     def shard_id(self) -> int:
@@ -596,72 +583,79 @@ class ShardChannel:
         A ``query`` (``requests=[(op, key), ...]``) travels as a typed
         frame and returns ``{"epoch", "token", "answers"}``, the answers
         as decoded entries for :meth:`answers_from`.
+
+        One exchange at a time: a duplex pipe cannot interleave two
+        framed round trips, and the seq and byte accounting are not
+        thread-safe, so callers on other threads (the async front end's
+        executor) take turns on the channel's lock.
         """
-        self._seq += 1
-        self.requests += 1
-        if op == "query":
-            body = encode_query(self._seq, args["requests"], trace)
-        else:
-            body = encode(Command(op=op, args=args, seq=self._seq,
-                                  trace=trace))
-        wire_out = pack_frame(body)
-        self.bytes_out += len(wire_out)
-
-        fault = self.faults.next_fault() if self.faults is not None else None
-        if fault == "sever":
-            self.severed += 1
-            self.transport.kill()
-            raise ChannelError(
-                "shard %d connection severed" % self.shard_id
-            )
-
-        wire_in = self.transport.exchange(wire_out, self.deadline_s)
-
-        if fault == "drop":
-            self.timeouts += 1
-            self._wait(self.deadline_s)
-            raise MeasurementTimeout(
-                "no reply from shard %d within %.1fs"
-                % (self.shard_id, self.deadline_s)
-            )
-        if fault == "delay":
-            self.delays += 1
-            self._wait(self.faults.delay_seconds)
-        if fault == "garble":
-            self.garbled += 1
-            wire_in = self.faults.garble(wire_in)
-
-        self.bytes_in += len(wire_in)
-        try:
-            body = unpack_frame(wire_in)
-            if body[:1] == _JSON:
-                reply = decode(body)
+        with self._lock:
+            self._seq += 1
+            self.requests += 1
+            if op == "query":
+                body = encode_query(self._seq, args["requests"], trace)
             else:
-                reply = decode_answers(body)
-        except DataError:
-            if fault != "garble":
-                self.garbled += 1
-            raise
-        if isinstance(reply, AnswerTable):
-            if op != "query" or reply.seq != self._seq:
-                raise DataError(
-                    "shard %d sent an answer table (seq %d) for %r "
-                    "request seq %d" % (self.shard_id, reply.seq, op,
-                                        self._seq)
+                body = encode(Command(op=op, args=args, seq=self._seq,
+                                      trace=trace))
+            wire_out = pack_frame(body)
+            self.bytes_out += len(wire_out)
+
+            fault = (self.faults.next_fault()
+                     if self.faults is not None else None)
+            if fault == "sever":
+                self.severed += 1
+                self.transport.kill()
+                raise ChannelError(
+                    "shard %d connection severed" % self.shard_id
                 )
-            return {"epoch": reply.epoch, "token": reply.token,
-                    "answers": reply.entries}
-        if not isinstance(reply, Reply):
-            raise DataError("expected a reply, got %r" % (reply,))
-        if reply.error is not None:
-            raise ChannelError(
-                "shard %d error for op %r: %s"
-                % (self.shard_id, op, reply.error)
-            )
-        if op == "query":
-            raise DataError("shard %d answered a query without an answer "
-                            "table" % self.shard_id)
-        return reply.payload
+
+            wire_in = self.transport.exchange(wire_out, self.deadline_s)
+
+            if fault == "drop":
+                self.timeouts += 1
+                self._wait(self.deadline_s)
+                raise MeasurementTimeout(
+                    "no reply from shard %d within %.1fs"
+                    % (self.shard_id, self.deadline_s)
+                )
+            if fault == "delay":
+                self.delays += 1
+                self._wait(self.faults.delay_seconds)
+            if fault == "garble":
+                self.garbled += 1
+                wire_in = self.faults.garble(wire_in)
+
+            self.bytes_in += len(wire_in)
+            try:
+                body = unpack_frame(wire_in)
+                if body[:1] == _JSON:
+                    reply = decode(body)
+                else:
+                    reply = decode_answers(body)
+            except DataError:
+                if fault != "garble":
+                    self.garbled += 1
+                raise
+            if isinstance(reply, AnswerTable):
+                if op != "query" or reply.seq != self._seq:
+                    raise DataError(
+                        "shard %d sent an answer table (seq %d) for %r "
+                        "request seq %d" % (self.shard_id, reply.seq, op,
+                                            self._seq)
+                    )
+                return {"epoch": reply.epoch, "token": reply.token,
+                        "answers": reply.entries}
+            if not isinstance(reply, Reply):
+                raise DataError("expected a reply, got %r" % (reply,))
+            if reply.error is not None:
+                raise ChannelError(
+                    "shard %d error for op %r: %s"
+                    % (self.shard_id, op, reply.error)
+                )
+            if op == "query":
+                raise DataError("shard %d answered a query without an answer "
+                                "table" % self.shard_id)
+            return reply.payload
 
     def query(self, requests: Sequence[Tuple[str, int]],
               trace: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -672,62 +666,3 @@ class ShardChannel:
 
     def close(self) -> None:
         self.transport.close()
-
-
-class AsyncShardTransport:
-    """The asyncio face of one :class:`ShardChannel`.
-
-    Same framed command/reply exchange, same fault injection, same
-    error taxonomy — ``await``-able.  With ``executor=None`` (the
-    default) the exchange runs inline on the event loop, which is
-    correct and *deterministic* for :class:`InProcessTransport` workers
-    (the exchange is a function call, there is nothing to wait on) and
-    keeps the coalescing front end byte-reproducible under a seed.
-    Pass a ``concurrent.futures`` executor for process-backed shards,
-    whose pipe exchanges genuinely block: each exchange is then
-    offloaded so waves to different shards overlap in wall time.
-    """
-
-    def __init__(self, channel: ShardChannel, executor=None) -> None:
-        import threading
-        self.channel = channel
-        self.executor = executor
-        # One exchange at a time per channel: a duplex pipe cannot
-        # interleave two framed round trips, and ShardChannel's seq and
-        # byte accounting are not thread-safe.  Concurrency lives
-        # *across* shards, not within one.
-        self._lock = threading.Lock()
-
-    @property
-    def shard_id(self) -> int:
-        return self.channel.shard_id
-
-    @property
-    def alive(self) -> bool:
-        return self.channel.alive
-
-    def _exchange(self, op: str, trace: Optional[Dict[str, Any]],
-                  args: Dict[str, Any]) -> Dict[str, Any]:
-        with self._lock:
-            return self.channel.request(op, trace=trace, **args)
-
-    async def request(self, op: str, *,
-                      trace: Optional[Dict[str, Any]] = None,
-                      **args: Any) -> Dict[str, Any]:
-        if self.executor is None:
-            return self.channel.request(op, trace=trace, **args)
-        import asyncio
-        import functools
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self.executor,
-            functools.partial(self._exchange, op, trace, args),
-        )
-
-    async def query(self, requests: Sequence[Tuple[str, int]],
-                    trace: Optional[Dict[str, Any]] = None
-                    ) -> Dict[str, Any]:
-        return await self.request("query", trace=trace, requests=requests)
-
-    def answers_from(self, payload: Dict[str, Any]) -> List[Answer]:
-        return self.channel.answers_from(payload)

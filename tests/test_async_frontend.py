@@ -1,9 +1,9 @@
 """The async coalescing front end: byte-identity against the
 synchronous batch path (plain, under shard-kill chaos, and across a
 mid-flight epoch swap), singleflight coalescing (each distinct
-``(op, key)`` crosses the shard wire exactly once), the per-shard
-wave-cap admission control, trace propagation, and the shared-registry
-counters the health report reads."""
+``(op, key)`` crosses the shard wire exactly once), admission control
+by the server's ``max_inflight``, trace propagation, and the
+shared-registry counters the health report reads."""
 
 import asyncio
 from types import SimpleNamespace
@@ -13,14 +13,12 @@ import pytest
 from repro.io import load_border_map, save_border_map
 from repro.obs import MetricsRegistry, Tracer
 from repro.serving import (
-    AsyncBorderFrontEnd,
     BorderMapService,
     compile_border_map,
     make_async_frontend,
     make_workload,
 )
-from repro.serving.frontend import SHED_NOTE
-from repro.serving.server import make_local_server, shard_index
+from repro.serving.server import SHED_NOTE, make_local_server, shard_index
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +185,6 @@ class TestCoalescing:
         try:
             frontend.batch_sync(tier.workload)
             assert frontend._inflight == {}
-            assert all(load == 0 for load in frontend._shard_load)
         finally:
             frontend.close()
             server.close()
@@ -197,14 +194,13 @@ class TestWaveCapAdmission:
     def test_overflow_is_shed_explicitly_and_disjointly(self, tier):
         metrics = MetricsRegistry()
         server, _ = make_local_server(
-            tier.path1, epoch=1, metrics=metrics
+            tier.path1, epoch=1, metrics=metrics, max_inflight=2
         )
-        frontend = AsyncBorderFrontEnd(
-            server, wave_size=2, max_waves_per_shard=1
-        )
+        frontend = make_async_frontend(server)
         try:
-            # Distinct keys all homed on shard 0: capacity is
-            # wave_size * max_waves_per_shard = 2, the rest must shed.
+            # Distinct keys all homed on shard 0: the tier admits
+            # max_inflight = 2 distinct requests at once, the rest
+            # must shed.
             homed = [req for req in dict.fromkeys(tier.workload)
                      if shard_index(req[1], 3) == 0][:6]
             assert len(homed) == 6
@@ -218,7 +214,7 @@ class TestWaveCapAdmission:
                 assert answer.degraded
             oracle = tier.oracle1.batch(homed[:2])
             assert [a.value for a in kept] == [a.value for a in oracle]
-            # Disjoint accounting: wave-cap sheds land in the shed
+            # Disjoint accounting: admission sheds land in the shed
             # counter only, never double-counted as degraded.
             assert metrics.counter("serving.server.shed") == 4
             assert metrics.counter("serving.server.degraded") == 0
@@ -226,6 +222,61 @@ class TestWaveCapAdmission:
         finally:
             frontend.close()
             server.close()
+
+    def test_concurrent_batches_share_the_cap(self, tier):
+        """The cap spans the tier, not one batch: while a first batch's
+        two distinct keys are in flight, a concurrent batch's new keys
+        are shed; once they are answered the tier admits again."""
+        server, _ = make_local_server(tier.path1, epoch=1, max_inflight=2)
+        frontend = make_async_frontend(server)
+        try:
+            distinct = list(dict.fromkeys(tier.workload))
+            first, second = distinct[:2], distinct[2:4]
+
+            async def overlap():
+                return await asyncio.gather(
+                    frontend.batch(first), frontend.batch(second)
+                )
+
+            kept, shed = asyncio.run(overlap())
+            oracle = tier.oracle1.batch(first)
+            assert [a.value for a in kept] == [a.value for a in oracle]
+            assert not any(a.degraded for a in kept)
+            assert [a.note for a in shed] == [SHED_NOTE, SHED_NOTE]
+            assert server.shed == 2
+            assert frontend._inflight == {}
+            later = frontend.batch_sync(second)
+            assert not any(a.degraded for a in later)
+        finally:
+            frontend.close()
+            server.close()
+
+    def test_sync_counts_requests_async_counts_distinct_keys(self, tier):
+        """The knob counts shard work: the sync path sends every
+        duplicate to its shard and admits the first max_inflight
+        requests; the front end sends each distinct pair once, so a
+        duplicate joins its admitted pair.  Without duplicates the two
+        paths give the same answers."""
+        sync_server, _ = make_local_server(tier.path1, epoch=1,
+                                           max_inflight=40)
+        async_server, _ = make_local_server(tier.path1, epoch=1,
+                                            max_inflight=40)
+        frontend = make_async_frontend(async_server)
+        try:
+            distinct = list(dict.fromkeys(tier.workload))
+            assert sync_server.batch(distinct) \
+                == frontend.batch_sync(distinct)
+            sync_answers = sync_server.batch(tier.duplicated)
+            async_answers = frontend.batch_sync(tier.duplicated)
+            assert [a.note == SHED_NOTE for a in sync_answers] \
+                == [i >= 40 for i in range(len(tier.duplicated))]
+            admitted = set(distinct[:40])
+            assert [a.note == SHED_NOTE for a in async_answers] \
+                == [req not in admitted for req in tier.duplicated]
+        finally:
+            frontend.close()
+            sync_server.close()
+            async_server.close()
 
     def test_queue_depth_gauge_drains_to_zero(self, tier):
         metrics = MetricsRegistry()

@@ -4,21 +4,27 @@ import pytest
 
 from repro import build_scenario, build_data_bundle, mini
 from repro.analysis import validate_result
-from repro.core.multi import run_all_vps
+from repro.core.orchestrator import MultiVPOrchestrator
+
+
+def run_all_vps(share_alias_evidence):
+    """Every VP of one scenario, one VP after another."""
+    scenario = build_scenario(mini(seed=27))
+    data = build_data_bundle(scenario)
+    return scenario, MultiVPOrchestrator(
+        scenario, data=data, share_alias_evidence=share_alias_evidence,
+        interleave=False,
+    ).run()
 
 
 @pytest.fixture(scope="module")
 def shared_run():
-    scenario = build_scenario(mini(seed=27))
-    data = build_data_bundle(scenario)
-    return scenario, run_all_vps(scenario, data, share_alias_evidence=True)
+    return run_all_vps(share_alias_evidence=True)
 
 
 @pytest.fixture(scope="module")
 def independent_run():
-    scenario = build_scenario(mini(seed=27))
-    data = build_data_bundle(scenario)
-    return scenario, run_all_vps(scenario, data, share_alias_evidence=False)
+    return run_all_vps(share_alias_evidence=False)
 
 
 class TestSharedEvidence:

@@ -178,6 +178,50 @@ class TestCheckpointMerge:
         assert not list(tmp_path.glob("*.worker*"))
 
 
+class TestAtomicCheckpoints:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        """A canonical checkpoint write that fails partway (here on a
+        value JSON cannot encode, in the last VP's entry) leaves the
+        previous checkpoint whole, so a resume can still read it."""
+        from repro.io import load_checkpoint
+
+        spec = ScenarioSpec.make("mini", seed=1)
+        path = tmp_path / "ck.json"
+        orchestrator = ParallelOrchestrator(
+            spec, workers=1, checkpoint_path=str(path)
+        )
+        orchestrator.run()
+        before = path.read_text()
+        entries = json.loads(before)["vps"]
+        payloads = {entry["report"]["vp_name"]: entry for entry in entries}
+        payloads[entries[-1]["report"]["vp_name"]]["metrics"] = {
+            "counters": {"poison": object()},
+        }
+        with pytest.raises(TypeError):
+            orchestrator._save_merged_checkpoint(
+                orchestrator.scenario, {}, payloads
+            )
+        assert path.read_text() == before
+        results, _ = load_checkpoint(str(path))
+        assert len(results) == len(entries)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_resume_ignores_a_stranded_temp_file(self, tmp_path):
+        """A crash inside an atomic write strands its temp file next to
+        the worker partials; resume must not read it as one, and the
+        merged checkpoint's write clears it."""
+        spec = ScenarioSpec.make("mini", seed=1)
+        path = tmp_path / "ck.json"
+        fresh = run_parallel(spec, workers=1, checkpoint_path=str(path))
+        (tmp_path / "ck.json.worker0.x1y2.tmp").write_text('{"format": "')
+        (tmp_path / "ck.json.a3b4.tmp").write_text('{"format": "')
+        resumed = ParallelOrchestrator(
+            spec, workers=1, checkpoint_path=str(path), resume=True
+        ).run()
+        assert canon(resumed) == canon(fresh)
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 class TestParallelResume:
     def test_resume_skips_done_vps_and_matches_fresh(self, tmp_path):
         spec = ScenarioSpec.make("mini", seed=7)

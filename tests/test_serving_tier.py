@@ -446,6 +446,42 @@ class TestShardChannel:
         assert worker.metrics.counter("worker.errors") == 1
         channel.close()
 
+    def test_threads_take_turns_on_one_channel(self, tier):
+        """The async front end calls channels from executor threads
+        while the loop thread may heartbeat them: every exchange must
+        stay whole (a reply answers its own request's seq) and no
+        counter update may be lost."""
+        import sys
+        import threading
+
+        channel = self._channel(tier)
+        requests = tier.workload[:8]
+        want = tier.oracle1.batch(requests)
+        rounds, errors = 100, []
+
+        def hammer():
+            try:
+                for _ in range(rounds):
+                    payload = channel.query(requests)
+                    assert channel.answers_from(payload) == want
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert channel.requests == 8 * rounds
+        channel.close()
+
 
 # -- supervision primitives --------------------------------------------------
 
@@ -744,6 +780,25 @@ def test_cli_rejects_nonpositive_tier_counts(tier, argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_async_serve_sheds_like_sync(tier, capsys):
+    """``--max-inflight`` is the one admission knob on both serve
+    paths: over more distinct queries than it admits, ``--async`` sheds
+    the same requests as the synchronous path and prints the same
+    lines."""
+    from repro.addr import ntoa
+    from repro.cli import main
+
+    argv = ["serve", "--map", tier.path1, "--max-inflight", "2"]
+    for op, key in list(dict.fromkeys(tier.workload))[:5]:
+        argv += [op, str(key) if op == "neighbors" else ntoa(key)]
+    printed = []
+    for extra in ([], ["--async"]):
+        assert main(argv + extra) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[1].count("[degraded: shed") == 3
+
+
 # -- real processes ----------------------------------------------------------
 
 
@@ -764,6 +819,27 @@ class TestProcessShards:
         finally:
             server.close()
 
+    def test_async_frontend_matches_sync_path(self, tier):
+        """The executor path: spawned shards behind the async front end
+        answer a duplicated workload exactly as the sync path on the
+        same server does, also after one child is killed."""
+        from repro.serving.frontend import make_async_frontend
+
+        server = make_process_server(tier.path1, epoch=1, shards=2)
+        frontend = make_async_frontend(server)
+        try:
+            requests = [req for req in tier.workload[:30] for _ in range(3)]
+            answers = server.batch(requests)
+            assert frontend.batch_sync(requests) == answers
+            assert all(not a.degraded for a in answers)
+            server.channels[0].transport.kill()
+            assert server.batch(requests) == answers
+            assert frontend.batch_sync(requests) == answers
+            assert server.failovers > 0
+            assert frontend.coalesced > 0
+        finally:
+            frontend.close()
+            server.close()
 
     def test_process_loop_decodes_once_and_exits_after_shutdown(
             self, tier, monkeypatch):
