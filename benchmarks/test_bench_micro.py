@@ -1,9 +1,9 @@
 """Micro-benchmarks of the hot-path primitives.
 
-The radix trie's longest-prefix match runs once per traceroute hop per
-address classification — millions of times in a paper-scale run — and the
+The frozen longest-prefix match runs once per traceroute hop per address
+classification — millions of times in a paper-scale run — and the
 forwarding walk dominates collection time.  These benches watch for
-regressions in both.
+regressions in both, and in the trie that builds the LPM tables.
 """
 
 import pytest
@@ -29,11 +29,12 @@ def loaded_trie():
 def test_bench_trie_lpm(benchmark, loaded_trie):
     rng = make_rng(8)
     probes = [rng.randint(0, (1 << 32) - 1) for _ in range(1000)]
+    lpm = loaded_trie.freeze()
 
     def lookup_batch():
         hits = 0
         for addr in probes:
-            if loaded_trie.lookup_value(addr) is not None:
+            if lpm.lookup_value(addr) is not None:
                 hits += 1
         return hits
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..addr import Prefix
-from ..trie import PrefixTrie
+from ..trie import FrozenLPM
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,11 @@ class BGPView:
     def __init__(self) -> None:
         self.entries: List[RibEntry] = []
         self._origins: Dict[Prefix, Set[int]] = defaultdict(set)
-        self._trie: Optional[PrefixTrie] = None
-        # Longest-match answers per address, beside the trie: collection
+        # Frozen on first read once the adds are done; add() thaws it.
+        self._lpm: Optional[FrozenLPM[Tuple[int, ...]]] = None
+        # Longest-match answers per address, beside the LPM: collection
         # asks about the same few thousand hop addresses hundreds of
-        # thousands of times.  Cleared with the trie in add().
+        # thousands of times.  Cleared with the LPM in add().
         self._addr_origins: Dict[int, Tuple[int, ...]] = {}
         self._neighbors: Optional[Dict[int, Set[int]]] = None
 
@@ -51,7 +52,7 @@ class BGPView:
             return  # mirror the paper's /8../24 filter
         self.entries.append(entry)
         self._origins[entry.prefix].add(entry.origin)
-        self._trie = None
+        self._lpm = None
         self._addr_origins.clear()
         self._neighbors = None
 
@@ -63,25 +64,25 @@ class BGPView:
     def origins(self, prefix: Prefix) -> FrozenSet[int]:
         return frozenset(self._origins.get(prefix, ()))
 
-    def _origin_trie(self) -> PrefixTrie:
-        if self._trie is None:
-            trie: PrefixTrie = PrefixTrie()
-            for prefix, origins in self._origins.items():
-                trie.insert(prefix, tuple(sorted(origins)))
-            self._trie = trie
-        return self._trie
+    def _origin_lpm(self) -> FrozenLPM[Tuple[int, ...]]:
+        if self._lpm is None:
+            self._lpm = FrozenLPM(
+                (prefix, tuple(sorted(origins)))
+                for prefix, origins in self._origins.items()
+            )
+        return self._lpm
 
     def origins_of_addr(self, addr: int) -> Tuple[int, ...]:
         """Origin ASes of the longest matching announced prefix (may be
         empty — the address is unrouted; may have several — MOAS)."""
         found = self._addr_origins.get(addr)
         if found is None:
-            found = self._origin_trie().lookup_value(addr) or ()
+            found = self._origin_lpm().lookup_value(addr) or ()
             self._addr_origins[addr] = found
         return found
 
     def lookup(self, addr: int) -> Optional[Tuple[Prefix, Tuple[int, ...]]]:
-        return self._origin_trie().lookup(addr)
+        return self._origin_lpm().lookup(addr)
 
     # -- AS paths and adjacency ---------------------------------------------------
 

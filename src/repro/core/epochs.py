@@ -49,6 +49,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..alias import AliasResolver
 from ..errors import DataError, TopologyError
+from ..net.network import _MAX_HOPS
 from ..net.routing import StepKind
 from ..obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry, NULL_REGISTRY
 from ..obs.provenance import ASSIGNED, CO_ASSIGNED, CONSIDERED, DEGRADED
@@ -76,11 +77,6 @@ from .heuristics import (
 from .report import BdrmapResult
 from .routergraph import build_router_graph
 from .targets import TargetBlock, group_by_origin
-
-try:
-    from ..net.network import _MAX_HOPS
-except ImportError:  # pragma: no cover - defensive fallback
-    _MAX_HOPS = 64
 
 # A forwarding signature is a nested tuple; a router's stable identity
 # across epochs is its sorted address tuple (addresses are unique to one
@@ -138,6 +134,16 @@ class SigCache:
         self.first_router = first_router
         self._memo: Dict[int, Sig] = {}
         self._reply_memo: Dict[int, Sig] = {}
+        self._addrs_memo: Dict[int, RouterKey] = {}
+
+    def _addrs(self, router_id: int) -> RouterKey:
+        addrs = self._addrs_memo.get(router_id)
+        if addrs is None:
+            router = self.network.internet.routers[router_id]
+            addrs = self._addrs_memo[router_id] = tuple(
+                sorted(router.addresses())
+            )
+        return addrs
 
     def _reply_sig(self, router_id: int) -> Sig:
         cached = self._reply_memo.get(router_id)
@@ -153,13 +159,19 @@ class SigCache:
         if cached is not None:
             return cached
         oracle = self.network.oracle
-        internet = self.network.internet
+        routers = self.network.internet.routers
+        # Every forward hop's next AS comes from the destination's one
+        # class route, looked up once here instead of once per hop.
+        policy = oracle.lookup_policy(dst)
+        routes = (
+            oracle.class_routes(oracle.class_key(policy))
+            if policy is not None else None
+        )
         router_id = self.first_router
         hops: List[Sig] = []
         for _ in range(_MAX_HOPS):
             step = oracle.step(router_id, dst)
-            router = internet.routers[router_id]
-            addrs = tuple(sorted(router.addresses()))
+            addrs = self._addrs(router_id)
             if step.kind is StepKind.ARRIVE:
                 hops.append(("arrive", router_id, self._reply_sig(router_id),
                              addrs))
@@ -180,7 +192,8 @@ class SigCache:
                 step.out_addr,
                 step.in_addr,
                 step.crosses_border,
-                oracle.next_as_of(router.asn, dst),
+                routes.next_as(routers[router_id].asn)
+                if routes is not None else None,
                 self._reply_sig(router_id),
                 addrs,
             ))

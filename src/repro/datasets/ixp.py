@@ -10,30 +10,36 @@ parse/combine them the way bdrmap does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..addr import Prefix, aton, ntoa
 from ..errors import DataError
 from ..rng import make_rng
 from ..topology.model import Internet
-from ..trie import PrefixTrie
+from ..trie import FrozenLPM
 
 
-@dataclass
+@dataclass(frozen=True)
 class IXPDataset:
-    """Combined IXP knowledge: peering-LAN prefixes and per-address ASNs."""
+    """Combined IXP knowledge: peering-LAN prefixes and per-address ASNs.
 
-    prefixes: List[Prefix] = field(default_factory=list)
+    Sealed on construction: ``prefixes`` becomes a tuple and is frozen
+    into the LPM that :meth:`is_ixp_addr` reads, so the two cannot drift.
+    """
+
+    prefixes: Sequence[Prefix] = ()
     addr_to_asn: Dict[int, int] = field(default_factory=dict)
-    _trie: Optional[PrefixTrie] = None
+    _lpm: FrozenLPM[bool] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        prefixes = tuple(self.prefixes)
+        object.__setattr__(self, "prefixes", prefixes)
+        object.__setattr__(
+            self, "_lpm", FrozenLPM((prefix, True) for prefix in prefixes)
+        )
 
     def is_ixp_addr(self, addr: int) -> bool:
-        if self._trie is None:
-            trie: PrefixTrie = PrefixTrie()
-            for prefix in self.prefixes:
-                trie.insert(prefix, True)
-            self._trie = trie
-        return self._trie.lookup_value(addr) is not None
+        return self._lpm.lookup_value(addr) is not None
 
     def member_asn(self, addr: int) -> Optional[int]:
         """The AS an operator recorded for this fabric address, if any."""

@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional
 from ..addr import Prefix, aton, ntoa
 from ..errors import DataError
 from ..topology.model import Internet
-from ..trie import PrefixTrie
+from ..trie import FrozenLPM
 
 _REGISTRIES = ["arin", "ripencc", "apnic", "lacnic", "afrinic"]
 
@@ -36,13 +36,13 @@ class RIRDelegations:
 
     def __init__(self, records: Iterable[DelegationRecord]) -> None:
         self.records: List[DelegationRecord] = list(records)
-        self._trie: PrefixTrie = PrefixTrie()
-        for record in self.records:
-            self._trie.insert(record.prefix, record.opaque_id)
+        self._lpm: FrozenLPM[str] = FrozenLPM(
+            (record.prefix, record.opaque_id) for record in self.records
+        )
 
     def opaque_id_of(self, addr: int) -> Optional[str]:
         """Opaque org ID of the most specific delegation covering addr."""
-        return self._trie.lookup_value(addr)
+        return self._lpm.lookup_value(addr)
 
     def prefixes_of(self, opaque_id: str) -> List[Prefix]:
         return sorted(

@@ -24,10 +24,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..addr import Prefix
 from ..asgraph import ASGraph, Rel
 from ..errors import RoutingError
 from ..topology.model import Internet, LinkKind, PrefixPolicy
-from ..trie import PrefixTrie
+from ..trie import FrozenLPM
 
 ClassKey = Tuple[Tuple[int, ...], Optional[FrozenSet[int]]]
 
@@ -56,8 +57,11 @@ class StepKind(enum.Enum):
     UNREACHABLE = "unreachable"  # no route
 
 
-@dataclass
+@dataclass(frozen=True)
 class Step:
+    """One forwarding decision.  Frozen: the oracle hands the same Step to
+    every destination of a prefix that reaches it by prefix routing."""
+
     kind: StepKind
     next_router: Optional[int] = None
     link_id: Optional[int] = None
@@ -65,6 +69,10 @@ class Step:
     in_addr: Optional[int] = None    # next router's address on the link
     crosses_border: bool = False
     policy: Optional[PrefixPolicy] = None
+
+
+_ARRIVE = Step(StepKind.ARRIVE)
+_UNREACHABLE = Step(StepKind.UNREACHABLE)
 
 
 class _ClassRoutes:
@@ -176,10 +184,11 @@ class RoutingOracle:
 
     def __init__(self, internet: Internet) -> None:
         self.internet = internet
-        self._announced: PrefixTrie = PrefixTrie()
-        for policy in internet.prefix_policies.values():
-            if policy.announced:
-                self._announced.insert(policy.prefix, policy)
+        self._announced: FrozenLPM[PrefixPolicy] = FrozenLPM(
+            (policy.prefix, policy)
+            for policy in internet.prefix_policies.values()
+            if policy.announced
+        )
         self._links_between: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._build_links_between()
         self._classes: Dict[ClassKey, _ClassRoutes] = {}
@@ -194,6 +203,10 @@ class RoutingOracle:
         # path: every route the network's walk records is built from these
         # steps, and sibling targets in a /24 share almost every hop.
         self._step_memo: Dict[Tuple[int, int], Step] = {}
+        # Past the infrastructure checks a decision reads only the router
+        # and the covering prefix's policy, so every destination in one
+        # announced prefix shares it: (router, prefix) -> Step.
+        self._prefix_memo: Dict[Tuple[int, Prefix], Step] = {}
 
     # -- static structure -----------------------------------------------------
 
@@ -430,7 +443,7 @@ class RoutingOracle:
         # 1. Destined to an address on this router.
         iface = internet.addr_to_iface.get(dst)
         if iface is not None and iface.router_id == router_id:
-            return Step(StepKind.ARRIVE)
+            return _ARRIVE
 
         # 2. Destined to infrastructure we can route to directly: the owner
         #    router is in our AS, or sits across a link our AS touches.
@@ -463,24 +476,37 @@ class RoutingOracle:
         # 3. Normal prefix routing.
         policy = self.lookup_policy(dst)
         if policy is None:
-            return Step(StepKind.UNREACHABLE)
+            return _UNREACHABLE
+        memo_key = (router_id, policy.prefix)
+        step = self._prefix_memo.get(memo_key)
+        if step is None:
+            step = self._prefix_memo[memo_key] = self._route_prefix(
+                router_id, policy
+            )
+        return step
+
+    def _route_prefix(self, router_id: int, policy: PrefixPolicy) -> Step:
+        """The BGP decision at ``router_id`` for any destination in
+        ``policy``'s prefix that is not infrastructure it routes to
+        directly."""
+        router = self.internet.routers[router_id]
         key = self.class_key(policy)
         routes = self.class_routes(key)
         next_as = routes.next_as(router.asn)
         if next_as is None:
-            return Step(StepKind.UNREACHABLE)
+            return _UNREACHABLE
         if next_as == router.asn:
             host_router = policy.host_router.get(router.asn)
             if host_router is None or host_router == router_id:
                 return Step(StepKind.HOST, policy=policy)
             step = self._intra_step(router_id, host_router)
-            return step if step is not None else Step(StepKind.UNREACHABLE)
+            return step if step is not None else _UNREACHABLE
         egress = self._egress(router_id, next_as, key)
         if egress is None:
-            return Step(StepKind.UNREACHABLE)
+            return _UNREACHABLE
         near_router, link_id = egress
         if near_router == router_id:
             step = self._cross_link(router_id, link_id, next_as)
-            return step if step is not None else Step(StepKind.UNREACHABLE)
+            return step if step is not None else _UNREACHABLE
         step = self._intra_step(router_id, near_router)
-        return step if step is not None else Step(StepKind.UNREACHABLE)
+        return step if step is not None else _UNREACHABLE

@@ -11,8 +11,8 @@ versioned :class:`BorderMap`:
 * an interned AS table and a global router table (per-VP router ids are
   run-local; the compiler assigns stable global indices),
 * an exact interface→router→owner map over every observed alias,
-* a longest-prefix-match index over the announced prefixes (reusing
-  :class:`repro.trie.PrefixTrie`, the same structure the inference hot
+* a longest-prefix-match index over the announced prefixes (a
+  :class:`repro.trie.FrozenLPM`, the same read side the inference hot
   path uses) for addresses never seen in a trace,
 * border-link adjacency with the far-side neighbor AS, the business
   relationship, and the producing heuristic's validated confidence.
@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..addr import Prefix
 from ..core.report import HEURISTIC_CONFIDENCE, _DEFAULT_CONFIDENCE, BdrmapResult
 from ..errors import DataError
-from ..trie import PrefixTrie
+from ..trie import FrozenLPM
 
 BORDERMAP_FORMAT = "bdrmap-repro-bordermap/1"
 
@@ -103,7 +103,7 @@ class BorderMap:
     """Immutable, versioned query artifact compiled from bdrmap results.
 
     All state is fixed at construction; the derived indexes (interface
-    map, LPM trie, per-neighbor and per-destination link adjacency) are
+    map, frozen LPM, per-neighbor and per-destination link adjacency) are
     built once here and never mutated, so a map can be shared across
     threads and hot-swapped under a live service without locking.
     """
@@ -155,10 +155,7 @@ class BorderMap:
                     iface[addr] = router.index
         self._iface: Mapping[int, int] = MappingProxyType(iface)
 
-        trie: PrefixTrie = PrefixTrie()
-        for prefix, origin in self.prefixes:
-            trie.insert(prefix, origin)
-        self._trie = trie
+        self._lpm: FrozenLPM[int] = FrozenLPM(self.prefixes)
 
         by_neighbor: Dict[int, List[int]] = {}
         for link in self.links:
@@ -226,7 +223,7 @@ class BorderMap:
             if owner is not None:
                 return Ownership(asn=owner, source="interface",
                                  router=router_index)
-        origin = self._trie.lookup_value(addr)
+        origin = self._lpm.lookup_value(addr)
         if origin is not None:
             return Ownership(asn=origin, source="bgp", router=None)
         return None
@@ -234,39 +231,13 @@ class BorderMap:
     def owner_of_batch(
         self, addrs: Sequence[int]
     ) -> List[Optional[Ownership]]:
-        """Batched :meth:`owner_of`: interface map first, then one
-        :meth:`~repro.trie.PrefixTrie.lookup_value_batch` walk over every
-        address that needs the LPM fallback."""
-        iface = self._iface
-        routers = self.routers
-        answers: List[Optional[Ownership]] = [None] * len(addrs)
-        fallback_addrs: List[int] = []
-        fallback_positions: List[int] = []
-        for position, addr in enumerate(addrs):
-            router_index = iface.get(addr)
-            if router_index is not None:
-                owner = routers[router_index].owner
-                if owner is not None:
-                    answers[position] = Ownership(
-                        asn=owner, source="interface", router=router_index
-                    )
-                    continue
-            fallback_addrs.append(addr)
-            fallback_positions.append(position)
-        if not fallback_addrs:  # every address answered from the
-            return answers      # interface map: skip the trie walk
-        origins = self._trie.lookup_value_batch(fallback_addrs)
-        for position, origin in zip(fallback_positions, origins):
-            if origin is not None:
-                answers[position] = Ownership(
-                    asn=origin, source="bgp", router=None
-                )
-        return answers
+        """:meth:`owner_of` for many addresses."""
+        return [self.owner_of(addr) for addr in addrs]
 
     def dst_as(self, addr: int) -> Optional[int]:
         """The destination AS of ``addr`` for border lookup: BGP origin of
         the longest matching prefix, falling back to interface evidence."""
-        origin = self._trie.lookup_value(addr)
+        origin = self._lpm.lookup_value(addr)
         if origin is not None:
             return origin
         router_index = self._iface.get(addr)

@@ -1,7 +1,7 @@
 """The zero-copy compiled data plane: a flat, array-backed BorderMap.
 
 :class:`~repro.serving.bordermap.BorderMap` is a dict-and-dataclass
-object graph: one Python object per router, link, and trie node, with
+object graph: one Python object per router, link, and prefix, with
 every derived index rebuilt in ``__init__`` on each load.  That shape is
 the scaling wall at internet scale (~600k announced prefixes): load time
 is O(map), resident memory is object-per-prefix, and nothing is shared
@@ -15,11 +15,10 @@ integer tables (stdlib ``array``/``memoryview`` — no third-party deps):
   adjacency lists) in CSR form (an offsets column plus a values column);
 * **a sorted interface index** — ``(addr, router)`` parallel arrays,
   exact-matched by binary search;
-* **a flat LPM index** — the announced-prefix set projected onto
-  disjoint address ranges (``lpm_base``/``lpm_origin``), so a
-  longest-prefix match is one ``bisect`` over a contiguous ``u32``
-  array instead of a 32-deep pointer chase through
-  :class:`~repro.trie.PrefixTrie` nodes;
+* **a flat LPM index** — the map's :class:`~repro.trie.FrozenLPM`
+  ranges with each origin interned and equal neighbours merged
+  (``lpm_base``/``lpm_origin``), so a longest-prefix match is one
+  ``bisect`` over a contiguous ``u32`` array;
 * **interned strings and ASes** — every AS number and string lives once.
 
 The tables serialize into the mmap-able container of
@@ -225,22 +224,11 @@ class CompiledBorderMap:
     # -- compilation --------------------------------------------------------
 
     @classmethod
-    def from_border_map(
-        cls,
-        bmap: BorderMap,
-        donor: Optional["CompiledBorderMap"] = None,
-    ) -> "CompiledBorderMap":
+    def from_border_map(cls, bmap: BorderMap) -> "CompiledBorderMap":
         """Lower a dict :class:`BorderMap` into flat tables.
 
-        This is the compile-time path: it may walk the object graph (and
-        the trie) freely — the serving path never does.
-
-        ``donor`` is an optional previously compiled map: when the
-        announced-prefix table and AS table are unchanged, its LPM
-        projection (the most expensive column to build — one trie walk
-        per prefix boundary) is copied instead of recomputed.  The LPM
-        index is a pure function of those two tables, so the copy is
-        byte-identical to a fresh projection.
+        This is the compile-time path: it may walk the object graph
+        freely — the serving path never does.
         """
         ases = list(bmap.as_table)
         as_index = {asn: i for i, asn in enumerate(ases)}
@@ -270,17 +258,17 @@ class CompiledBorderMap:
         pfx_addr = _u32(p.addr for p, _ in bmap.prefixes)
         pfx_plen = _u8(p.plen for p, _ in bmap.prefixes)
         pfx_origin = _u32(as_index[o] for _, o in bmap.prefixes)
-        if (
-            donor is not None
-            and list(donor._ases) == ases
-            and list(donor._pfx_addr) == list(pfx_addr)
-            and list(donor._pfx_plen) == list(pfx_plen)
-            and list(donor._pfx_origin) == list(pfx_origin)
-        ):
-            lpm_base = _u32(donor._lpm_base)
-            lpm_origin = _u32(donor._lpm_origin)
-        else:
-            lpm_base, lpm_origin = cls._project_lpm(bmap, as_index)
+        # The frozen LPM keeps one range per matched prefix; the flat
+        # index needs only the origin, so equal neighbours merge.
+        lpm_base = _u32([])
+        lpm_origin = _u32([])
+        previous = -1
+        for start, _, origin in bmap._lpm.ranges():
+            index = as_index[origin] if origin is not None else NONE_U32
+            if index != previous:
+                lpm_base.append(start)
+                lpm_origin.append(index)
+                previous = index
 
         tables: Dict[str, Sequence[int]] = {
             "ases": _u32(ases),
@@ -328,38 +316,6 @@ class CompiledBorderMap:
             "strings": strings,
         }
         return cls(meta, tables)
-
-    @staticmethod
-    def _project_lpm(
-        bmap: BorderMap, as_index: Dict[int, int]
-    ) -> Tuple["array", "array"]:
-        """Project the announced-prefix set onto disjoint ranges.
-
-        The LPM answer can only change where some prefix starts or ends,
-        so evaluating the trie once per boundary and run-length
-        compressing yields a sorted ``lpm_base`` array where
-        ``bisect_right(lpm_base, addr) - 1`` lands on the range whose
-        ``lpm_origin`` IS the longest-prefix match — identical to the
-        trie's answer by construction.
-        """
-        boundaries = {0}
-        for prefix, _ in bmap.prefixes:
-            boundaries.add(prefix.addr)
-            end = prefix.last + 1
-            if end < (1 << 32):
-                boundaries.add(end)
-        base = _u32([])
-        origin = _u32([])
-        lookup = bmap._trie.lookup_value
-        previous = -1
-        for boundary in sorted(boundaries):
-            asn = lookup(boundary)
-            value = as_index[asn] if asn is not None else NONE_U32
-            if value != previous:
-                base.append(boundary)
-                origin.append(value)
-                previous = value
-        return base, origin
 
     # -- persistence --------------------------------------------------------
 
@@ -670,12 +626,9 @@ class CompiledBorderMap:
 # -- module-level artifact API ------------------------------------------------
 
 
-def compile_map(
-    bmap: BorderMap, donor: Optional[CompiledBorderMap] = None
-) -> CompiledBorderMap:
-    """Lower a dict BorderMap to its flat compiled form (optionally
-    reusing an unchanged LPM projection from ``donor``)."""
-    return CompiledBorderMap.from_border_map(bmap, donor=donor)
+def compile_map(bmap: BorderMap) -> CompiledBorderMap:
+    """Lower a dict BorderMap to its flat compiled form."""
+    return CompiledBorderMap.from_border_map(bmap)
 
 
 def save_compiled_map(
@@ -759,10 +712,9 @@ def patch_compiled_map(
 
     Returns the new compiled map — byte-identical to
     ``compile_map(bmap)`` — plus the :class:`MapPatch` carrying only the
-    sections that changed.  Compilation reuses ``prev``'s LPM projection
-    when the prefix tables are unchanged.
+    sections that changed.
     """
-    compiled = CompiledBorderMap.from_border_map(bmap, donor=prev)
+    compiled = CompiledBorderMap.from_border_map(bmap)
     new_sections = compiled.sections()
     old_sections = prev.sections()
     if set(new_sections) != set(old_sections):  # pragma: no cover - same BIN_FORMAT

@@ -88,7 +88,7 @@ def apply_challenges(state: GenState, config: Optional[ChallengeConfig] = None) 
             if existing is not None:
                 existing.origins = ()
                 node.infra_announced = False
-                internet._origin_trie = None  # invalidate cache
+                internet._origin_lpm = None  # invalidate cache
 
 
 def _assign_base_policies(state: GenState, config: ChallengeConfig) -> None:
@@ -248,7 +248,7 @@ def _unroute_infrastructure(state: GenState, config: ChallengeConfig) -> None:
         if existing is not None:
             existing.origins = ()
             node.infra_announced = False
-    internet._origin_trie = None
+    internet._origin_lpm = None
 
 
 def _delegate_pa_space(state: GenState, config: ChallengeConfig) -> None:
@@ -279,7 +279,7 @@ def _delegate_pa_space(state: GenState, config: ChallengeConfig) -> None:
                 iface.addr = new_addr
                 internet.addr_to_iface[new_addr] = iface
                 link.supplier_asn = focal
-    internet._origin_trie = None
+    internet._origin_lpm = None
 
 
 def _add_multi_origins(state: GenState, config: ChallengeConfig) -> None:
@@ -311,7 +311,7 @@ def _add_multi_origins(state: GenState, config: ChallengeConfig) -> None:
             continue
         policy.origins = (origin, second)
         policy.host_router[second] = second_routers[0]
-    internet._origin_trie = None
+    internet._origin_lpm = None
 
 
 def _ixp_fabric_announcements(state: GenState, config: ChallengeConfig) -> None:
@@ -337,4 +337,4 @@ def _ixp_fabric_announcements(state: GenState, config: ChallengeConfig) -> None:
                 )
             )
         # Otherwise the fabric stays unannounced.
-    internet._origin_trie = None
+    internet._origin_lpm = None

@@ -206,7 +206,7 @@ def _detach_link(scenario: Scenario, link_id: int):
         router.interfaces = [i for i in router.interfaces if i is not iface]
         if iface.addr is not None:
             internet.addr_to_iface.pop(iface.addr, None)
-    internet._origin_trie = None
+    internet._origin_lpm = None
     _release_link_subnet(scenario, link)
     return link
 

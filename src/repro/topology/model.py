@@ -15,7 +15,7 @@ from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from ..addr import Prefix, ntoa
 from ..asgraph import ASGraph, Rel
 from ..errors import TopologyError
-from ..trie import PrefixTrie
+from ..trie import FrozenLPM
 from .geography import City
 
 
@@ -192,7 +192,7 @@ class Internet:
         self.prefix_policies: Dict[Prefix, PrefixPolicy] = {}
         self.addr_to_iface: Dict[int, Interface] = {}
         self.rir_delegations: List[Tuple[str, Prefix]] = []  # (opaque org id, prefix)
-        self._origin_trie: Optional[PrefixTrie] = None
+        self._origin_lpm: Optional[FrozenLPM[Tuple[int, ...]]] = None
         self._next_router_id = 1
         self._next_link_id = 1
         self._next_pop_id = 1
@@ -249,27 +249,28 @@ class Internet:
                     raise TopologyError("address %s assigned twice" % ntoa(addr))
                 self.addr_to_iface[addr] = iface
         self.links[link.link_id] = link
-        self._origin_trie = None
+        self._origin_lpm = None
         return link
 
     def add_prefix_policy(self, policy: PrefixPolicy) -> None:
         self.prefix_policies[policy.prefix] = policy
-        self._origin_trie = None
+        self._origin_lpm = None
 
     # -- ground-truth queries ------------------------------------------------
 
-    def origin_trie(self) -> PrefixTrie:
-        """Trie of *announced* prefixes → origin tuple (ground truth)."""
-        if self._origin_trie is None:
-            trie: PrefixTrie = PrefixTrie()
-            for policy in self.prefix_policies.values():
-                if policy.announced:
-                    trie.insert(policy.prefix, policy.origins)
-            self._origin_trie = trie
-        return self._origin_trie
+    def origin_lpm(self) -> FrozenLPM[Tuple[int, ...]]:
+        """*Announced* prefixes → origin tuple (ground truth), frozen until
+        the next change to the links or prefix policies."""
+        if self._origin_lpm is None:
+            self._origin_lpm = FrozenLPM(
+                (policy.prefix, policy.origins)
+                for policy in self.prefix_policies.values()
+                if policy.announced
+            )
+        return self._origin_lpm
 
     def true_origins(self, addr: int) -> Tuple[int, ...]:
-        found = self.origin_trie().lookup_value(addr)
+        found = self.origin_lpm().lookup_value(addr)
         return found if found is not None else ()
 
     def owner_of_addr(self, addr: int) -> Optional[int]:

@@ -1,17 +1,26 @@
-"""Binary radix (Patricia-style) trie keyed by IPv4 prefixes.
+"""Longest-prefix match over IPv4 prefixes: a trie to build, ranges to read.
 
 The canonical IP→AS mapping step (§4) is a longest-prefix match against the
 set of BGP-announced prefixes; bdrmap performs that match for every address
-in every traceroute, so this structure sits on the hottest path of the whole
-system.  The trie is a plain binary trie with path-free internal nodes —
-simple, allocation-light, and adequate for a few hundred thousand prefixes.
+in every traceroute, so this module sits on the hottest path of the whole
+system.  It has two halves:
+
+* :class:`PrefixTrie` is the builder: a plain binary trie with path-free
+  internal nodes that takes inserts and removals in any order.
+* :class:`FrozenLPM` is the one read side.  Once a table is sealed (the
+  announced prefixes of one routing epoch, a BGP view after its adds, a
+  compiled map's prefix table), it is frozen into sorted disjoint address
+  ranges in one sweep, and a lookup is one ``bisect`` instead of a 32-step
+  walk.  A table already held as (prefix, value) pairs freezes straight
+  from them; :meth:`PrefixTrie.freeze` freezes a trie.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
-from .addr import Prefix
+from .addr import MAX_ADDR, Prefix
 
 V = TypeVar("V")
 
@@ -118,30 +127,6 @@ class PrefixTrie(Generic[V]):
         found = self.lookup(addr)
         return found[1] if found is not None else None
 
-    def lookup_value_batch(self, addrs: Iterable[int]) -> List[Optional[V]]:
-        """Longest-prefix match for many addresses at once.
-
-        The serving layer's batched queries land here; inlining the walk
-        (no per-address Prefix construction, locals bound once) makes the
-        batch path measurably cheaper than N ``lookup_value`` calls.
-        """
-        root = self._root
-        answers: List[Optional[V]] = []
-        append = answers.append
-        for addr in addrs:
-            node: Optional[_Node[V]] = root
-            best: Optional[V] = None
-            depth = 0
-            while node is not None:
-                if node.has_value:
-                    best = node.value
-                if depth == 32:
-                    break
-                node = node.one if (addr >> (31 - depth)) & 1 else node.zero
-                depth += 1
-            append(best)
-        return answers
-
     def lookup_all(self, addr: int) -> List[Tuple[Prefix, V]]:
         """All stored prefixes covering ``addr``, least specific first."""
         matches: List[Tuple[Prefix, V]] = []
@@ -183,6 +168,90 @@ class PrefixTrie(Generic[V]):
         """Iterate all stored (prefix, value) pairs (unordered)."""
         yield from self.covered(Prefix(0, 0))
 
-    def keys(self) -> Iterator[Prefix]:
-        for prefix, _ in self.items():
-            yield prefix
+    def freeze(self) -> "FrozenLPM[V]":
+        """The table as it stands, frozen for reading (see
+        :class:`FrozenLPM`).  Later inserts do not reach the frozen form."""
+        return FrozenLPM(self.items())
+
+
+def _prefix_order(item: Tuple[Prefix, object]) -> Tuple[int, int]:
+    return item[0].addr, item[0].plen
+
+
+class FrozenLPM(Generic[V]):
+    """A sealed prefix table as sorted disjoint address ranges.
+
+    The longest match can only change where some prefix starts or ends, so
+    the table splits the address space into ranges that each have one
+    answer: range ``i`` covers ``[starts[i], starts[i + 1])`` and its
+    longest match is ``prefixes[i]`` with ``values[i]`` (both None for
+    unrouted space).  Ranges are never merged across distinct prefixes,
+    even when their values are equal, so :meth:`lookup` returns the same
+    prefix as :meth:`PrefixTrie.lookup`.
+
+    Build one from (prefix, value) pairs, or with :meth:`PrefixTrie.freeze`
+    from a table that was built incrementally.
+    """
+
+    __slots__ = ("starts", "prefixes", "values")
+
+    def __init__(self, items: Iterable[Tuple[Prefix, V]] = ()) -> None:
+        """Freeze (prefix, value) pairs; a prefix given twice keeps its
+        last value, as repeated :meth:`PrefixTrie.insert` calls would.
+
+        One sweep in (address, length) order, keeping a stack of the open
+        prefixes that nest around the sweep position, innermost last.  The
+        sort is stable, so a repeated prefix's last value sits innermost
+        and answers for the whole prefix.
+        """
+        starts: List[int] = []
+        prefixes: List[Optional[Prefix]] = []
+        values: List[Optional[V]] = []
+        # (end, prefix, value) of each prefix open at the sweep position,
+        # innermost last, above a no-match entry spanning the whole space.
+        open_: List[Tuple[int, Optional[Prefix], Optional[V]]] = [
+            (MAX_ADDR + 1, None, None)
+        ]
+        position = 0
+
+        def emit(end: int, prefix: Optional[Prefix],
+                 value: Optional[V]) -> None:
+            nonlocal position
+            starts.append(position)
+            prefixes.append(prefix)
+            values.append(value)
+            position = end
+
+        def advance(to: int) -> None:
+            """Emit every range below ``to``: close the open prefixes that
+            end by then, and let the innermost one left answer up to it."""
+            while open_ and open_[-1][0] <= to:
+                end, prefix, value = open_.pop()
+                if position < end:
+                    emit(end, prefix, value)
+            if position < to:
+                emit(to, open_[-1][1], open_[-1][2])
+
+        for prefix, value in sorted(items, key=_prefix_order):
+            advance(prefix.addr)
+            open_.append((prefix.last + 1, prefix, value))
+        advance(MAX_ADDR + 1)
+        self.starts: List[int] = starts
+        self.prefixes: List[Optional[Prefix]] = prefixes
+        self.values: List[Optional[V]] = values
+
+    def lookup(self, addr: int) -> Optional[Tuple[Prefix, V]]:
+        """The (prefix, value) of the longest match for ``addr``, or None."""
+        index = bisect_right(self.starts, addr) - 1
+        prefix = self.prefixes[index]
+        if prefix is None:
+            return None
+        return prefix, self.values[index]  # type: ignore[return-value]
+
+    def lookup_value(self, addr: int) -> Optional[V]:
+        """The value of the longest match for ``addr``, or None."""
+        return self.values[bisect_right(self.starts, addr) - 1]
+
+    def ranges(self) -> Iterator[Tuple[int, Optional[Prefix], Optional[V]]]:
+        """(start, prefix, value) per range, in address order."""
+        return zip(self.starts, self.prefixes, self.values)

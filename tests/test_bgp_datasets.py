@@ -5,6 +5,7 @@ import pytest
 from repro.addr import Prefix, aton
 from repro.bgp import BGPView, RibEntry, collect_public_view
 from repro.datasets import (
+    IXPDataset,
     generate_as2org,
     generate_ixp_data,
     generate_rir_files,
@@ -181,6 +182,23 @@ class TestIXPDataset:
     def test_parse_rejects_garbage(self):
         with pytest.raises(DataError):
             parse_ixp_files("bad-row-without-pipe\n", "")
+
+    def test_lookups_leave_the_dataset_sealed(self):
+        """The LPM behind is_ixp_addr is not part of the dataset's value:
+        a lookup changes neither equality nor repr, and the prefixes it
+        reads cannot change under it."""
+        fabric = Prefix.parse("50.0.0.0/24")
+        used = IXPDataset(prefixes=[fabric], addr_to_asn={fabric.addr + 1: 7})
+        fresh = IXPDataset(prefixes=[fabric], addr_to_asn={fabric.addr + 1: 7})
+        assert used.is_ixp_addr(fabric.addr + 9)
+        assert not used.is_ixp_addr(aton("60.0.0.1"))
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+        assert "lpm" not in repr(used) and "trie" not in repr(used)
+        assert used.prefixes == (fabric,)
+        with pytest.raises(AttributeError):
+            used.prefixes.append(Prefix.parse("60.0.0.0/24"))
+        assert not used.is_ixp_addr(aton("60.0.0.1"))
 
 
 class TestSiblingDataset:

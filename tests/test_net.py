@@ -17,7 +17,7 @@ from repro.net import (
 )
 from repro.net.faults import make_fault_plan
 from repro.net.policies import RateLimiter
-from repro.net.routing import StepKind
+from repro.net.routing import RoutingOracle, StepKind
 from repro.rng import make_rng
 from repro.topology import build_scenario, mini
 from repro.errors import ProbeError
@@ -184,6 +184,62 @@ class TestRoutingOracle:
             for near, _ in candidates
         )
         assert chosen_dist <= best + 0.25
+
+
+class TestStepSharing:
+    """Forwarding decisions are memoized per (router, destination) and,
+    past the infrastructure checks, per (router, covering prefix).  The
+    memos must not make an answer depend on what was asked before."""
+
+    UNROUTED = (0xCB007107, 0, (1 << 32) - 1)  # TEST-NET-3 and the ends
+
+    @staticmethod
+    def _sample(scenario):
+        internet = scenario.internet
+        announced = sorted(
+            (p for p in internet.prefix_policies.values() if p.announced),
+            key=lambda p: p.prefix,
+        )
+        live = sorted({addr for p in announced for addr in p.live_hosts})
+        dead = [
+            addr
+            for p in announced[::7]
+            for addr in (p.prefix.addr + 2, p.prefix.last - 1)
+            if addr not in p.live_hosts and addr not in internet.addr_to_iface
+        ]
+        ifaces = sorted(internet.addr_to_iface)[::11]
+        dsts = (ifaces + live[::5] + dead + list(TestStepSharing.UNROUTED)
+                + [scenario.vps[0].addr])
+        routers = sorted(internet.routers)[::3]
+        return [(router, dst) for router in routers for dst in dsts]
+
+    def test_order_does_not_change_any_step(self, scenario):
+        pairs = self._sample(scenario)
+        forward = RoutingOracle(scenario.internet)
+        backward = RoutingOracle(scenario.internet)
+        ahead = [forward.step(router, dst) for router, dst in pairs]
+        behind = [backward.step(router, dst) for router, dst in reversed(pairs)]
+        assert ahead == behind[::-1]
+        assert {step.kind for step in ahead} == set(StepKind)
+
+    def test_hosts_of_one_prefix_share_a_step(self, scenario):
+        internet = scenario.internet
+        oracle = RoutingOracle(internet)
+        policy = external_target(scenario)
+        first, second = policy.prefix.addr + 1, policy.prefix.last - 1
+        assert first not in internet.addr_to_iface
+        assert second not in internet.addr_to_iface
+        router = scenario.vps[0].first_router
+        step = oracle.step(router, first)
+        assert step.kind is StepKind.FORWARD
+        assert oracle.step(router, second) is step
+
+    def test_steps_are_frozen(self, scenario):
+        step = scenario.network.oracle.step(
+            scenario.vps[0].first_router, external_target(scenario).prefix.addr
+        )
+        with pytest.raises(AttributeError):
+            step.next_router = None
 
 
 class TestNetworkWalk:

@@ -570,7 +570,7 @@ class TestAsTableCaching:
 class TestBatchSkipsTrieWhenAnswered:
     def test_no_trie_walk_on_full_interface_coverage(self, mini_map,
                                                      monkeypatch):
-        from repro.trie import PrefixTrie
+        from repro.trie import FrozenLPM
 
         addrs = [
             addr
@@ -584,13 +584,13 @@ class TestBatchSkipsTrieWhenAnswered:
             for answer in expected
         )
 
-        def boom(self, batch):
+        def boom(self, addr):
             raise AssertionError(
-                "owner_of_batch walked the trie although every address "
+                "owner_of_batch read the LPM although every address "
                 "was answered from the interface map"
             )
 
-        monkeypatch.setattr(PrefixTrie, "lookup_value_batch", boom)
+        monkeypatch.setattr(FrozenLPM, "lookup_value", boom)
         assert mini_map.owner_of_batch(addrs) == expected
 
     def test_empty_batch(self, mini_map):
