@@ -28,6 +28,7 @@ from .analysis import (
 )
 from .analysis.validation import neighbor_coverage
 from .core.bdrmap import Bdrmap, run_bdrmap
+from .errors import DataError
 from .io import load_result, save_result
 from .topology import SCENARIO_FACTORIES, scenario_config
 
@@ -197,7 +198,12 @@ def _run_all_vps(args, scenario, data, config, metrics=None, tracer=None) -> int
             metrics=metrics,
             tracer=tracer,
         )
-    run = orchestrator.run()
+    try:
+        run = orchestrator.run()
+    except DataError as exc:  # the --resume checkpoint is the only input
+        print("error: cannot read checkpoint %r: %s" % (args.checkpoint, exc),
+              file=sys.stderr)
+        return 2
     if orchestrator.resumed_vps:
         print(
             "resumed from %s: skipped %s"
@@ -238,19 +244,15 @@ def _run_all_vps(args, scenario, data, config, metrics=None, tracer=None) -> int
 
 def _load_or_fail(loader, path: str, what: str):
     """Load an archive, turning the predictable failure modes (missing
-    file, not JSON, unknown schema version) into a clear CLI error
-    instead of a traceback.  Returns None after printing the error."""
-    from .errors import DataError
-
+    file, malformed content, unknown schema version) into a clear CLI
+    error instead of a traceback.  Returns None after printing the
+    error."""
     try:
         return loader(path)
     except FileNotFoundError:
         print("error: %s %r does not exist" % (what, path), file=sys.stderr)
     except IsADirectoryError:
         print("error: %s %r is a directory, not a file" % (what, path),
-              file=sys.stderr)
-    except json.JSONDecodeError as exc:
-        print("error: %s %r is not valid JSON (%s)" % (what, path, exc),
               file=sys.stderr)
     except DataError as exc:
         print("error: cannot read %s %r: %s" % (what, path, exc),
@@ -655,7 +657,10 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     from .core.heuristics import HeuristicConfig
     from .io import load_bundle
 
-    data, collection = load_bundle(args.bundle)
+    loaded = _load_or_fail(load_bundle, args.bundle, "bundle")
+    if loaded is None:
+        return 2
+    data, collection = loaded
     if collection is None:
         print("error: bundle has no traces.json", file=sys.stderr)
         return 2
@@ -736,7 +741,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    result = load_result(args.path)
+    result = _load_or_fail(load_result, args.path, "result")
+    if result is None:
+        return 2
     print(result.summary())
     if args.links:
         print(result.link_table())

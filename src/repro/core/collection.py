@@ -68,11 +68,6 @@ class Collection:
     # TraceResult; this aggregates the same events for the run report).
     retry_stats: RetryStats = field(default_factory=RetryStats)
 
-    def total_retries(self) -> int:
-        """Retries spent by this collection's traceroutes.  The resolver
-        keeps separate stats (it may be shared across VPs)."""
-        return self.retry_stats.retries
-
     def observed_ttl_expired_addrs(self) -> Set[int]:
         """TTL-expired source addresses, excluding those equal to the probed
         destination (whose interface placement is ambiguous, §4)."""
@@ -294,13 +289,3 @@ class Collector:
         self.run_alias_resolution()
         self.collection.probes_used = self.network.probes_sent - before
         return self.collection
-
-    def retry_total(self) -> int:
-        """All retries this collector caused: traceroute hops plus the
-        resolver's alias probing (which keeps its own stats because the
-        resolver may be shared across VPs)."""
-        total = self.collection.total_retries()
-        resolver = self.collection.resolver
-        if resolver is not None:
-            total += resolver.retry_stats.retries
-        return total

@@ -9,7 +9,7 @@ owner when no stronger constraint exists.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from ..asgraph import InferredRelationships
 from .routergraph import InferredRouter
@@ -36,13 +36,3 @@ def compute_nextas(
         return None
     best = max(votes.items(), key=lambda item: (item[1], -item[0]))
     return best[0]
-
-
-def compute_all_nextas(
-    routers,
-    rels: InferredRelationships,
-    vp_ases: Set[int],
-) -> Dict[int, Optional[int]]:
-    return {
-        router.rid: compute_nextas(router, rels, vp_ases) for router in routers
-    }

@@ -307,64 +307,52 @@ class MultiVPOrchestrator:
         self.resumed_vps: Set[str] = set()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # vp_name -> that VP's metrics delta (sequential mode only, where
-        # per-VP attribution is exact).  Written into checkpoints so a
-        # resumed run replays skipped VPs' counters into its fresh
-        # registry: resumed registry == fresh-run registry, no loss and
-        # no double count.
-        self._vp_metric_deltas: Dict[str, Dict] = {}
+        # vp_name -> checkpoint entry of each completed VP (resumed ones
+        # included, so a write never drops them); built only when
+        # checkpointing.
+        self._entries: Dict[str, Dict] = {}
 
     # -- checkpointing --------------------------------------------------------
 
-    def _load_checkpoint(self):
-        """Completed (result, vp_report) pairs from a previous run, or
-        empty lists when not resuming / nothing checkpointed yet."""
+    def _resume(self) -> Dict:
+        """vp_name -> :class:`~repro.io.serialize.SavedVP` for each VP a
+        previous run completed, or nothing when not resuming."""
         if not (self.resume and self.checkpoint_path):
-            return [], []
-        import os
+            return {}
+        from ..io.serialize import checkpoint_entry, resume_checkpoint
 
-        if not os.path.exists(self.checkpoint_path):
-            return [], []
-        import json
+        done = resume_checkpoint(self.checkpoint_path)
+        self.resumed_vps = {
+            vp.name for vp in self.scenario.vps if vp.name in done
+        }
+        self._entries = {
+            name: checkpoint_entry(*done[name]) for name in self.resumed_vps
+        }
+        return done
 
-        from ..io.serialize import (
-            checkpoint_from_dict,
-            checkpoint_metrics_from_dict,
-        )
-
-        with open(self.checkpoint_path) as handle:
-            data = json.load(handle)
-        results, vp_reports = checkpoint_from_dict(data)
-        deltas = checkpoint_metrics_from_dict(data)
-        # Failed VPs are re-run on resume; only clean results are kept.
-        keep = [
-            (result, vp)
-            for result, vp in zip(results, vp_reports)
-            if not vp.failed
-        ]
-        results = [result for result, _ in keep]
-        vp_reports = [vp for _, vp in keep]
-        self.resumed_vps = {vp.vp_name for vp in vp_reports}
-        # Replay the skipped VPs' counters instead of re-earning them by
-        # re-running the VP: without this, a resumed run's registry would
-        # be missing those counts — and naive re-runs would double them.
-        for vp in vp_reports:
-            delta = deltas.get(vp.vp_name)
+    def _add(self, run: "OrchestratedRun", result: BdrmapResult,
+             vp_report: VPReport, delta: Optional[Dict] = None,
+             resumed: bool = False) -> None:
+        """Append one completed VP to ``run``.  A resumed VP's counters are
+        replayed from its stored metrics delta (resumed registry ==
+        fresh-run registry: no loss, no double count); a fresh one is
+        checkpointed, with every other completed VP in VP order, as soon
+        as it completes."""
+        run.results.append(result)
+        run.report.vp_reports.append(vp_report)
+        if resumed:
             if delta is not None:
-                self._vp_metric_deltas[vp.vp_name] = delta
-                if self.metrics.enabled:
-                    self.metrics.merge_delta(delta)
-        return results, vp_reports
+                self.metrics.merge_delta(delta)
+        elif self.checkpoint_path:
+            from ..io.serialize import checkpoint_entry, write_checkpoint
 
-    def _save_checkpoint(self, results, vp_reports) -> None:
-        if not self.checkpoint_path:
-            return
-        from ..io.serialize import save_checkpoint
-
-        save_checkpoint(
-            results, vp_reports, self.checkpoint_path,
-            metrics=self._vp_metric_deltas or None,
-        )
+            self._entries[vp_report.vp_name] = checkpoint_entry(
+                result, vp_report, delta
+            )
+            write_checkpoint(self.checkpoint_path, [
+                self._entries[vp.name] for vp in self.scenario.vps
+                if vp.name in self._entries
+            ])
 
     def _shared_resolver(self) -> Optional[AliasResolver]:
         if not (self.share_alias_evidence and self.scenario.vps):
@@ -378,6 +366,8 @@ class MultiVPOrchestrator:
         )
 
     def run(self) -> OrchestratedRun:
+        self._entries = {}
+        done = self._resume()
         self.scenario.ensure_forwarding_current()
         if self.data is None:
             self.data = build_data_bundle(self.scenario)
@@ -386,9 +376,9 @@ class MultiVPOrchestrator:
             self.metrics.set_gauge("run.vps", len(self.scenario.vps))
         resolver = self._shared_resolver()
         if self.interleave:
-            run = self._run_interleaved(resolver)
+            run = self._run_interleaved(resolver, done)
         else:
-            run = self._run_sequential(resolver)
+            run = self._run_sequential(resolver, done)
         run.report.vp_ases = set(self.data.vp_ases)
         run.report.shared_aliases = resolver is not None
         run.report.interleaved = self.interleave
@@ -403,12 +393,15 @@ class MultiVPOrchestrator:
 
     # -- sequential (legacy-identical) ---------------------------------------
 
-    def _run_sequential(self, resolver) -> OrchestratedRun:
-        results, done_reports = self._load_checkpoint()
-        report = RunReport(focal_asn=self.data.focal_asn)
-        report.vp_reports.extend(done_reports)
+    def _run_sequential(self, resolver, done) -> OrchestratedRun:
+        run = OrchestratedRun(
+            results=[],
+            report=RunReport(focal_asn=self.data.focal_asn),
+            shared_resolver=resolver,
+        )
         for vp in self.scenario.vps:
-            if vp.name in self.resumed_vps:
+            if vp.name in done:
+                self._add(run, *done[vp.name], resumed=True)
                 continue
             driver = Bdrmap(
                 self.scenario.network, vp, self.data, self.config,
@@ -423,49 +416,40 @@ class MultiVPOrchestrator:
                 with self.tracer.span("vp." + vp.name):
                     result = driver.run()
             except Exception as exc:  # noqa: BLE001 - isolate the VP
-                report.vp_reports.append(_failed_vp_report(vp, exc))
+                run.report.vp_reports.append(_failed_vp_report(vp, exc))
                 self.metrics.inc("run.vps_failed")
                 continue
             self.metrics.inc("run.vps_completed")
-            if snapshot is not None:
-                self._vp_metric_deltas[vp.name] = self.metrics.delta_since(
-                    snapshot
-                )
-            results.append(result)
-            report.vp_reports.append(
-                _vp_report_from_state(driver.state, result)
+            # Per-VP attribution is exact here, so the delta is stored in
+            # the checkpoint for a resumed run to replay.
+            delta = (
+                self.metrics.delta_since(snapshot)
+                if snapshot is not None else None
             )
-            self._save_checkpoint(
-                results,
-                [entry for entry in report.vp_reports if not entry.failed],
+            self._add(
+                run, result, _vp_report_from_state(driver.state, result),
+                delta,
             )
-        return OrchestratedRun(
-            results=results, report=report, shared_resolver=resolver
-        )
+        return run
 
     # -- interleaved ----------------------------------------------------------
 
-    def _run_interleaved(self, resolver) -> OrchestratedRun:
+    def _run_interleaved(self, resolver, done) -> OrchestratedRun:
         network = self.scenario.network
-        results, done_reports = self._load_checkpoint()
-        live_vps = [
-            vp for vp in self.scenario.vps
-            if vp.name not in self.resumed_vps
-        ]
-        collectors: List[Collector] = []
-        for vp in live_vps:
-            collectors.append(
-                Collector(
-                    network,
-                    vp.addr,
-                    self.data.view,
-                    self.data.vp_ases,
-                    self.config.collection,
-                    resolver=resolver,
-                    metrics=self.metrics,
-                    label=vp.name,
-                )
+        collectors: Dict[str, Collector] = {
+            vp.name: Collector(
+                network,
+                vp.addr,
+                self.data.view,
+                self.data.vp_ases,
+                self.config.collection,
+                resolver=resolver,
+                metrics=self.metrics,
+                label=vp.name,
             )
+            for vp in self.scenario.vps
+            if vp.name not in done
+        }
 
         # Phase 1: every VP's traceroute tasks through one scheduler — the
         # VPs probe concurrently in virtual time.  Probe costs of this
@@ -479,7 +463,7 @@ class MultiVPOrchestrator:
             metrics=self.metrics,
             label="traceroute.interleaved",
         )
-        for collector in collectors:
+        for collector in collectors.values():
             scheduler.add_all(collector.traceroute_tasks())
         with self.tracer.span("stage.traceroute.interleaved"):
             scheduler.run(reraise=False)
@@ -492,12 +476,20 @@ class MultiVPOrchestrator:
         # Phase 2 per VP: alias resolution (reusing shared evidence when
         # enabled), then the downstream graph/inference stages.  Each VP
         # is crash-isolated: a failure yields a failed VPReport.
-        report = RunReport(
-            focal_asn=self.data.focal_asn, global_timings=[trace_phase]
+        run = OrchestratedRun(
+            results=[],
+            report=RunReport(
+                focal_asn=self.data.focal_asn,
+                global_timings=[trace_phase],
+                task_failures=scheduler.tasks_failed,
+            ),
+            shared_resolver=resolver,
         )
-        report.vp_reports.extend(done_reports)
-        report.task_failures = scheduler.tasks_failed
-        for vp, collector in zip(live_vps, collectors):
+        for vp in self.scenario.vps:
+            if vp.name in done:
+                self._add(run, *done[vp.name], resumed=True)
+                continue
+            collector = collectors[vp.name]
             try:
                 with self.tracer.span("vp." + vp.name):
                     alias_now = network.now
@@ -533,19 +525,12 @@ class MultiVPOrchestrator:
                     Pipeline([GraphBuildStage(), InferenceStage()]).run(state)
                     result = result_from_state(state)
             except Exception as exc:  # noqa: BLE001 - isolate the VP
-                report.vp_reports.append(_failed_vp_report(vp, exc))
+                run.report.vp_reports.append(_failed_vp_report(vp, exc))
                 self.metrics.inc("run.vps_failed")
                 continue
             self.metrics.inc("run.vps_completed")
-            results.append(result)
-            report.vp_reports.append(_vp_report_from_state(state, result))
-            self._save_checkpoint(
-                results,
-                [entry for entry in report.vp_reports if not entry.failed],
-            )
-        return OrchestratedRun(
-            results=results, report=report, shared_resolver=resolver
-        )
+            self._add(run, result, _vp_report_from_state(state, result))
+        return run
 
 
 def orchestrate(scenario, **kwargs) -> OrchestratedRun:

@@ -29,9 +29,10 @@ across the shard, and the warm
 :class:`~repro.net.routing.RoutingOracle` caches carry over safely
 because they are pure functions of the static topology.
 
-Checkpointing mirrors the sequential orchestrator: each worker writes a
-partial checkpoint (``<path>.worker<K>``) after every VP, and the parent
-merges the partials into the canonical checkpoint at ``<path>`` on join.
+Checkpoints go through :mod:`repro.io.serialize`, like the sequential
+orchestrator's: each worker writes a partial checkpoint
+(``<path>.worker<K>``) after every VP, and the parent folds the partials
+into the canonical checkpoint at ``<path>`` on join.
 Both writes are atomic, so a crash mid-write leaves the previous file.
 ``resume=True`` reloads the canonical checkpoint *and* any leftover
 partials from a crashed run, skips the completed VPs, and replays their
@@ -40,9 +41,6 @@ stored metrics deltas so the resumed registry equals a fresh run's.
 
 from __future__ import annotations
 
-import glob
-import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -109,13 +107,10 @@ class ScenarioSpec:
 
 def _run_single_vp(scenario, data, index: int, config: BdrmapConfig,
                    collect_metrics: bool) -> Dict[str, Any]:
-    """Run one VP against freshly-reset network state; return a JSON-able
-    payload (report/result/metrics/faults/evidence) for the merge step."""
-    from ..io.serialize import (
-        _vp_report_to_dict,
-        evidence_to_list,
-        result_to_dict,
-    )
+    """Run one VP against freshly-reset network state; return a picklable
+    payload (report, and for a completed VP its result, metrics, faults
+    and alias evidence) for the merge step."""
+    from ..io.serialize import evidence_to_list
 
     network = scenario.network
     network.reset()
@@ -126,18 +121,16 @@ def _run_single_vp(scenario, data, index: int, config: BdrmapConfig,
     driver = Bdrmap(
         network, vp, data, config, resolver=None, metrics=metrics
     )
-    payload: Dict[str, Any] = {"vp": vp.name, "index": index}
     try:
         result = driver.run()
     except Exception as exc:  # noqa: BLE001 - isolate the VP
-        payload["report"] = _vp_report_to_dict(_failed_vp_report(vp, exc))
-        return payload
-    payload["report"] = _vp_report_to_dict(
-        _vp_report_from_state(driver.state, result)
-    )
-    payload["result"] = result_to_dict(result)
-    if metrics is not None:
-        payload["metrics"] = metrics.as_dict()
+        return {"vp": vp.name, "report": _failed_vp_report(vp, exc)}
+    payload: Dict[str, Any] = {
+        "vp": vp.name,
+        "report": _vp_report_from_state(driver.state, result),
+        "result": result,
+        "metrics": metrics.as_dict() if metrics is not None else None,
+    }
     if network.faults is not None:
         payload["faults"] = {
             name: count
@@ -152,44 +145,40 @@ def _run_single_vp(scenario, data, index: int, config: BdrmapConfig,
     return payload
 
 
-def _write_checkpoint(path: str, payloads: List[Dict[str, Any]]) -> None:
-    """Atomically write the completed VPs among ``payloads`` in
-    canonical checkpoint form (failed VPs excluded, like the sequential
-    orchestrator).  The whole document is serialized before the file is
-    touched, so a failed write leaves the previous checkpoint whole."""
-    from ..io.serialize import CHECKPOINT_FORMAT, atomic_write_text
+def _run_shard(scenario, data, indices: List[int], config: BdrmapConfig,
+               collect_metrics: bool, checkpoint_path: Optional[str],
+               worker: int, tracer: Tracer = NULL_TRACER
+               ) -> List[Dict[str, Any]]:
+    """Run a shard of VPs with a network reset between them, writing the
+    completed ones to the worker's partial checkpoint after each VP."""
+    from ..io.serialize import checkpoint_entry, write_checkpoint
 
+    payloads: List[Dict[str, Any]] = []
     entries = []
-    for payload in payloads:
-        if "result" not in payload:
-            continue
-        entry = {
-            "report": payload["report"],
-            "result": payload["result"],
-        }
-        if "metrics" in payload:
-            entry["metrics"] = payload["metrics"]
-        entries.append(entry)
-    atomic_write_text(path, json.dumps(
-        {"format": CHECKPOINT_FORMAT, "vps": entries}, indent=1
-    ))
+    for index in indices:
+        with tracer.span("vp." + scenario.vps[index].name):
+            payload = _run_single_vp(
+                scenario, data, index, config, collect_metrics
+            )
+        payloads.append(payload)
+        if checkpoint_path and "result" in payload:
+            entries.append(checkpoint_entry(
+                payload["result"], payload["report"], payload["metrics"]
+            ))
+            write_checkpoint(checkpoint_path, entries, worker=worker)
+    return payloads
 
 
 def _worker_run(spec: ScenarioSpec, indices: List[int],
                 config: BdrmapConfig, collect_metrics: bool,
-                checkpoint_path: Optional[str]) -> List[Dict[str, Any]]:
-    """Process entry point: build the scenario once, run a shard of VPs
-    with a network reset between them."""
+                checkpoint_path: Optional[str],
+                worker: int) -> List[Dict[str, Any]]:
+    """Process entry point: build the scenario once, then run a shard."""
     scenario = spec.build()
-    data = build_data_bundle(scenario)
-    payloads: List[Dict[str, Any]] = []
-    for index in indices:
-        payloads.append(
-            _run_single_vp(scenario, data, index, config, collect_metrics)
-        )
-        if checkpoint_path:
-            _write_checkpoint(checkpoint_path, payloads)
-    return payloads
+    return _run_shard(
+        scenario, build_data_bundle(scenario), indices, config,
+        collect_metrics, checkpoint_path, worker,
+    )
 
 
 # ---------------------------------------------------------------- parent side
@@ -228,51 +217,18 @@ class ParallelOrchestrator:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
-    # -- resume ---------------------------------------------------------------
-
-    def _partial_paths(self) -> List[str]:
-        assert self.checkpoint_path
-        # A ".tmp" is an atomic write a crash stranded, not a partial.
-        return sorted(
-            path for path in glob.glob(self.checkpoint_path + ".worker*")
-            if not path.endswith(".tmp")
-        )
-
-    def _load_done_entries(self) -> Dict[str, Dict[str, Any]]:
-        """vp_name -> checkpoint entry for every VP completed by a prior
-        run — from the canonical checkpoint and any leftover worker
-        partials a crash stranded."""
-        from ..io.serialize import CHECKPOINT_FORMAT
-
-        if not (self.resume and self.checkpoint_path):
-            return {}
-        done: Dict[str, Dict[str, Any]] = {}
-        paths = []
-        if os.path.exists(self.checkpoint_path):
-            paths.append(self.checkpoint_path)
-        paths.extend(self._partial_paths())
-        for path in paths:
-            with open(path) as handle:
-                data = json.load(handle)
-            if data.get("format") != CHECKPOINT_FORMAT:
-                continue
-            for entry in data.get("vps", []):
-                if entry["report"].get("failed"):
-                    continue
-                done[entry["report"]["vp_name"]] = entry
-        return done
-
     # -- merge ----------------------------------------------------------------
 
-    def _merge(self, scenario, entries_by_vp: Dict[str, Dict[str, Any]],
-               payloads_by_vp: Dict[str, Dict[str, Any]]) -> OrchestratedRun:
-        """Assemble the run in VP order from resumed entries and fresh
-        payloads; merge metrics deltas, fault counts, and evidence."""
+    def _merge(self, scenario, done, fresh: Dict[str, Dict[str, Any]]
+               ) -> OrchestratedRun:
+        """Assemble the run in VP order from resumed VPs and fresh
+        payloads; merge metrics deltas, fault counts, and evidence, and
+        fold everything completed into the canonical checkpoint."""
         from ..alias import AliasResolver
         from ..io.serialize import (
-            _vp_report_from_dict,
+            checkpoint_entry,
             evidence_into_store,
-            result_from_dict,
+            write_checkpoint,
         )
 
         report = RunReport(
@@ -282,31 +238,36 @@ class ParallelOrchestrator:
             shared_aliases=False,
         )
         results = []
+        entries = []
         fault_totals: Dict[str, int] = {}
         resolver = AliasResolver(network=None, vp_addr=0)
         merged_evidence = False
         for vp in scenario.vps:
-            payload = payloads_by_vp.get(vp.name)
+            payload = fresh.get(vp.name)
             if payload is None:
-                entry = entries_by_vp.get(vp.name)
-                if entry is None:
+                if vp.name not in done:
                     continue  # resumed run where the VP never completed
-                payload = dict(entry)
-                payload["vp"] = vp.name
-            vp_report = _vp_report_from_dict(payload["report"])
+                payload = done[vp.name]._asdict()
+            vp_report = payload["report"]
             report.vp_reports.append(vp_report)
             if vp_report.failed:
                 self.metrics.inc("run.vps_failed")
                 continue
-            results.append(result_from_dict(payload["result"]))
-            if self.metrics.enabled and "metrics" in payload:
+            results.append(payload["result"])
+            if payload["metrics"] is not None:
                 self.metrics.merge_delta(payload["metrics"])
             self.metrics.inc("run.vps_completed")
+            if self.checkpoint_path:
+                entries.append(checkpoint_entry(
+                    payload["result"], vp_report, payload["metrics"]
+                ))
             for name, count in payload.get("faults", {}).items():
                 fault_totals[name] = fault_totals.get(name, 0) + count
             if "evidence" in payload:
                 evidence_into_store(payload["evidence"], resolver.evidence)
                 merged_evidence = True
+        if self.checkpoint_path:
+            write_checkpoint(self.checkpoint_path, entries)
         report.fault_counts = {
             name: count for name, count in fault_totals.items() if count
         }
@@ -316,82 +277,42 @@ class ParallelOrchestrator:
             shared_resolver=resolver if merged_evidence else None,
         )
 
-    def _save_merged_checkpoint(self, scenario,
-                                entries_by_vp: Dict[str, Dict[str, Any]],
-                                payloads_by_vp: Dict[str, Dict[str, Any]]
-                                ) -> None:
-        """Fold partials + resumed entries into the canonical checkpoint
-        and clear the per-worker partial files, and the temp files of
-        any write a crash stranded."""
-        if not self.checkpoint_path:
-            return
-        payloads = []
-        for vp in scenario.vps:
-            payload = payloads_by_vp.get(vp.name)
-            if payload is None:
-                payload = entries_by_vp.get(vp.name)
-            if payload is not None:
-                payloads.append(payload)
-        _write_checkpoint(self.checkpoint_path, payloads)
-        stranded = glob.glob(self.checkpoint_path + ".*.tmp")
-        for path in self._partial_paths() + stranded:
-            os.remove(path)
-
     # -- run ------------------------------------------------------------------
 
     def run(self) -> OrchestratedRun:
+        done = {}
+        if self.resume and self.checkpoint_path:
+            from ..io.serialize import resume_checkpoint
+
+            done = resume_checkpoint(self.checkpoint_path)
         if self.scenario is None:
             self.scenario = self.spec.build()
         scenario = self.scenario
-        entries_by_vp = self._load_done_entries()
-        self.resumed_vps = set(entries_by_vp)
+        self.resumed_vps = {vp.name for vp in scenario.vps if vp.name in done}
         if self.metrics.enabled:
             self.metrics.set_gauge("run.vps", len(scenario.vps))
             self.metrics.set_gauge("run.workers", self.workers)
         todo = [
             index for index, vp in enumerate(scenario.vps)
-            if vp.name not in entries_by_vp
+            if vp.name not in done
         ]
         collect_metrics = self.metrics.enabled
-        payloads_by_vp: Dict[str, Dict[str, Any]] = {}
         with self.tracer.span("parallel.collect", workers=self.workers):
             if self.workers <= 1 or len(todo) <= 1:
-                payloads = self._run_inline(scenario, todo, collect_metrics)
+                if self.data is None:
+                    self.data = build_data_bundle(scenario)
+                payloads = _run_shard(
+                    scenario, self.data, todo, self.config, collect_metrics,
+                    self.checkpoint_path, worker=0, tracer=self.tracer,
+                )
             else:
                 payloads = self._run_pool(todo, collect_metrics)
-        for payload in payloads:
-            payloads_by_vp[payload["vp"]] = payload
         # Replay resumed VPs' deltas too: fresh registry == resumed one.
         with self.tracer.span("parallel.merge"):
-            run = self._merge(scenario, entries_by_vp, payloads_by_vp)
-            self._save_merged_checkpoint(
-                scenario, entries_by_vp, payloads_by_vp
+            return self._merge(
+                scenario, done,
+                {payload["vp"]: payload for payload in payloads},
             )
-        return run
-
-    def _run_inline(self, scenario, todo: List[int],
-                    collect_metrics: bool) -> List[Dict[str, Any]]:
-        """The workers<=1 path: same per-VP isolation, no subprocesses.
-        Reuses the already-built parent scenario and writes the canonical
-        checkpoint incrementally (there is only one 'worker')."""
-        if self.data is None:
-            self.data = build_data_bundle(scenario)
-        data = self.data
-        payloads: List[Dict[str, Any]] = []
-        partial = (
-            self.checkpoint_path + ".worker0"
-            if self.checkpoint_path else None
-        )
-        for index in todo:
-            with self.tracer.span("vp." + scenario.vps[index].name):
-                payloads.append(
-                    _run_single_vp(
-                        scenario, data, index, self.config, collect_metrics
-                    )
-                )
-            if partial:
-                _write_checkpoint(partial, payloads)
-        return payloads
 
     def _run_pool(self, todo: List[int],
                   collect_metrics: bool) -> List[Dict[str, Any]]:
@@ -412,10 +333,8 @@ class ParallelOrchestrator:
                     shard,
                     self.config,
                     collect_metrics,
-                    (
-                        "%s.worker%d" % (self.checkpoint_path, k)
-                        if self.checkpoint_path else None
-                    ),
+                    self.checkpoint_path,
+                    k,
                 )
                 for k, shard in enumerate(shards)
             ]

@@ -6,23 +6,21 @@ re-probing (``repro.analysis`` functions accept loaded results wherever
 they accept fresh ones)."""
 
 from .serialize import (
-    checkpoint_from_dict,
-    checkpoint_metrics_from_dict,
-    checkpoint_to_dict,
+    checkpoint_entry,
     load_checkpoint,
     load_report,
     load_result,
-    merge_checkpoint_dicts,
     orchestrated_run_to_dict,
     report_from_dict,
     report_to_dict,
     result_from_dict,
     result_to_dict,
-    save_checkpoint,
+    resume_checkpoint,
     save_report,
     save_result,
     trace_from_dict,
     trace_to_dict,
+    write_checkpoint,
 )
 from .binfmt import BinaryContainer, open_container, sniff, write_container
 from .text import format_result, format_trace
@@ -60,11 +58,9 @@ __all__ = [
     "load_report",
     "save_result",
     "load_result",
-    "checkpoint_to_dict",
-    "checkpoint_from_dict",
-    "checkpoint_metrics_from_dict",
-    "merge_checkpoint_dicts",
+    "checkpoint_entry",
     "orchestrated_run_to_dict",
-    "save_checkpoint",
+    "write_checkpoint",
+    "resume_checkpoint",
     "load_checkpoint",
 ]

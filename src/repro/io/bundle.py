@@ -36,7 +36,7 @@ from ..datasets import (
     parse_rir_file,
 )
 from ..errors import DataError
-from .serialize import collection_from_dict, collection_to_dict
+from .serialize import collection_from_dict, collection_to_dict, read_json
 
 _FILES = ("rib.txt", "delegations.txt", "peeringdb.txt", "pch.txt",
           "as2org.txt", "meta.json")
@@ -84,7 +84,16 @@ def load_bundle(directory: str) -> Tuple[DataBundle, Optional[Collection]]:
         with open(os.path.join(directory, name)) as handle:
             return handle.read()
 
-    meta = json.loads(read("meta.json"))
+    # The JSON files first: a malformed one fails before any RIB parsing.
+    meta = read_json(os.path.join(directory, "meta.json"))
+    try:
+        vp_ases, focal_asn = set(meta["vp_ases"]), meta["focal_asn"]
+    except (KeyError, TypeError) as exc:
+        raise DataError("malformed bundle meta.json: %s" % exc) from exc
+    collection = None
+    traces_path = os.path.join(directory, "traces.json")
+    if os.path.exists(traces_path):
+        collection = collection_from_dict(read_json(traces_path))
     view = parse_rib(read("rib.txt"))
     sibling_map = parse_as2org(read("as2org.txt"))
     rels = infer_relationships(view.paths(), siblings=sibling_map.as_dict())
@@ -95,12 +104,7 @@ def load_bundle(directory: str) -> Tuple[DataBundle, Optional[Collection]]:
         rels=rels,
         rir=rir,
         ixp=ixp,
-        vp_ases=set(meta["vp_ases"]),
-        focal_asn=meta["focal_asn"],
+        vp_ases=vp_ases,
+        focal_asn=focal_asn,
     )
-    collection = None
-    traces_path = os.path.join(directory, "traces.json")
-    if os.path.exists(traces_path):
-        with open(traces_path) as handle:
-            collection = collection_from_dict(json.load(handle))
     return data, collection

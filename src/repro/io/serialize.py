@@ -3,24 +3,35 @@
 Addresses are serialized dotted-quad for human-readable archives; all
 structures round-trip losslessly (``result_from_dict(result_to_dict(r))``
 reproduces every router, link, and trace path).
+
+Every archive is parsed by :func:`read_json`, and every ``*_from_dict``
+maps fields behind one guard (:func:`_decoding`), so a malformed archive
+of any kind fails once, with :class:`~repro.errors.DataError`.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import tempfile
-from typing import Any, Dict, IO, Optional, Union
+from contextlib import contextmanager
+from typing import Any, Dict, IO, Iterator, List, NamedTuple, Optional, Union
 
 from ..addr import aton, ntoa
 from ..core.report import BdrmapResult, InferredLink
 from ..core.routergraph import InferredRouter, RouterGraph, TracePath
 from ..errors import DataError
 from ..net import ResponseKind
+from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import ProvenanceRecord
 from ..probing.traceroute import TraceHop, TraceResult
 
 _FORMAT = "bdrmap-repro/1"
+
+# What a field mapping raises on JSON of the wrong shape: a missing key,
+# a wrong type, a bad value or index, a method the value's type lacks.
+_SHAPE_ERRORS = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 
 
 def atomic_write_text(target: str, payload: str) -> None:
@@ -48,6 +59,40 @@ def atomic_write_text(target: str, payload: str) -> None:
         except OSError:
             pass
         raise
+
+
+def read_json(source: Union[str, IO]) -> Any:
+    """Parse one JSON document from a path or open file object.
+
+    Bytes that are not JSON text raise :class:`DataError`; a path that
+    cannot be opened raises :class:`OSError` as usual.
+    """
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, "rb") as handle:
+            return json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        raise DataError("not valid JSON (%s)" % exc) from exc
+
+
+@contextmanager
+def _decoding(data: Any, format_tag: str, what: str) -> Iterator[None]:
+    """The guard every ``*_from_dict`` maps its fields behind: ``data``
+    must be a JSON object tagged ``format_tag``, and any shape error the
+    mapping inside the ``with`` raises becomes one :class:`DataError`."""
+    if not isinstance(data, dict):
+        raise DataError(
+            "%s is not a JSON object (got %s)" % (what, type(data).__name__)
+        )
+    if data.get("format") != format_tag:
+        raise DataError("unknown %s format %r" % (what, data.get("format")))
+    try:
+        yield
+    except DataError:
+        raise
+    except _SHAPE_ERRORS as exc:
+        raise DataError("malformed %s: %s" % (what, exc)) from exc
 
 
 def _write_payload(payload: str, target: Union[str, IO[str]]) -> None:
@@ -120,7 +165,7 @@ def trace_from_dict(data: Dict[str, Any]) -> TraceResult:
             recovered_hops=data.get("recovered", 0),
             silent_hops=data.get("silent", 0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _SHAPE_ERRORS as exc:
         raise DataError("malformed trace record: %s" % exc) from exc
 
 
@@ -194,9 +239,7 @@ def collection_from_dict(data: Dict[str, Any]):
     from ..core.collection import Collection
     from ..probing.prefixscan import PrefixscanResult
 
-    if data.get("format") != "bdrmap-repro-traces/1":
-        raise DataError("unknown trace archive format %r" % data.get("format"))
-    try:
+    with _decoding(data, "bdrmap-repro-traces/1", "trace archive"):
         collection = Collection()
         collection.resolver = AliasResolver(network=None, vp_addr=0)
         for trace_data, key in zip(data["traces"], data["keys"]):
@@ -216,8 +259,6 @@ def collection_from_dict(data: Dict[str, Any]):
         collection.traces_run = len(collection.traces)
         collection.probes_used = data.get("probes_used", 0)
         return collection
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError("malformed trace archive: %s" % exc) from exc
 
 
 # -- results --------------------------------------------------------------------
@@ -286,9 +327,7 @@ def result_to_dict(result: BdrmapResult) -> Dict[str, Any]:
 
 
 def result_from_dict(data: Dict[str, Any]) -> BdrmapResult:
-    if data.get("format") != _FORMAT:
-        raise DataError("unknown result format %r" % data.get("format"))
-    try:
+    with _decoding(data, _FORMAT, "result"):
         graph = RouterGraph()
         for entry in data["routers"]:
             router = InferredRouter(
@@ -350,8 +389,6 @@ def result_from_dict(data: Dict[str, Any]) -> BdrmapResult:
                 for entry in data.get("provenance", [])
             ],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError("malformed result record: %s" % exc) from exc
 
 
 # -- run reports ------------------------------------------------------------------
@@ -446,10 +483,7 @@ def report_to_dict(report) -> Dict[str, Any]:
 def report_from_dict(data: Dict[str, Any]):
     from ..core.orchestrator import REPORT_FORMAT, RunReport
 
-    if data.get("format") != REPORT_FORMAT:
-        raise DataError("unknown report format %r" % data.get("format"))
-
-    try:
+    with _decoding(data, REPORT_FORMAT, "report"):
         return RunReport(
             focal_asn=data["focal_asn"],
             vp_ases=set(data["vp_ases"]),
@@ -464,122 +498,120 @@ def report_from_dict(data: Dict[str, Any]):
             fault_counts=dict(data.get("fault_counts", {})),
             task_failures=data.get("task_failures", 0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError("malformed report record: %s" % exc) from exc
 
 
 # -- checkpoints ------------------------------------------------------------------
+#
+# A multi-VP run writes its completed VPs after each one, so an interrupted
+# run resumes instead of restarting.  This section is the format's one
+# owner: the orchestrators build, write and resume through it.
 
 CHECKPOINT_FORMAT = "bdrmap-repro-checkpoint/1"
 
 
-def checkpoint_to_dict(results, vp_reports, metrics=None) -> Dict[str, Any]:
-    """Snapshot completed per-VP work mid-run: aligned lists of results
-    and their VP reports.  The orchestrator writes one after each VP so an
-    interrupted multi-VP run resumes instead of restarting.
+class SavedVP(NamedTuple):
+    """One completed VP as a checkpoint holds it."""
 
-    ``metrics`` optionally maps vp_name to that VP's metrics delta (the
-    :meth:`~repro.obs.metrics.MetricsRegistry.delta_since` dict).  Stored
-    per entry so a resumed run can replay the skipped VPs' counters into
-    its fresh registry instead of losing (or re-earning) them.  The key is
-    omitted for VPs without one, keeping old checkpoints readable and
-    metric-free checkpoints byte-identical to the historical layout.
+    result: BdrmapResult
+    report: Any  # repro.core.orchestrator.VPReport
+    metrics: Optional[Dict[str, Any]]
+
+
+def checkpoint_entry(result: BdrmapResult, vp_report,
+                     metrics: Optional[Dict[str, Any]] = None
+                     ) -> Dict[str, Any]:
+    """One completed VP in checkpoint form.
+
+    ``metrics`` is the VP's metrics delta (the
+    :meth:`~repro.obs.metrics.MetricsRegistry.delta_since` dict), stored
+    so a resumed run replays the VP's counters into its fresh registry
+    instead of losing (or re-earning) them.  The key is omitted when there
+    is none, keeping metric-free checkpoints byte-identical to the
+    historical layout.
     """
-    if len(results) != len(vp_reports):
-        raise DataError(
-            "checkpoint wants aligned results/reports, got %d vs %d"
-            % (len(results), len(vp_reports))
-        )
-    entries = []
-    for result, vp in zip(results, vp_reports):
-        entry: Dict[str, Any] = {
-            "report": _vp_report_to_dict(vp),
-            "result": result_to_dict(result),
-        }
-        if metrics and vp.vp_name in metrics:
-            entry["metrics"] = metrics[vp.vp_name]
-        entries.append(entry)
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "vps": entries,
+    entry = {
+        "report": _vp_report_to_dict(vp_report),
+        "result": result_to_dict(result),
     }
+    if metrics is not None:
+        entry["metrics"] = metrics
+    return entry
 
 
-def checkpoint_from_dict(data: Dict[str, Any]):
-    """Rebuild ``(results, vp_reports)`` from a checkpoint dict."""
-    if data.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(
-            "unknown checkpoint format %r" % data.get("format")
-        )
-    try:
-        results = [
-            result_from_dict(entry["result"]) for entry in data["vps"]
-        ]
-        vp_reports = [
-            _vp_report_from_dict(entry["report"]) for entry in data["vps"]
-        ]
-        return results, vp_reports
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError("malformed checkpoint record: %s" % exc) from exc
-
-
-def checkpoint_metrics_from_dict(data: Dict[str, Any]) -> Dict[str, Any]:
-    """The per-VP metrics deltas stored in a checkpoint dict, keyed by
-    vp_name.  VPs checkpointed without metrics are simply absent."""
-    if data.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(
-            "unknown checkpoint format %r" % data.get("format")
-        )
-    deltas: Dict[str, Any] = {}
-    for entry in data.get("vps", []):
-        if "metrics" in entry:
-            deltas[entry["report"]["vp_name"]] = entry["metrics"]
-    return deltas
-
-
-def merge_checkpoint_dicts(parts, vp_order=None) -> Dict[str, Any]:
-    """Merge partial checkpoint dicts (e.g. one per worker process of a
-    parallel run) into a single checkpoint.
-
-    Entries are concatenated; with ``vp_order`` (a list of vp_names) they
-    are re-sorted into that order, so a merge of stride-sharded worker
-    checkpoints reproduces the sequential checkpoint byte-for-byte.
-    Duplicate vp_names keep the *last* occurrence — a re-run VP
-    supersedes its stale entry.
-    """
-    merged: Dict[str, Dict[str, Any]] = {}
-    for part in parts:
-        if part.get("format") != CHECKPOINT_FORMAT:
-            raise DataError(
-                "unknown checkpoint format %r" % part.get("format")
-            )
-        for entry in part.get("vps", []):
-            merged[entry["report"]["vp_name"]] = entry
-    names = list(merged)
-    if vp_order is not None:
-        position = {name: i for i, name in enumerate(vp_order)}
-        names.sort(key=lambda name: position.get(name, len(position)))
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "vps": [merged[name] for name in names],
-    }
-
-
-def save_checkpoint(results, vp_reports,
-                    target: Union[str, IO[str]], metrics=None) -> None:
-    """Write a mid-run checkpoint to a path or open file object."""
-    payload = json.dumps(
-        checkpoint_to_dict(results, vp_reports, metrics=metrics), indent=1
+def _partials(path: str) -> List[str]:
+    """The ``<path>.worker<K>`` partials of a process-pool run.  A
+    ``.tmp`` is an atomic write a crash stranded, not a partial."""
+    return sorted(
+        partial for partial in glob.glob(path + ".worker*")
+        if not partial.endswith(".tmp")
     )
-    _write_payload(payload, target)
+
+
+def write_checkpoint(path: str, entries: List[Dict[str, Any]],
+                     worker: Optional[int] = None) -> None:
+    """Atomically write :func:`checkpoint_entry` dicts to the checkpoint
+    at ``path`` or, for worker ``K`` of a process pool, to its partial
+    ``<path>.workerK``.
+
+    The document is serialized before any file is touched, so a failed
+    write leaves the previous checkpoint whole.  The canonical file
+    supersedes every partial (a resumed run has merged them; a fresh run
+    must not have stale ones merged over it later), so writing it deletes
+    the partials and the temp files of any write a crash stranded.
+    """
+    target = path if worker is None else "%s.worker%d" % (path, worker)
+    atomic_write_text(target, json.dumps(
+        {"format": CHECKPOINT_FORMAT, "vps": entries}, indent=1
+    ))
+    if worker is None:
+        for stale in _partials(path) + glob.glob(path + ".*.tmp"):
+            os.remove(stale)
+
+
+def _saved_vps(data: Any) -> Dict[str, SavedVP]:
+    """The VPs of one checkpoint document by vp_name; a later entry for a
+    VP supersedes an earlier one.  A stored metrics delta is checked by
+    merging it into a scratch registry: one that cannot merge is
+    malformed."""
+    with _decoding(data, CHECKPOINT_FORMAT, "checkpoint"):
+        saved = {}
+        for entry in data["vps"]:
+            metrics = entry.get("metrics")
+            if metrics is not None:
+                MetricsRegistry().merge_delta(metrics)
+            vp_report = _vp_report_from_dict(entry["report"])
+            saved[vp_report.vp_name] = SavedVP(
+                result_from_dict(entry["result"]), vp_report, metrics
+            )
+        return saved
 
 
 def load_checkpoint(source: Union[str, IO[str]]):
-    """Read a mid-run checkpoint from a path or open file object."""
-    if hasattr(source, "read"):
-        return checkpoint_from_dict(json.load(source))
-    with open(source) as handle:
-        return checkpoint_from_dict(json.load(handle))
+    """Read a checkpoint from a path or open file object as
+    ``(results, vp_reports)``, in file order."""
+    saved = _saved_vps(read_json(source)).values()
+    return [vp.result for vp in saved], [vp.report for vp in saved]
+
+
+def resume_checkpoint(path: str) -> Dict[str, SavedVP]:
+    """Every VP a previous run completed, by vp_name: the checkpoint at
+    ``path`` merged with the ``<path>.worker*`` partials a crashed pool
+    run stranded.  A partial is newer than the canonical file, so its
+    entry wins.  Failed VPs are left out, so a resumed run re-runs them.
+
+    Merged partials are folded into the canonical file at once: the
+    resumed run's own workers write partials of the same names.
+    """
+    partials = _partials(path)
+    sources = [path] if os.path.exists(path) else []
+    done: Dict[str, SavedVP] = {}
+    for source in sources + partials:
+        for name, vp in _saved_vps(read_json(source)).items():
+            if not vp.report.failed:
+                done[name] = vp
+    if partials:
+        write_checkpoint(path, [checkpoint_entry(*vp) for vp in done.values()])
+    return done
 
 
 def save_report(report, target: Union[str, IO[str]]) -> None:
@@ -590,10 +622,7 @@ def save_report(report, target: Union[str, IO[str]]) -> None:
 
 def load_report(source: Union[str, IO[str]]):
     """Read a run report from a path or open file object."""
-    if hasattr(source, "read"):
-        return report_from_dict(json.load(source))
-    with open(source) as handle:
-        return report_from_dict(json.load(handle))
+    return report_from_dict(read_json(source))
 
 
 RUN_FORMAT = "bdrmap-repro-run/1"
@@ -682,11 +711,7 @@ def bordermap_from_dict(data: Dict[str, Any]):
         CompiledRouter,
     )
 
-    if data.get("format") != BORDERMAP_FORMAT:
-        raise DataError(
-            "unknown border map format %r" % data.get("format")
-        )
-    try:
+    with _decoding(data, BORDERMAP_FORMAT, "border map"):
         ases = list(data["ases"])
         routers = [
             CompiledRouter(
@@ -730,8 +755,6 @@ def bordermap_from_dict(data: Dict[str, Any]):
             epoch=data.get("epoch", 0),
             source=data.get("source", ""),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise DataError("malformed border map record: %s" % exc) from exc
 
 
 def save_border_map(bmap, target: Union[str, IO[str]],
@@ -767,16 +790,14 @@ def load_border_map(source: Union[str, IO[str]]):
     :class:`~repro.serving.backend.BorderMapBackend` protocol, so
     callers serve either without caring which landed on disk.
     """
-    if hasattr(source, "read"):
-        return bordermap_from_dict(json.load(source))
-    from .binfmt import sniff
+    if not hasattr(source, "read"):
+        from .binfmt import sniff
 
-    if sniff(source):
-        from ..serving.compiled import load_compiled_map
+        if sniff(source):
+            from ..serving.compiled import load_compiled_map
 
-        return load_compiled_map(source)
-    with open(source) as handle:
-        return bordermap_from_dict(json.load(handle))
+            return load_compiled_map(source)
+    return bordermap_from_dict(read_json(source))
 
 
 def save_result(result: BdrmapResult, target: Union[str, IO[str]]) -> None:
@@ -787,7 +808,4 @@ def save_result(result: BdrmapResult, target: Union[str, IO[str]]) -> None:
 
 def load_result(source: Union[str, IO[str]]) -> BdrmapResult:
     """Read a result from a path or open file object."""
-    if hasattr(source, "read"):
-        return result_from_dict(json.load(source))
-    with open(source) as handle:
-        return result_from_dict(json.load(handle))
+    return result_from_dict(read_json(source))

@@ -251,12 +251,6 @@ class MetricsRegistry:
         for name, value in delta.get("gauges", {}).items():
             self.set_gauge(prefix + name, value)
 
-    def merge_registry(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's slots into this one (counters, timers,
-        and histograms add; gauges overwrite).  The per-worker registries
-        of a parallel run are merged this way, in VP order."""
-        self.merge_delta(other.as_dict())
-
     # -- export -------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:

@@ -363,7 +363,3 @@ class Channel:
             "reconnects": self.reconnects,
         }
         return {key: value for key, value in counters.items() if value}
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_to_device + self.bytes_from_device

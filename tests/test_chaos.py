@@ -188,6 +188,38 @@ class TestCheckpointResume:
         assert not run.report.failed_vps
 
 
+    @pytest.mark.parametrize("interleave", (False, True),
+                             ids=["sequential", "interleaved"])
+    def test_resumed_run_keeps_vp_order(self, tmp_path, interleave):
+        """A checkpoint holding only the second VP (the first crashed):
+        the resumed run and its checkpoint list the VPs in scenario
+        order, because result order alone changes the compiled map."""
+        import json
+
+        from repro.io import load_checkpoint
+
+        path = tmp_path / "ckpt.json"
+        MultiVPOrchestrator(
+            build_scenario(mini(seed=4)), interleave=interleave,
+            checkpoint_path=str(path),
+        ).run()
+        data = json.loads(path.read_text())
+        data["vps"] = data["vps"][1:]
+        path.write_text(json.dumps(data))
+
+        fresh = build_scenario(mini(seed=4))
+        order = [vp.name for vp in fresh.vps]
+        orchestrator = MultiVPOrchestrator(
+            fresh, interleave=interleave, checkpoint_path=str(path),
+            resume=True,
+        )
+        run = orchestrator.run()
+        assert orchestrator.resumed_vps == {order[1]}
+        assert [result.vp_name for result in run.results] == order
+        assert [vp.vp_name for vp in run.report.vp_reports] == order
+        assert [vp.vp_name for vp in load_checkpoint(str(path))[1]] == order
+
+
 class TestFlakyChannel:
     def test_remote_run_survives_flaky_channel(self):
         from repro.remote import RemoteBdrmap

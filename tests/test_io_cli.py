@@ -400,32 +400,32 @@ class TestCheckpointEdgeCases:
     that crashed mid-run, and archives from a future writer that added
     fields this reader has never heard of."""
 
+    @staticmethod
+    def _document(*entries):
+        from repro.io.serialize import CHECKPOINT_FORMAT
+
+        return {"format": CHECKPOINT_FORMAT, "vps": list(entries)}
+
+    @staticmethod
+    def _load(data):
+        from repro.io import load_checkpoint
+
+        return load_checkpoint(io.StringIO(json.dumps(data)))
+
     def test_empty_checkpoint_roundtrip(self, tmp_path):
-        from repro.io.serialize import load_checkpoint, save_checkpoint
+        from repro.io import load_checkpoint, write_checkpoint
 
         path = str(tmp_path / "empty.json")
-        save_checkpoint([], [], path)
+        write_checkpoint(path, [])
         results, reports = load_checkpoint(path)
         assert results == []
         assert reports == []
 
-    def test_misaligned_checkpoint_rejected(self, mini_result):
-        from repro.core.orchestrator import VPReport
-        from repro.io.serialize import checkpoint_to_dict
-
-        with pytest.raises(DataError):
-            checkpoint_to_dict(
-                [mini_result],
-                [VPReport(vp_name="a", vp_addr=1),
-                 VPReport(vp_name="b", vp_addr=2)],
-            )
-
-    def test_failed_vp_report_roundtrip(self, mini_result):
-        from repro.core.orchestrator import VPReport
-        from repro.io.serialize import (
-            checkpoint_from_dict,
-            checkpoint_to_dict,
-        )
+    def test_failed_vp_report_roundtrip(self):
+        """Writers never checkpoint a failed VP, so its markers travel in
+        the run report."""
+        from repro.core.orchestrator import RunReport, VPReport
+        from repro.io import report_from_dict, report_to_dict
 
         crashed = VPReport(
             vp_name="vp-crash",
@@ -435,64 +435,83 @@ class TestCheckpointEdgeCases:
             failed=True,
             error="scheduler raised: injected fault",
         )
-        data = checkpoint_to_dict([mini_result], [crashed])
+        data = report_to_dict(RunReport(focal_asn=1, vp_reports=[crashed]))
         # Failure markers are written only when set.
-        entry = data["vps"][0]["report"]
+        entry = data["vps"][0]
         assert entry["failed"] is True
         assert "injected fault" in entry["error"]
 
-        results, reports = checkpoint_from_dict(
-            json.loads(json.dumps(data))
-        )
+        reports = report_from_dict(json.loads(json.dumps(data))).vp_reports
         assert reports[0].failed is True
         assert reports[0].error == crashed.error
         assert reports[0].retries == 0
-        assert len(results) == 1
 
     def test_clean_vp_report_omits_failure_fields(self, mini_result):
         from repro.core.orchestrator import VPReport
-        from repro.io.serialize import checkpoint_to_dict
+        from repro.io import checkpoint_entry
 
         clean = VPReport(vp_name="vp-ok", vp_addr=0x0A000002)
-        entry = checkpoint_to_dict([mini_result], [clean])["vps"][0]["report"]
+        entry = checkpoint_entry(mini_result, clean)["report"]
         assert "failed" not in entry
         assert "error" not in entry
         assert "retries" not in entry
 
     def test_unknown_fields_tolerated(self, mini_result):
         from repro.core.orchestrator import VPReport
-        from repro.io.serialize import (
-            checkpoint_from_dict,
-            checkpoint_to_dict,
-        )
+        from repro.io import checkpoint_entry
 
         report = VPReport(vp_name="vp", vp_addr=0x0A000003)
-        data = checkpoint_to_dict([mini_result], [report])
+        data = self._document(checkpoint_entry(mini_result, report))
         # A future writer may annotate records; this reader must ignore
         # what it does not understand rather than crash.
         data["written_by"] = "bdrmap-repro/99"
         data["vps"][0]["report"]["gps_coordinates"] = [0.0, 0.0]
         data["vps"][0]["result"]["extra_index"] = {"a": 1}
-        results, reports = checkpoint_from_dict(data)
+        results, reports = self._load(data)
         assert reports[0].vp_name == "vp"
         assert len(results) == 1
 
     def test_unknown_format_rejected(self):
-        from repro.io.serialize import checkpoint_from_dict
-
         with pytest.raises(DataError):
-            checkpoint_from_dict({"format": "not-a-checkpoint", "vps": []})
+            self._load({"format": "not-a-checkpoint", "vps": []})
 
     def test_truncated_checkpoint_rejected(self, mini_result):
         from repro.core.orchestrator import VPReport
-        from repro.io.serialize import (
-            checkpoint_from_dict,
-            checkpoint_to_dict,
-        )
+        from repro.io import checkpoint_entry
 
-        data = checkpoint_to_dict(
-            [mini_result], [VPReport(vp_name="vp", vp_addr=1)]
+        data = self._document(
+            checkpoint_entry(mini_result, VPReport(vp_name="vp", vp_addr=1))
         )
         del data["vps"][0]["report"]["vp_addr"]
         with pytest.raises(DataError):
-            checkpoint_from_dict(data)
+            self._load(data)
+
+
+class TestMalformedArchiveCLI:
+    """Every command that reads an archive fails on a malformed one with
+    one error line and exit 2, never a traceback."""
+
+    RUN = ["run", "--name", "mini", "--seed", "1", "--all-vps",
+           "--checkpoint", "{bad}", "--resume"]
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--checkpoint", "{bad}", "--out", "{dir}/map.json"],
+        RUN,
+        RUN + ["--workers", "1"],
+        ["show", "{bad}"],
+        ["report", "{bad}"],
+        ["query", "{bad}", "owner", "1.0.0.0"],
+        ["infer", "{dir}"],
+    ], ids=["compile", "run-resume", "run-resume-workers", "show", "report",
+            "query", "infer"])
+    def test_list_document_exits_2(self, argv, tmp_path, capsys):
+        from repro.io.bundle import _FILES
+
+        for name in _FILES + ("bad.json",):
+            (tmp_path / name).write_text("[]")
+        argv = [arg.format(bad=tmp_path / "bad.json", dir=tmp_path)
+                for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert err.count("\n") == 1

@@ -22,12 +22,16 @@ from repro.core.parallel import (
     ScenarioSpec,
     run_parallel,
 )
+from repro.core.orchestrator import VPReport
+from repro.errors import DataError
 from repro.io import (
-    checkpoint_metrics_from_dict,
-    merge_checkpoint_dicts,
+    checkpoint_entry,
+    load_checkpoint,
     orchestrated_run_to_dict,
+    resume_checkpoint,
+    write_checkpoint,
 )
-from repro.io.serialize import CHECKPOINT_FORMAT, bordermap_to_dict
+from repro.io.serialize import bordermap_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.probing.stopset import StopSet
 from repro.topology import SCENARIO_FACTORIES, scenario_config
@@ -127,42 +131,51 @@ class TestDeterminismAcrossWorkers:
 
 
 class TestCheckpointMerge:
+    """The one resume reader: the canonical checkpoint merged with the
+    worker partials a crashed pool run stranded."""
+
     @staticmethod
-    def _entry(vp_name, tag):
-        return {
-            "report": {"vp_name": vp_name, "failed": False},
-            "result": {"tag": tag},
-        }
-
-    def test_merge_concatenates_and_orders(self):
-        part_a = {
-            "format": CHECKPOINT_FORMAT,
-            "vps": [self._entry("vp2", "a2")],
-        }
-        part_b = {
-            "format": CHECKPOINT_FORMAT,
-            "vps": [self._entry("vp0", "b0"), self._entry("vp1", "b1")],
-        }
-        merged = merge_checkpoint_dicts(
-            [part_a, part_b], vp_order=["vp0", "vp1", "vp2"]
+    def _entry(result, vp_name, traces_run=0):
+        return checkpoint_entry(
+            result, VPReport(vp_name=vp_name, vp_addr=1, traces_run=traces_run)
         )
-        assert [e["report"]["vp_name"] for e in merged["vps"]] \
-            == ["vp0", "vp1", "vp2"]
 
-    def test_duplicate_vp_keeps_last(self):
-        parts = [
-            {"format": CHECKPOINT_FORMAT, "vps": [self._entry("vp0", "old")]},
-            {"format": CHECKPOINT_FORMAT, "vps": [self._entry("vp0", "new")]},
-        ]
-        merged = merge_checkpoint_dicts(parts)
-        assert len(merged["vps"]) == 1
-        assert merged["vps"][0]["result"]["tag"] == "new"
+    def test_merge_concatenates_and_orders(self, mini_result, tmp_path):
+        """Entries spread over the canonical file and two partials all
+        resume, and the merged canonical checkpoint lists them in
+        scenario VP order."""
+        spec = ScenarioSpec.make("mini", seed=1, n_vps=3)
+        names = [vp.name for vp in spec.build().vps]
+        path = str(tmp_path / "ck.json")
+        write_checkpoint(path, [self._entry(mini_result, names[2])])
+        write_checkpoint(path, [self._entry(mini_result, names[0])], worker=0)
+        write_checkpoint(path, [self._entry(mini_result, names[1])], worker=1)
+        orchestrator = ParallelOrchestrator(
+            spec, workers=1, checkpoint_path=path, resume=True
+        )
+        run = orchestrator.run()
+        assert orchestrator.resumed_vps == set(names)
+        assert [result.vp_name for result in run.results] \
+            == [mini_result.vp_name] * 3
+        assert [vp.vp_name for vp in load_checkpoint(path)[1]] == names
+        assert not list(tmp_path.glob("*.worker*"))
 
-    def test_bad_format_rejected(self):
-        from repro.errors import DataError
+    def test_duplicate_vp_keeps_last(self, mini_result, tmp_path):
+        path = str(tmp_path / "ck.json")
+        write_checkpoint(path, [self._entry(mini_result, "vp0", 1)])
+        write_checkpoint(path, [self._entry(mini_result, "vp0", 2)], worker=0)
+        done = resume_checkpoint(path)
+        assert list(done) == ["vp0"]
+        assert done["vp0"].report.traces_run == 2
 
+    def test_bad_format_rejected(self, tmp_path):
+        path = tmp_path / "ck.json"
+        write_checkpoint(str(path), [])
+        (tmp_path / "ck.json.worker0").write_text(
+            json.dumps({"format": "nope", "vps": []})
+        )
         with pytest.raises(DataError):
-            merge_checkpoint_dicts([{"format": "nope", "vps": []}])
+            resume_checkpoint(str(path))
 
     def test_parallel_checkpoint_matches_inline(self, tmp_path):
         """The merged canonical checkpoint of a pool run equals the
@@ -183,8 +196,6 @@ class TestAtomicCheckpoints:
         """A canonical checkpoint write that fails partway (here on a
         value JSON cannot encode, in the last VP's entry) leaves the
         previous checkpoint whole, so a resume can still read it."""
-        from repro.io import load_checkpoint
-
         spec = ScenarioSpec.make("mini", seed=1)
         path = tmp_path / "ck.json"
         orchestrator = ParallelOrchestrator(
@@ -193,14 +204,9 @@ class TestAtomicCheckpoints:
         orchestrator.run()
         before = path.read_text()
         entries = json.loads(before)["vps"]
-        payloads = {entry["report"]["vp_name"]: entry for entry in entries}
-        payloads[entries[-1]["report"]["vp_name"]]["metrics"] = {
-            "counters": {"poison": object()},
-        }
+        entries[-1]["metrics"] = {"counters": {"poison": object()}}
         with pytest.raises(TypeError):
-            orchestrator._save_merged_checkpoint(
-                orchestrator.scenario, {}, payloads
-            )
+            write_checkpoint(str(path), entries)
         assert path.read_text() == before
         results, _ = load_checkpoint(str(path))
         assert len(results) == len(entries)
@@ -282,6 +288,32 @@ class TestParallelResume:
         assert want == got
 
 
+    def test_second_crash_keeps_stranded_partials(self, tmp_path,
+                                                  monkeypatch):
+        """A resume folds stranded partials into the canonical file
+        before its own workers write partials of the same names, so a
+        resumed run that crashes too loses none of them."""
+        spec = ScenarioSpec.make("mini", seed=7)
+        path = tmp_path / "ck.json"
+        run_parallel(spec, workers=1, checkpoint_path=str(path))
+        data = json.loads(path.read_text())
+        (tmp_path / "ck.json.worker0").write_text(
+            json.dumps(dict(data, vps=data["vps"][:1]))
+        )
+        path.unlink()
+
+        def power_loss(*args):
+            raise RuntimeError("power loss")
+
+        monkeypatch.setattr(ParallelOrchestrator, "_merge", power_loss)
+        with pytest.raises(RuntimeError):
+            ParallelOrchestrator(
+                spec, workers=1, checkpoint_path=str(path), resume=True
+            ).run()
+        assert set(resume_checkpoint(str(path))) \
+            == {entry["report"]["vp_name"] for entry in data["vps"]}
+
+
 class TestSequentialResumeMetrics:
     """Satellite: MultiVPOrchestrator --resume must not re-earn (or
     lose) the checkpointed VPs' counters."""
@@ -312,7 +344,10 @@ class TestSequentialResumeMetrics:
     def test_checkpoint_carries_per_vp_deltas(self, tmp_path):
         path = tmp_path / "ck.json"
         fresh, fresh_registry, _ = self._run(str(path))
-        deltas = checkpoint_metrics_from_dict(json.loads(path.read_text()))
+        deltas = {
+            name: vp.metrics
+            for name, vp in resume_checkpoint(str(path)).items()
+        }
         assert set(deltas) == {vp.vp_name for vp in fresh.report.vp_reports}
         merged = MetricsRegistry()
         for vp in fresh.report.vp_reports:
