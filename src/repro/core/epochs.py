@@ -644,7 +644,7 @@ def _capture_snapshot(ctx) -> InferenceSnapshot:
     return snap
 
 
-def _as_deps(ctx, router, paths_by_rid) -> FrozenSet[int]:
+def _as_deps(ctx, router) -> FrozenSet[int]:
     """The conservative AS-dependency cone of one router's decision:
     every AS whose relationship annotations any router-level pass could
     have consulted while deciding this router (tie-breaks, providers_of
@@ -664,7 +664,7 @@ def _as_deps(ctx, router, paths_by_rid) -> FrozenSet[int]:
         deps.update(near.last_hop_for)
         for addr in near.all_addrs():
             deps.update(ctx.addr_origins.get(addr, ()))
-    for path in paths_by_rid.get(router.rid, ()):
+    for path in ctx.graph.paths_through(router.rid):
         for rid in path.routers:
             on_path = ctx.graph.routers.get(rid)
             if on_path is None:
@@ -841,11 +841,6 @@ def run_incremental_inference(
         dirty = _dirty_keys(snap, cache)
     stats.dirty_routers = len(dirty)
 
-    paths_by_rid: Dict[int, List] = {}
-    for path in ctx.graph.paths:
-        for rid in path.routers:
-            paths_by_rid.setdefault(rid, []).append(path)
-
     events: Dict[RouterKey, ApplicationEvent] = {}
 
     def observer(router, trail, deciding, attempted):
@@ -856,7 +851,7 @@ def run_incremental_inference(
                 (_router_key(a.router), a.owner, a.reason)
                 for a in attempted
             ),
-            as_deps=_as_deps(ctx, router, paths_by_rid),
+            as_deps=_as_deps(ctx, router),
         )
 
     with tracer.span("inference.router_passes"):

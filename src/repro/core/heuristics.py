@@ -273,9 +273,7 @@ class UnroutedPass(HeuristicPass):
         if not classes or classes - {UNROUTED}:
             return None
         first_routed: Set[int] = set()
-        for path in ctx.graph.paths:
-            if router.rid not in path.routers:
-                continue
+        for path in ctx.graph.paths_through(router.rid):
             index = path.routers.index(router.rid)
             for rid in path.routers[index + 1:]:
                 later = ctx.graph.routers.get(rid)
@@ -328,7 +326,7 @@ class OnenetPass(HeuristicPass):
             return None
         # 4.2: VP-addressed router followed by two consecutive routers in
         # the same external AS.
-        for path in ctx.graph.paths:
+        for path in ctx.graph.paths_through(router.rid):
             routers = path.routers
             for index, rid in enumerate(routers[:-2]):
                 if rid != router.rid:
@@ -519,6 +517,11 @@ class AliasCollapsePass(GraphHeuristicPass):
 
     def apply_graph(self, ctx):
         resolver = ctx.collection.resolver
+        confirmed = {
+            pair
+            for pair, result in ctx.collection.prefixscans.items()
+            if result.confirmed
+        }
         for neighbor in sorted(ctx.graph.routers):
             far = ctx.graph.routers.get(neighbor)
             if far is None or far.owner is None or far.owner in ctx.vp_ases:
@@ -530,7 +533,7 @@ class AliasCollapsePass(GraphHeuristicPass):
                 if pred.owner != ctx.focal_asn or len(pred.addrs) != 1:
                     continue
                 pred_addr = next(iter(pred.addrs))
-                if self._p2p_attached(pred_addr, far, ctx):
+                if self._p2p_attached(pred_addr, far, confirmed):
                     candidates.append(pred)
             if len(candidates) < 2:
                 continue
@@ -556,16 +559,15 @@ class AliasCollapsePass(GraphHeuristicPass):
 
     @staticmethod
     def _p2p_attached(
-        pred_addr: int, far: InferredRouter, ctx: InferenceContext
+        pred_addr: int, far: InferredRouter, confirmed: Set[Tuple[int, int]]
     ) -> bool:
+        """``confirmed`` holds the (previous, next) hop pairs whose
+        prefixscan confirmed a point-to-point subnet."""
         for addr in far.addrs:
             for plen in (31, 30):
                 if p2p_mate(addr, plen) == pred_addr:
                     return True
-        for (prev, nxt), result in ctx.collection.prefixscans.items():
-            if prev == pred_addr and nxt in far.addrs and result.confirmed:
-                return True
-        return False
+        return any((pred_addr, addr) in confirmed for addr in far.addrs)
 
 
 @register_pass

@@ -45,6 +45,8 @@ class TracePath:
     final_kind: Optional[ResponseKind]    # non-TTL-expired terminal response
     final_src: Optional[int]
     reached: bool
+    # Index in its graph's ``paths``; set by RouterGraph.add_path.
+    position: int = field(default=-1, init=False, compare=False, repr=False)
 
 
 class RouterGraph:
@@ -56,6 +58,9 @@ class RouterGraph:
         self.succ: Dict[int, Set[int]] = {}
         self.pred: Dict[int, Set[int]] = {}
         self.paths: List[TracePath] = []
+        # rid -> the paths it appears on, each once, in ``paths`` order.
+        # Kept by add_path and merge.
+        self._on_paths: Dict[int, List[TracePath]] = {}
         self._next_rid = 1
 
     # -- construction -----------------------------------------------------------
@@ -82,6 +87,15 @@ class RouterGraph:
                 router.extra_addrs.add(addr)
             self.by_addr[addr] = router.rid
         return router
+
+    def add_path(self, path: TracePath) -> None:
+        """Append ``path`` to ``paths`` and index it by its routers; the
+        only way a path enters the graph."""
+        path.position = len(self.paths)
+        self.paths.append(path)
+        on_paths = self._on_paths
+        for rid in set(path.routers):
+            on_paths.setdefault(rid, []).append(path)
 
     def add_edge(self, from_rid: int, to_rid: int) -> None:
         if from_rid == to_rid:
@@ -114,12 +128,23 @@ class RouterGraph:
                 self.add_edge(keep_rid, target)
         self.succ.pop(absorb_rid, None)
         self.pred.pop(absorb_rid, None)
-        for path in self.paths:
-            path.routers[:] = [
-                keep_rid if rid == absorb_rid else rid for rid in path.routers
-            ]
+        moved = self._on_paths.pop(absorb_rid, None)
+        if moved:
+            for path in moved:
+                path.routers[:] = [
+                    keep_rid if rid == absorb_rid else rid
+                    for rid in path.routers
+                ]
+            kept = self._on_paths.get(keep_rid, [])
+            union = {path.position: path for path in kept + moved}
+            self._on_paths[keep_rid] = [union[p] for p in sorted(union)]
 
     # -- queries ------------------------------------------------------------------
+
+    def paths_through(self, rid: int) -> List[TracePath]:
+        """The paths ``rid`` appears on, each once, in ``paths`` order.
+        The list is the index's own: read it, do not change it."""
+        return self._on_paths.get(rid, [])
 
     def successors(self, rid: int) -> Set[int]:
         return self.succ.get(rid, set())
@@ -195,7 +220,7 @@ def build_router_graph(collection: Collection) -> RouterGraph:
         if rids:
             for origin in key:
                 graph.routers[rids[-1]].last_hop_for.add(origin)
-        graph.paths.append(
+        graph.add_path(
             TracePath(
                 key=key,
                 dst=trace.dst,

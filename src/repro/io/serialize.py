@@ -349,7 +349,7 @@ def result_from_dict(data: Dict[str, Any]) -> BdrmapResult:
             for successor in successors:
                 graph.add_edge(rid, successor)
         for entry in data["paths"]:
-            graph.paths.append(
+            graph.add_path(
                 TracePath(
                     key=tuple(entry["key"]),
                     dst=aton(entry["dst"]),

@@ -116,10 +116,12 @@ class Network:
         # Instrumentation sink; NULL_REGISTRY keeps the zero-obs hot
         # path at one no-op call per probe.
         self.metrics: MetricsRegistry = NULL_REGISTRY
-        # The most recent route walked without faults or congestion.  One
-        # entry is enough: a traceroute sends all its TTLs toward one
-        # destination back to back, and a larger memo only costs memory.
+        # The two most recent routes walked without faults or congestion.
+        # A traceroute sends all its TTLs toward one destination back to
+        # back, and Ally alternates two addresses, so the route before
+        # last serves most of the rest; a larger memo only costs memory.
         self._route: Optional[_Route] = None
+        self._last_route: Optional[_Route] = None
 
     def attach_metrics(self, registry: MetricsRegistry) -> None:
         """Adopt the run's shared registry; fault stats become views
@@ -136,8 +138,8 @@ class Network:
         constructed ``Network(internet, seed)`` would hold, without paying
         for a topology rebuild.  The routing oracle is deliberately *not*
         reset, nor is the route memo: their state (class routes, intra
-        tables, step memo, recorded route) is a pure function of the
-        static topology, so keeping it warm cannot change behaviour —
+        tables, step memo, the two recorded routes) is a pure function of
+        the static topology, so keeping it warm cannot change behaviour —
         this is what lets a parallel worker run several VPs back-to-back
         with per-VP-fresh determinism while paying the route
         computations once.
@@ -366,12 +368,21 @@ class Network:
         policies only at the hops entered over a border (firewalls) and
         at that final hop."""
         route = self._route
+        dst = probe.dst
         if (
             route is None
-            or route.dst != probe.dst
+            or route.dst != dst
             or route.first_router != vp.first_router
         ):
-            route = self._route = _Route(vp.first_router, probe.dst)
+            last = self._last_route
+            if (
+                last is None
+                or last.dst != dst
+                or last.first_router != vp.first_router
+            ):
+                last = _Route(vp.first_router, dst)
+            self._last_route = route
+            self._route = route = last
         expire = max(probe.ttl, 1) - 1  # the hop whose TTL decrement hits 0
         limit = min(expire, _MAX_HOPS - 1)
         route.extend(self, limit)

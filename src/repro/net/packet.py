@@ -9,8 +9,7 @@ the simulator honours when breaking ECMP ties.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class ProbeKind(enum.Enum):
@@ -28,8 +27,7 @@ class ResponseKind(enum.Enum):
     TCP_RST = "tcp-rst"
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """A single probe packet injected at a vantage point."""
 
     src: int
@@ -39,8 +37,7 @@ class Probe:
     flow_id: int = 0
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """What came back (if anything).
 
     ``src`` is the source address of the response packet — the only

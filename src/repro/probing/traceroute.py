@@ -8,14 +8,13 @@ stopping against a caller-supplied stop set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, NamedTuple, Optional, Set
 
 from ..net import Network, Probe, ProbeKind, ResponseKind
 from .retry import RetryPolicy, RetryStats, send_with_retry
 
 
-@dataclass(frozen=True)
-class TraceHop:
+class TraceHop(NamedTuple):
     """One TTL's worth of traceroute output (addr None = no response)."""
 
     ttl: int

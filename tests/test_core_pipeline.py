@@ -1,6 +1,8 @@
 """Tests for targets, collection, router-graph construction, nextas, and
 the result model — the plumbing around the heuristics."""
 
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,12 +23,14 @@ from repro.core import (
     build_targets,
     compute_nextas,
 )
+from repro.core.report import BdrmapResult
 from repro.core.routergraph import InferredRouter
 from repro.core.targets import TargetBlock, group_by_origin
+from repro.io.serialize import result_from_dict, result_to_dict
 from repro.net import ResponseKind
 from repro.topology import build_scenario, mini
 
-from tests.helpers import CaseBuilder
+from tests.helpers import VP_AS, CaseBuilder
 
 
 def _view(*entries):
@@ -320,6 +324,63 @@ class TestRouterGraphBuild:
         graph = build_router_graph(case.collection)
         dists = [r.min_dist for r in graph.by_distance()]
         assert dists == sorted(dists)
+
+    @staticmethod
+    def _assert_index(graph, rids):
+        """``paths_through`` names, once and in ``paths`` order, exactly
+        the path objects each rid appears on."""
+        for rid in rids:
+            through = graph.paths_through(rid)
+            expected = [path for path in graph.paths if rid in path.routers]
+            assert len(through) == len(expected), rid
+            assert all(a is b for a, b in zip(through, expected)), rid
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        traces=st.lists(
+            st.lists(st.one_of(st.none(), st.integers(0, 7)),
+                     min_size=1, max_size=9),
+            min_size=1, max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_path_index_tracks_build_and_merges(self, traces, data):
+        case = CaseBuilder()
+        case.announce("10.0.0.0/8", 100)
+        # A router that repeats non-consecutively on one path.
+        traces = traces + [[0, 1, 0, None, 2, 0]]
+        for index, hops in enumerate(traces):
+            case.trace(200 + index, "20.0.%d.1" % index, [
+                None if hop is None else "10.0.%d.1" % hop for hop in hops
+            ])
+        graph = build_router_graph(case.collection)
+        every_rid = set(graph.routers)
+        reference = [list(path.routers) for path in graph.paths]
+        self._assert_index(graph, every_rid)
+
+        for _ in range(data.draw(st.integers(0, 5))):
+            rids = sorted(graph.routers)
+            if len(rids) < 2:
+                break
+            keep, absorb = data.draw(
+                st.lists(st.sampled_from(rids), min_size=2, max_size=2,
+                         unique=True))
+            graph.merge(keep, absorb)
+            reference = [
+                [keep if rid == absorb else rid for rid in routers]
+                for routers in reference
+            ]
+            assert [path.routers for path in graph.paths] == reference
+            self._assert_index(graph, every_rid)
+
+        result = BdrmapResult(
+            vp_name="vp", vp_addr=aton("10.0.0.10"), focal_asn=VP_AS,
+            vp_ases={VP_AS}, graph=graph,
+        )
+        for rebuilt in (result_from_dict(result_to_dict(result)).graph,
+                        pickle.loads(pickle.dumps(graph))):
+            assert [path.routers for path in rebuilt.paths] == reference
+            self._assert_index(rebuilt, every_rid)
 
 
 class TestNextas:

@@ -8,7 +8,7 @@ from repro.analysis.validation import neighbor_coverage
 from repro.core import BdrmapConfig
 from repro.core.collection import CollectionConfig
 from repro.core.heuristics import HeuristicConfig
-from repro.topology import re_network, small_access
+from repro.topology import re_network, small_access, tier1
 
 
 class TestMiniEndToEnd:
@@ -105,22 +105,35 @@ class TestAblations:
 
 
 class TestOtherScenariosSmoke:
-    def test_re_network_accuracy(self):
-        scenario = build_scenario(re_network())
+    """The §5.6 scenarios, pinned exactly: links judged correct out of
+    those judged, and probes spent.  A change that moves any of them
+    changes what bdrmap infers or how it probes, and must say so."""
+
+    @staticmethod
+    def _run(config):
+        scenario = build_scenario(config)
         data = build_data_bundle(scenario)
         result = run_bdrmap(scenario, data=data)
-        report = validate_result(result, scenario.internet)
+        return scenario, result, validate_result(result, scenario.internet)
+
+    def test_re_network_accuracy(self):
+        scenario, result, report = self._run(re_network())
         # Paper: 96.3% on the R&E network.
-        assert report.accuracy >= 0.9
+        assert (report.correct, report.total) == (38, 38)
+        assert result.probes_used == 12015
         covered, total, fraction = neighbor_coverage(result, scenario.internet)
         assert fraction >= 0.85
 
     def test_small_access_with_unannounced_own_space(self):
         """small_access hides the VP network's own infrastructure prefix
         (§5.4.1's RIR case) and must still validate well."""
-        scenario = build_scenario(small_access())
+        scenario, result, report = self._run(small_access())
         assert not scenario.internet.ases[scenario.focal_asn].infra_announced
-        data = build_data_bundle(scenario)
-        result = run_bdrmap(scenario, data=data)
-        report = validate_result(result, scenario.internet)
-        assert report.accuracy >= 0.85
+        assert (report.correct, report.total) == (43, 46)
+        assert result.probes_used == 9089
+
+    def test_tier1_accuracy(self):
+        _, result, report = self._run(tier1())
+        # Paper: 96.3-98.9% of links correct.
+        assert (report.correct, report.total) == (342, 348)
+        assert result.probes_used == 53045

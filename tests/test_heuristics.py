@@ -3,10 +3,13 @@ topological situation of the paper's figures 4-11 (plus the Fig 12
 limitation) from hand-written traces."""
 
 
+import pytest
+
 from repro.addr import Prefix, aton
 from repro.core.heuristics import HeuristicConfig
 from repro.datasets.ixp import IXPDataset
 from repro.datasets.rir import DelegationRecord, RIRDelegations
+from repro.probing.prefixscan import PrefixscanResult
 
 from tests.helpers import CaseBuilder
 
@@ -274,6 +277,24 @@ class TestStep7AnalyticalAliases:
         assert near_a.reason == "7 alias"
         far_links = [l for l in links if l.neighbor_as == A]
         assert len(far_links) == 1
+
+    @pytest.mark.parametrize("confirmed", [True, False])
+    def test_prefixscan_confirms_attachment(self, confirmed):
+        """Near ends that are not /31 or /30 mates of the neighbor's
+        addresses merge only when a prefixscan confirmed their subnet."""
+        case = base_case()
+        case.trace(A, "20.0.0.1", ["10.1.0.1", "10.9.0.9", "10.9.0.1"])
+        case.trace(A, "20.0.1.1", ["10.1.0.1", "10.9.2.9", "10.9.2.1"])
+        case.alias("10.9.0.1", "10.9.2.1")
+        for prev, nxt in (("10.9.0.9", "10.9.0.1"), ("10.9.2.9", "10.9.2.1")):
+            case.collection.prefixscans[(aton(prev), aton(nxt))] = (
+                PrefixscanResult(prev=aton(prev), addr=aton(nxt),
+                                 subnet_plen=31 if confirmed else None,
+                                 mate=aton(prev) if confirmed else None))
+        graph, _, _ = case.run()
+        near_a = graph.router_of_addr(aton("10.9.0.9"))
+        near_b = graph.router_of_addr(aton("10.9.2.9"))
+        assert (near_a is near_b) is confirmed
 
     def test_negative_evidence_blocks_merge(self):
         case = self._fig10_case()

@@ -2,6 +2,8 @@
 decisions, and the forwarding walk with all its ICMP idiosyncrasies."""
 
 import hashlib
+import inspect
+import pickle
 
 import pytest
 
@@ -12,12 +14,14 @@ from repro.net import (
     IPIDState,
     Probe,
     ProbeKind,
+    Response,
     ResponseKind,
     SourceSel,
 )
 from repro.net.faults import make_fault_plan
 from repro.net.policies import RateLimiter
 from repro.net.routing import RoutingOracle, StepKind
+from repro.probing.traceroute import TraceHop
 from repro.rng import make_rng
 from repro.topology import build_scenario, mini
 from repro.errors import ProbeError
@@ -464,6 +468,60 @@ class TestPolicyBehaviours:
         pytest.skip("no usable hop found")
 
 
+class TestRecords:
+    """The probe, reply and hop records: their fields, their defaults,
+    immutability, and pickling (parallel workers ship traces home)."""
+
+    EMPTY = inspect.Parameter.empty
+    RECORDS = pytest.mark.parametrize("cls, args, fields", [
+        (Probe, (1, 2, 3),
+         [("src", EMPTY), ("dst", EMPTY), ("ttl", EMPTY),
+          ("kind", ProbeKind.ICMP_ECHO), ("flow_id", 0)]),
+        (Response, (4, ResponseKind.ECHO_REPLY, 5, 6, 1.5),
+         [("src", EMPTY), ("kind", EMPTY), ("ipid", EMPTY),
+          ("quoted_dst", EMPTY), ("rtt", EMPTY), ("truth_router_id", None)]),
+        (TraceHop, (7, 8, ResponseKind.TTL_EXPIRED, 2.5, 9),
+         [("ttl", EMPTY), ("addr", EMPTY), ("kind", EMPTY), ("rtt", EMPTY),
+          ("ipid", EMPTY)]),
+    ], ids=["probe", "response", "tracehop"])
+
+    @RECORDS
+    def test_fields_in_order_with_defaults(self, cls, args, fields):
+        parameters = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == fields
+
+    @RECORDS
+    def test_immutable_and_hashable(self, cls, args, fields):
+        record = cls(*args)
+        for name, _ in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert hash(record) == hash(cls(*args))
+        assert record == cls(*args)
+
+    @RECORDS
+    def test_pickle_round_trip(self, cls, args, fields):
+        record = cls(*args)
+        again = pickle.loads(pickle.dumps(record))
+        assert type(again) is type(record)
+        assert again == record
+        assert repr(again) == repr(record)
+
+    def test_repr_names_every_field(self):
+        assert repr(Probe(1, 2, 3)) == (
+            "Probe(src=1, dst=2, ttl=3, "
+            "kind=<ProbeKind.ICMP_ECHO: 'icmp-echo'>, flow_id=0)"
+        )
+
+    def test_tracehop_properties(self):
+        silent = TraceHop(1, None, None, 0.0, 0)
+        expired = TraceHop(2, 10, ResponseKind.TTL_EXPIRED, 1.0, 3)
+        echo = TraceHop(3, 11, ResponseKind.ECHO_REPLY, 1.0, 4)
+        assert (silent.responded, silent.is_ttl_expired) == (False, False)
+        assert (expired.responded, expired.is_ttl_expired) == (True, True)
+        assert (echo.responded, echo.is_ttl_expired) == (True, False)
+
+
 class TestRouteMemo:
     """Without faults or congestion a probe walks the recorded route of
     its (first router, destination); every answer must equal the
@@ -536,11 +594,11 @@ class TestRouteMemo:
     @staticmethod
     def _answers(memo, reference, probes, cold):
         """Send ``probes`` to both twins; the answers must be equal.
-        ``cold`` forgets the recorded route before every probe."""
+        ``cold`` forgets both recorded routes before every probe."""
         answers = []
         for probe in probes:
             if cold:
-                memo.network._route = None
+                memo.network._route = memo.network._last_route = None
             got = memo.network.send(probe)
             assert got == reference.network.send(probe), probe
             answers.append(got)
@@ -589,36 +647,87 @@ class TestRouteMemo:
             ]
             assert capped and not any(capped)
 
-    def test_policy_change_between_probes(self):
-        """A firewall switched on after a route was recorded takes effect
-        on the next probe to the same destination (as in
-        test_firewall_blocks_transit_but_answers_ttl)."""
-        memo, reference = self._twins()
-        internet = memo.internet
-        asn, dst = next(
+    @staticmethod
+    def _unfirewalled_customer(scenario):
+        """A customer of the focal network with no firewall, and the
+        first address of one of its prefixes."""
+        internet = scenario.internet
+        return next(
             (policy.origins[0], policy.prefix.addr + 1)
             for policy in sorted(internet.prefix_policies.values(),
                                  key=lambda policy: policy.prefix)
             if policy.announced
             and len(policy.origins) == 1
-            and policy.origins[0] in internet.graph.customers(memo.focal_asn)
+            and policy.origins[0] in internet.graph.customers(
+                scenario.focal_asn)
             and not any(router.policy.firewall
                         for router in internet.routers_of(policy.origins[0]))
         )
+
+    @staticmethod
+    def _firewall_customer(twins, asn):
+        for twin in twins:
+            for router in twin.internet.routers_of(asn):
+                router.policy.firewall = router.is_border
+                router.policy.firewall_admin_reply = True
+                router.policy.responds_ttl_expired = True
+
+    def test_policy_change_between_probes(self):
+        """A firewall switched on after a route was recorded takes effect
+        on the next probe to the same destination (as in
+        test_firewall_blocks_transit_but_answers_ttl)."""
+        memo, reference = self._twins()
+        asn, dst = self._unfirewalled_customer(memo)
         vp = memo.vps[0]
         probes = [Probe(vp.addr, dst, ttl=ttl, flow_id=dst & 0xFFFF)
                   for ttl in range(1, 25)]
         before = self._answers(memo, reference, probes, cold=False)
         route = memo.network._route
-        for twin in (memo, reference):
-            for router in twin.internet.routers_of(asn):
-                router.policy.firewall = router.is_border
-                router.policy.firewall_admin_reply = True
-                router.policy.responds_ttl_expired = True
+        self._firewall_customer((memo, reference), asn)
         after = self._answers(memo, reference, probes, cold=False)
         assert memo.network._route is route
         assert ResponseKind.DEST_UNREACH_ADMIN not in self._kinds(before)
         assert ResponseKind.DEST_UNREACH_ADMIN in self._kinds(after)
+
+    def test_alternating_destinations_reuse_route_before_last(self):
+        """Ally's pattern: probes alternate between two addresses, so
+        each probe after the first two walks the route before last,
+        reused as recorded, with every kind of probe at TTL 64 and at
+        short TTLs; a firewall switched on between two alternations
+        takes effect on the next probe."""
+        memo, reference = self._twins()
+        asn, dst_a = self._unfirewalled_customer(memo)
+        dst_b = dst_a + 1
+        vp = memo.vps[0]
+        network = memo.network
+
+        def alternate():
+            probes = [
+                Probe(vp.addr, dst, ttl=ttl, kind=kind, flow_id=dst & 0xFFFF)
+                for kind in ProbeKind
+                for ttl in (64, 1, 2, 3, 5, 8)
+                for dst in (dst_a, dst_b)
+            ]
+            answers = []
+            for probe in probes:
+                got = network.send(probe)
+                assert got == reference.network.send(probe), probe
+                answers.append(got)
+                assert network._route is routes.setdefault(
+                    probe.dst, network._route)
+            assert network.now == reference.network.now
+            return answers
+
+        routes = {}
+        before = alternate()
+        assert sorted(routes) == [dst_a, dst_b]
+        self._firewall_customer((memo, reference), asn)
+        after = alternate()
+        assert network._route is routes[dst_b]
+        assert network._last_route is routes[dst_a]
+        assert ResponseKind.DEST_UNREACH_ADMIN not in self._kinds(before)
+        assert ResponseKind.DEST_UNREACH_ADMIN in self._kinds(after)
+        assert ResponseKind.TTL_EXPIRED in self._kinds(after)
 
     def test_faults_and_congestion_walk_unchanged(self):
         """Under a fault plan and a congested link every probe takes the
