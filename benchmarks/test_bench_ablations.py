@@ -10,7 +10,7 @@ from repro import build_data_bundle, build_scenario, mini, run_bdrmap
 from repro.analysis import validate_result
 from repro.core import BdrmapConfig
 from repro.core.collection import CollectionConfig
-from repro.core.heuristics import HeuristicConfig
+from repro.core.heuristics import DEFAULT_PASS_ORDER, HeuristicConfig
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def test_bench_inference_only(benchmark, env):
     """Time the inference stage alone (graph build + heuristics)."""
     scenario, data = env
     from repro.core.collection import Collector
-    from repro.core.heuristics import InferenceEngine
+    from repro.core.heuristics import build_context, run_inference
     from repro.core.routergraph import build_router_graph
 
     collector = Collector(
@@ -46,17 +46,7 @@ def test_bench_inference_only(benchmark, env):
 
     def infer():
         graph = build_router_graph(collection)
-        engine = InferenceEngine(
-            graph=graph,
-            collection=collection,
-            view=data.view,
-            rels=data.rels,
-            vp_ases=data.vp_ases,
-            focal_asn=data.focal_asn,
-            ixp_data=data.ixp,
-            rir=data.rir,
-        )
-        return engine.run()
+        return run_inference(build_context(graph, collection, data))
 
     links = benchmark(infer)
     assert links
@@ -66,7 +56,9 @@ def test_ablation_third_party_heuristic(env):
     """Disabling third-party detection must not *improve* accuracy; with
     reply-egress routers in the topology it typically hurts."""
     _, full = _run(env)
-    _, ablated = _run(env, heuristics=HeuristicConfig(use_third_party=False))
+    _, ablated = _run(env, heuristics=HeuristicConfig(passes=tuple(
+        name for name in DEFAULT_PASS_ORDER if name != "third_party"
+    )))
     print()
     print(
         "third-party ablation: %.1f%% with vs %.1f%% without"

@@ -18,7 +18,7 @@ from repro import build_data_bundle, run_bdrmap
 from repro.analysis import score_bdrmap_ownership, validate_result
 from repro.analysis.sensitivity import sweep_challenge_rate
 from repro.core.bdrmap import BdrmapConfig
-from repro.core.heuristics import HeuristicConfig
+from repro.core.heuristics import DEFAULT_PASS_ORDER, HeuristicConfig
 from repro.topology import build_scenario, mini, re_network
 
 RATES = [0.0, 0.15, 0.35]
@@ -69,14 +69,15 @@ def test_third_party_logic_protects_deep_ownership():
     border is over-constrained) but router-ownership accuracy drops by
     double digits without third-party detection."""
     rows = {}
-    for use_third_party in (True, False):
+    for third_party in (True, False):
         scenario = build_scenario(re_network())
         data = build_data_bundle(scenario)
-        config = BdrmapConfig(
-            heuristics=HeuristicConfig(use_third_party=use_third_party)
-        )
+        config = BdrmapConfig(heuristics=HeuristicConfig(passes=tuple(
+            name for name in DEFAULT_PASS_ORDER
+            if third_party or name != "third_party"
+        )))
         result = run_bdrmap(scenario, data=data, config=config)
-        rows[use_third_party] = (
+        rows[third_party] = (
             validate_result(result, scenario.internet).accuracy,
             score_bdrmap_ownership(result, scenario.internet).accuracy,
         )

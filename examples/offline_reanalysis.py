@@ -18,6 +18,7 @@ import tempfile
 
 from repro import build_scenario, build_data_bundle, mini
 from repro.core import Bdrmap, BdrmapConfig, HeuristicConfig, infer_from_collection
+from repro.core.heuristics import DEFAULT_PASS_ORDER
 from repro.io import load_bundle, save_bundle
 
 
@@ -53,9 +54,10 @@ def main() -> None:
             collection,
             loaded_data,
             config=BdrmapConfig(
-                heuristics=HeuristicConfig(
-                    use_relationships=False, use_third_party=False
-                )
+                heuristics=HeuristicConfig(passes=tuple(
+                    name for name in DEFAULT_PASS_ORDER
+                    if name not in ("relationship", "third_party")
+                ))
             ),
         )
         print(

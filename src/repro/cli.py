@@ -233,10 +233,11 @@ def _run_all_vps(args, scenario, data, config, metrics=None, tracer=None) -> int
         print("report saved to %s" % args.out)
     if args.run_out:
         from .io import orchestrated_run_to_dict
+        from .io.serialize import atomic_write_text
 
-        with open(args.run_out, "w") as handle:
-            json.dump(orchestrated_run_to_dict(run), handle,
-                      indent=1, sort_keys=True)
+        atomic_write_text(args.run_out, json.dumps(
+            orchestrated_run_to_dict(run), indent=1, sort_keys=True
+        ))
         print("run saved to %s" % args.run_out)
     _write_obs(args, metrics, tracer)
     return 0

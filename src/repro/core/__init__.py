@@ -12,7 +12,6 @@ from .nextas import compute_nextas
 from .heuristics import (
     HeuristicConfig,
     HeuristicPass,
-    InferenceEngine,
     PASS_REGISTRY,
     build_passes,
     table1_row_order,
@@ -57,7 +56,6 @@ __all__ = [
     "compute_nextas",
     "HeuristicConfig",
     "HeuristicPass",
-    "InferenceEngine",
     "PASS_REGISTRY",
     "build_passes",
     "table1_row_order",

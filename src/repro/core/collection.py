@@ -173,24 +173,33 @@ class Collector:
         """One prefixscan; override point for remote deployments."""
         return prefixscan(self.network, self.vp_addr, prev, nxt)
 
+    def _target_stop(self, key: TargetKey) -> Optional[Set[int]]:
+        """The stop set traces toward ``key`` consult and feed."""
+        if not self.config.use_stop_set:
+            return None
+        return self.collection.stop_set.for_target(key)
+
+    def _record_trace(
+        self, key: TargetKey, trace: TraceResult, stop: Optional[Set[int]]
+    ) -> None:
+        """File one finished trace toward ``key`` and feed its first
+        external address to the target's stop set."""
+        if self.metrics.enabled:
+            self.metrics.observe("trace.hops", len(trace.hops))
+        self.collection.traces.append(trace)
+        self.collection.trace_keys.append(key)
+        self.collection.per_target.setdefault(key, []).append(trace)
+        self.collection.traces_run += 1
+        first_external = self._first_external(trace)
+        if first_external is not None and stop is not None:
+            stop.add(first_external)
+
     def _target_task(self, key: TargetKey, blocks: List[TargetBlock]) -> Iterator[None]:
-        stop = (
-            self.collection.stop_set.for_target(key)
-            if self.config.use_stop_set
-            else None
-        )
+        stop = self._target_stop(key)
         for block in blocks:
             for addr in block.candidate_addrs(self.config.max_addrs_per_block):
                 trace = self._trace(addr, stop)
-                if self.metrics.enabled:
-                    self.metrics.observe("trace.hops", len(trace.hops))
-                self.collection.traces.append(trace)
-                self.collection.trace_keys.append(key)
-                self.collection.per_target.setdefault(key, []).append(trace)
-                self.collection.traces_run += 1
-                first_external = self._first_external(trace)
-                if first_external is not None and stop is not None:
-                    stop.add(first_external)
+                self._record_trace(key, trace, stop)
                 yield
                 if self._saw_external_router(trace, addr):
                     break  # this block is done; next block

@@ -5,8 +5,6 @@ The deployed bdrmap re-runs continuously because interconnection changes
 full heuristic re-run, and full compile every epoch scales cost with
 world size instead of churn.  This module is the delta path:
 
-* :class:`TopologyDelta` — the structured mutation events recorded by
-  :mod:`repro.topology.evolve` since the previous epoch.
 * :class:`EpochCollector` / :class:`EpochAliasResolver` — a collection
   engine that caches every *raw probing unit* (per-target traceroute
   batches, Mercator, Ally, velocity, prefixscan) together with a
@@ -16,14 +14,16 @@ world size instead of churn.  This module is the delta path:
   delta modes share one canonical probing discipline (sorted targets,
   ``network.reset()`` before every probing unit), so a replayed unit's
   bytes are exactly what a fresh run would have produced.
-* :func:`run_incremental_inference` — dirty-tracking over the heuristic
-  pass registry: per-router pass applications from the previous epoch
-  are recorded as replayable :class:`ApplicationEvent`\\ s (consult
-  trail + deciding pass + full attempted assignment list + the AS set
-  whose relationship annotations the decision could have read); a
-  router re-runs its passes live only when its inputs changed.
+* :func:`run_incremental_inference` — :func:`~repro.core.heuristics.run_inference`
+  with a dirty-tracking router loop: per-router pass applications from
+  the previous epoch are recorded as replayable
+  :class:`ApplicationEvent`\\ s (consult trail + deciding pass + full
+  attempted assignment list + the AS set whose relationship annotations
+  the decision could have read); a router re-runs its passes live only
+  when its inputs changed.
 * :class:`EpochRunner` — drives collection → inference → compile per
-  epoch, patches the compiled map in place
+  epoch over the structured mutation events
+  :mod:`repro.topology.evolve` records, patches the compiled map in place
   (:func:`repro.serving.compiled.patch_compiled_map`), and emits an
   :class:`EpochChain` of versioned deltas that
   :func:`repro.analysis.diff.diff_border_maps` can replay and the
@@ -45,7 +45,8 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..alias import AliasResolver
 from ..errors import DataError, TopologyError
@@ -66,14 +67,7 @@ from ..topology.evolve import (
 from ..topology.model import LinkKind
 from .bdrmap import BdrmapConfig, DataBundle, build_data_bundle
 from .collection import Collection, CollectionConfig, Collector, TargetKey
-from .heuristics import (
-    GraphHeuristicPass,
-    _apply_passes_to_router,
-    _assemble_links,
-    _PARTIAL_EVIDENCE_ERRORS,
-    build_context,
-    build_passes,
-)
+from .heuristics import _apply_passes_to_router, build_context, run_inference
 from .report import BdrmapResult
 from .routergraph import build_router_graph
 from .targets import TargetBlock, group_by_origin
@@ -87,29 +81,6 @@ RouterKey = Tuple[int, ...]
 
 class EpochError(DataError):
     """Epoch-mode precondition or chain-consistency violation."""
-
-
-# ---------------------------------------------------------------- topology delta
-
-
-@dataclass(frozen=True)
-class TopologyDelta:
-    """The mutation events applied since the previous epoch."""
-
-    events: Tuple[MutationEvent, ...] = ()
-
-    @property
-    def touched_addrs(self) -> FrozenSet[int]:
-        found: Set[int] = set()
-        for event in self.events:
-            found.update(event.touched_addrs)
-        return frozenset(found)
-
-    def to_list(self) -> List[dict]:
-        return [event.to_dict() for event in self.events]
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
 
 
 # ---------------------------------------------------------------- forward signatures
@@ -206,15 +177,17 @@ class SigCache:
 
 
 class ProbeMeter:
-    """Counts probes actually sent across the per-unit network resets.
+    """Counts probes actually sent across the per-unit network resets,
+    and replays or runs each cached probing unit.
 
     ``network.reset()`` zeroes ``probes_sent``, so the canonical
     discipline (reset before every probing unit) needs an accumulator:
-    call :meth:`unit_reset` before each unit and :meth:`settle` once at
-    the end."""
+    call :meth:`unit_reset` before each unit (:meth:`unit` does) and
+    :meth:`settle` once at the end."""
 
-    def __init__(self, network) -> None:
+    def __init__(self, network, cost: EpochCost) -> None:
         self.network = network
+        self.cost = cost
         self.total = 0
 
     def begin(self) -> None:
@@ -229,6 +202,21 @@ class ProbeMeter:
         self.total += self.network.probes_sent
         self.network.probes_sent = 0
         return self.total
+
+    def unit(self, store: Dict, key, deps, probe: Callable[[], object]):
+        """One cached probing unit: the result ``store`` holds for ``key``
+        when it was recorded under dependency signatures equal to
+        ``deps``, else ``probe()`` run on a freshly reset network and
+        stored with ``deps``."""
+        record = store.get(key)
+        if record is not None and record[1] == deps:
+            self.cost.units_reused += 1
+            return record[0]
+        self.unit_reset()
+        result = probe()
+        store[key] = (result, deps)
+        self.cost.units_probed += 1
+        return result
 
 
 # ---------------------------------------------------------------- raw unit caches
@@ -246,9 +234,11 @@ class TargetRecord:
 
 @dataclass
 class RawUnits:
-    """Cross-epoch cache of raw alias-probing unit results, each stored
-    with the forwarding signatures it depends on."""
+    """One VP's cross-epoch cache of raw probing units (per-target
+    traceroute batches and alias-probing units), each stored with the
+    forwarding signatures it depends on."""
 
+    targets: Dict[TargetKey, TargetRecord] = field(default_factory=dict)
     mercator: Dict[int, Tuple[object, Sig]] = field(default_factory=dict)
     velocity: Dict[int, Tuple[object, Sig]] = field(default_factory=dict)
     ally: Dict[Tuple[int, int], Tuple[object, Tuple]] = field(
@@ -257,17 +247,6 @@ class RawUnits:
     prefixscan: Dict[Tuple[int, int], Tuple[object, Tuple]] = field(
         default_factory=dict
     )
-
-
-@dataclass
-class EpochCollectStats:
-    probes: int = 0
-    targets_replayed: int = 0
-    targets_probed: int = 0
-    traces_replayed: int = 0
-    traces_probed: int = 0
-    units_reused: int = 0
-    units_probed: int = 0
 
 
 class EpochAliasResolver(AliasResolver):
@@ -284,38 +263,24 @@ class EpochAliasResolver(AliasResolver):
         units: RawUnits,
         sigs: SigCache,
         meter: ProbeMeter,
-        stats: EpochCollectStats,
         **kwargs,
     ) -> None:
         super().__init__(network, vp_addr, **kwargs)
         self._units = units
         self._sigs = sigs
         self._meter = meter
-        self._stats = stats
 
     def _mercator_raw(self, addr):
-        record = self._units.mercator.get(addr)
-        sig = self._sigs.signature(addr)
-        if record is not None and record[1] == sig:
-            self._stats.units_reused += 1
-            return record[0]
-        self._meter.unit_reset()
-        result = super()._mercator_raw(addr)
-        self._units.mercator[addr] = (result, sig)
-        self._stats.units_probed += 1
-        return result
+        return self._meter.unit(
+            self._units.mercator, addr, self._sigs.signature(addr),
+            partial(super()._mercator_raw, addr),
+        )
 
     def _velocity_raw(self, addr):
-        record = self._units.velocity.get(addr)
-        sig = self._sigs.signature(addr)
-        if record is not None and record[1] == sig:
-            self._stats.units_reused += 1
-            return record[0]
-        self._meter.unit_reset()
-        result = super()._velocity_raw(addr)
-        self._units.velocity[addr] = (result, sig)
-        self._stats.units_probed += 1
-        return result
+        return self._meter.unit(
+            self._units.velocity, addr, self._sigs.signature(addr),
+            partial(super()._velocity_raw, addr),
+        )
 
     def _ally_deps(self, a: int, b: int) -> Tuple:
         deps: List = [self._sigs.signature(a), self._sigs.signature(b)]
@@ -331,16 +296,10 @@ class EpochAliasResolver(AliasResolver):
         return tuple(deps)
 
     def _ally_raw(self, a: int, b: int):
-        deps = self._ally_deps(a, b)
-        record = self._units.ally.get((a, b))
-        if record is not None and record[1] == deps:
-            self._stats.units_reused += 1
-            return record[0]
-        self._meter.unit_reset()
-        result = super()._ally_raw(a, b)
-        self._units.ally[(a, b)] = (result, deps)
-        self._stats.units_probed += 1
-        return result
+        return self._meter.unit(
+            self._units.ally, (a, b), self._ally_deps(a, b),
+            partial(super()._ally_raw, a, b),
+        )
 
 
 class EpochCollector(Collector):
@@ -352,7 +311,8 @@ class EpochCollector(Collector):
     what ran before it, which is what makes cross-epoch replay sound.
     A target is replayed from cache when its block list, every candidate
     destination's forwarding signature, and the externality of every
-    previously observed hop address are unchanged.
+    previously observed hop address are unchanged.  What the run probes
+    and replays is counted into ``cost``.
     """
 
     def __init__(
@@ -362,7 +322,7 @@ class EpochCollector(Collector):
         view,
         vp_ases,
         units: RawUnits,
-        targets: Dict[TargetKey, TargetRecord],
+        cost: EpochCost,
         config: Optional[CollectionConfig] = None,
         metrics=None,
         label: str = "vp",
@@ -378,18 +338,17 @@ class EpochCollector(Collector):
                 "epoch mode requires a fault-free network: lossy probing "
                 "is not replayable"
             )
-        self.stats = EpochCollectStats()
-        self.meter = ProbeMeter(network)
+        self.cost = cost
+        self.meter = ProbeMeter(network, cost)
         self.sigs = SigCache(network, vp.addr, vp.first_router)
-        self._prev_targets = targets
-        self._next_targets: Dict[TargetKey, TargetRecord] = {}
+        self._units = units
+        self._fresh_targets: Dict[TargetKey, TargetRecord] = {}
         resolver = EpochAliasResolver(
             network,
             vp.addr,
             units=units,
             sigs=self.sigs,
             meter=self.meter,
-            stats=self.stats,
             ally_rounds=config.ally_rounds,
             ally_interval=config.ally_interval,
             retry=config.retry,
@@ -405,7 +364,6 @@ class EpochCollector(Collector):
             metrics=metrics,
             label=label,
         )
-        self._units = units
 
     # -- traceroute phase ---------------------------------------------------
 
@@ -446,55 +404,34 @@ class EpochCollector(Collector):
                     seen[hop.addr] = self._is_external(hop.addr)
         return tuple(sorted(seen.items()))
 
-    def _replay_target(self, key: TargetKey, record: TargetRecord) -> None:
-        stop = (
-            self.collection.stop_set.for_target(key)
-            if self.config.use_stop_set
-            else None
-        )
-        for trace in record.traces:
-            if self.metrics.enabled:
-                self.metrics.observe("trace.hops", len(trace.hops))
-            self.collection.traces.append(trace)
-            self.collection.trace_keys.append(key)
-            self.collection.per_target.setdefault(key, []).append(trace)
-            self.collection.traces_run += 1
-            first_external = self._first_external(trace)
-            if first_external is not None and stop is not None:
-                stop.add(first_external)
-        self.stats.targets_replayed += 1
-        self.stats.traces_replayed += len(record.traces)
-
-    def _probe_target(self, key: TargetKey, blocks: List[TargetBlock]) -> None:
-        self.meter.unit_reset()
-        before = len(self.collection.traces)
-        for _ in self._target_task(key, blocks):
-            pass
-        fresh = self.collection.traces[before:]
-        self.stats.targets_probed += 1
-        self.stats.traces_probed += len(fresh)
-
     def run_traceroutes(self) -> None:
         groups = group_by_origin(self._targets())
         for key in sorted(groups):
             blocks = groups[key]
             candidate_sigs = self._candidate_sigs(blocks)
-            record = self._prev_targets.get(key)
+            record = self._units.targets.get(key)
             if record is not None and self._target_clean(
                 record, blocks, candidate_sigs
             ):
-                self._replay_target(key, record)
-                self._next_targets[key] = record
-                continue
-            self._probe_target(key, blocks)
-            self._next_targets[key] = TargetRecord(
-                blocks_sig=self._blocks_sig(blocks),
-                candidate_sigs=candidate_sigs,
-                external=self._observed_external(
-                    self.collection.per_target.get(key, ())
-                ),
-                traces=list(self.collection.per_target.get(key, ())),
-            )
+                stop = self._target_stop(key)
+                for trace in record.traces:
+                    self._record_trace(key, trace, stop)
+                self.cost.targets_replayed += 1
+                self.cost.traces_replayed += len(record.traces)
+            else:
+                self.meter.unit_reset()
+                for _ in self._target_task(key, blocks):
+                    pass
+                traces = self.collection.per_target.get(key, [])
+                record = TargetRecord(
+                    blocks_sig=self._blocks_sig(blocks),
+                    candidate_sigs=candidate_sigs,
+                    external=self._observed_external(traces),
+                    traces=list(traces),
+                )
+                self.cost.targets_probed += 1
+                self.cost.traces_probed += len(traces)
+            self._fresh_targets[key] = record
 
     # -- alias phase --------------------------------------------------------
 
@@ -511,16 +448,11 @@ class EpochCollector(Collector):
         )
 
     def _prefixscan(self, prev: int, nxt: int):
-        deps = self._prefixscan_deps(prev, nxt)
-        record = self._units.prefixscan.get((prev, nxt))
-        if record is not None and record[1] == deps:
-            self.stats.units_reused += 1
-            return record[0]
-        self.meter.unit_reset()
-        result = super()._prefixscan(prev, nxt)
-        self._units.prefixscan[(prev, nxt)] = (result, deps)
-        self.stats.units_probed += 1
-        return result
+        return self.meter.unit(
+            self._units.prefixscan, (prev, nxt),
+            self._prefixscan_deps(prev, nxt),
+            partial(super()._prefixscan, prev, nxt),
+        )
 
     # -- entry point --------------------------------------------------------
 
@@ -528,11 +460,11 @@ class EpochCollector(Collector):
         self.meter.begin()
         self.run_traceroutes()
         self.run_alias_resolution()
-        self.stats.probes = self.meter.settle()
-        self.collection.probes_used = self.stats.probes
+        probes = self.meter.settle()
+        self.cost.probes += probes
+        self.collection.probes_used = probes
         # Swap in the refreshed target cache only after a complete run.
-        self._prev_targets.clear()
-        self._prev_targets.update(self._next_targets)
+        self._units.targets = self._fresh_targets
         return self.collection
 
 
@@ -570,13 +502,6 @@ class InferenceCache:
     snapshot: Optional[InferenceSnapshot] = None
     events: Dict[RouterKey, ApplicationEvent] = field(default_factory=dict)
     config_fp: Optional[str] = None
-
-
-@dataclass
-class EpochInferStats:
-    routers_live: int = 0
-    routers_replayed: int = 0
-    dirty_routers: int = 0
 
 
 def _router_key(router) -> RouterKey:
@@ -798,63 +723,38 @@ def _config_fingerprint(config: BdrmapConfig) -> str:
 
 
 def run_incremental_inference(
-    ctx,
-    cache: InferenceCache,
-    config_fp: str,
-    stats: Optional[EpochInferStats] = None,
-    force_full: bool = False,
+    ctx, cache: InferenceCache, config_fp: str, cost: EpochCost
 ):
     """:func:`repro.core.heuristics.run_inference`, with the router-level
     pass loop replayed from the previous epoch's events wherever the
-    dirty computation proves the inputs unchanged.  Graph-level passes,
-    link assembly, and (when enabled) refinement always run live —
-    they read ownership state, which is cheap to recompute and unsafe
-    to replay."""
-    stats = stats if stats is not None else EpochInferStats()
-    passes = build_passes(ctx.config)
-    router_passes = [
-        p for p in passes if not isinstance(p, GraphHeuristicPass)
-    ]
-    pre_assembly = [
-        p
-        for p in passes
-        if isinstance(p, GraphHeuristicPass) and not p.after_link_assembly
-    ]
-    post_assembly = [
-        p
-        for p in passes
-        if isinstance(p, GraphHeuristicPass) and p.after_link_assembly
-    ]
-    pass_map = {p.name: p for p in router_passes}
-    tracer = ctx.tracer
-    with tracer.span("inference.prepare"):
-        ctx.prepare()
-    snap = _capture_snapshot(ctx)
-    full = (
-        force_full
-        or cache.snapshot is None
-        or cache.config_fp != config_fp
-        or ctx.config.use_refinement
-    )
-    dirty: Set[RouterKey] = set()
-    if not full:
-        dirty = _dirty_keys(snap, cache)
-    stats.dirty_routers = len(dirty)
+    dirty computation proves the inputs unchanged (an empty ``cache``
+    runs every router live).  Graph-level passes, link assembly, and
+    (when enabled) refinement always run live — they read ownership
+    state, which is cheap to recompute and unsafe to replay.  Routers
+    run live and replayed are counted into ``cost``."""
 
-    events: Dict[RouterKey, ApplicationEvent] = {}
-
-    def observer(router, trail, deciding, attempted):
-        events[_router_key(router)] = ApplicationEvent(
-            trail=tuple(trail),
-            deciding=deciding,
-            assignments=tuple(
-                (_router_key(a.router), a.owner, a.reason)
-                for a in attempted
-            ),
-            as_deps=_as_deps(ctx, router),
+    def replay_or_live(ctx, router_passes) -> None:
+        pass_map = {p.name: p for p in router_passes}
+        snap = _capture_snapshot(ctx)
+        full = (
+            cache.snapshot is None
+            or cache.config_fp != config_fp
+            or ctx.config.use_refinement
         )
+        dirty = set() if full else _dirty_keys(snap, cache)
+        events: Dict[RouterKey, ApplicationEvent] = {}
 
-    with tracer.span("inference.router_passes"):
+        def observer(router, trail, deciding, attempted):
+            events[_router_key(router)] = ApplicationEvent(
+                trail=tuple(trail),
+                deciding=deciding,
+                assignments=tuple(
+                    (_router_key(a.router), a.owner, a.reason)
+                    for a in attempted
+                ),
+                as_deps=_as_deps(ctx, router),
+            )
+
         for router in ctx.graph.by_distance():
             if router.owner is not None:
                 continue
@@ -866,36 +766,17 @@ def run_incremental_inference(
                 and _replay_event(ctx, router, event, pass_map)
             ):
                 events[key] = event
-                stats.routers_replayed += 1
+                cost.routers_replayed += 1
             else:
                 _apply_passes_to_router(
                     ctx, router, router_passes, observer=observer
                 )
-                stats.routers_live += 1
-    for heuristic in pre_assembly:
-        with tracer.span("pass.%s" % heuristic.name):
-            try:
-                heuristic.apply_graph(ctx)
-            except _PARTIAL_EVIDENCE_ERRORS:
-                ctx.degrade(heuristic.name)
-    if ctx.config.use_refinement:
-        from .refine import refine_ownership
+                cost.routers_live += 1
+        cache.snapshot = snap
+        cache.events = events
+        cache.config_fp = config_fp
 
-        with tracer.span("inference.refine"):
-            refine_ownership(ctx.graph, ctx.rels, ctx.vp_ases, ctx.focal_asn)
-    with tracer.span("inference.link_assembly"):
-        _assemble_links(ctx)
-    for heuristic in post_assembly:
-        with tracer.span("pass.%s" % heuristic.name):
-            try:
-                heuristic.apply_graph(ctx)
-            except _PARTIAL_EVIDENCE_ERRORS:
-                ctx.degrade(heuristic.name)
-
-    cache.snapshot = snap
-    cache.events = events
-    cache.config_fp = config_fp
-    return ctx.links
+    return run_inference(ctx, replay_or_live)
 
 
 # ---------------------------------------------------------------- epoch chain
@@ -904,7 +785,8 @@ def run_incremental_inference(
 @dataclass
 class EpochCost:
     """What one epoch actually cost, the quantities the ≥3x delta-vs-full
-    bench floors are asserted over."""
+    bench floors are asserted over.  Every VP's collector and inference
+    count straight into the epoch's one instance."""
 
     probes: int = 0
     traces_probed: int = 0
@@ -949,6 +831,9 @@ class EpochRecord:
         }
 
 
+CHAIN_FORMAT = "bdrmap-repro-epoch-chain/1"
+
+
 @dataclass
 class EpochChain:
     """The versioned delta sequence for one longitudinal run."""
@@ -957,19 +842,15 @@ class EpochChain:
 
     def to_dict(self) -> dict:
         return {
-            "format": "bdrmap-repro-epoch-chain/1",
+            "format": CHAIN_FORMAT,
             "records": [record.to_dict() for record in self.records],
         }
 
     def save(self, path: str) -> None:
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        from ..io.serialize import atomic_write_text
 
-    @staticmethod
-    def load(path: str) -> dict:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        atomic_write_text(path, payload + "\n")
 
 
 class EpochRunner:
@@ -1002,12 +883,9 @@ class EpochRunner:
         self.chain = EpochChain()
         self._epoch = first_epoch
         self._mutation_cursor = len(scenario.mutations)
-        self._units: Dict[str, RawUnits] = {}
-        self._targets: Dict[str, Dict[TargetKey, TargetRecord]] = {}
-        self._infer: Dict[str, InferenceCache] = {}
-        self._prev_bmap = None
+        # Per VP name: its raw probing units and its inference cache.
+        self._caches: Dict[str, Tuple[RawUnits, InferenceCache]] = {}
         self._prev_compiled = None
-        self._prev_map_path: Optional[str] = None
         #: The dict BorderMap of each completed epoch, in order (tests
         #: compare these against from-scratch recomputes).
         self.result_maps: List = []
@@ -1016,34 +894,26 @@ class EpochRunner:
 
     # -- helpers ------------------------------------------------------------
 
-    def _consume_delta(self) -> TopologyDelta:
-        events = tuple(self.scenario.mutations[self._mutation_cursor:])
-        self._mutation_cursor = len(self.scenario.mutations)
-        return TopologyDelta(events=events)
-
     def _run_vp(self, vp, data: DataBundle, cost: EpochCost) -> BdrmapResult:
         name = vp.name
         if self.force_full:
-            units: RawUnits = RawUnits()
-            targets: Dict[TargetKey, TargetRecord] = {}
-            infer_cache = InferenceCache()
+            units, infer_cache = RawUnits(), InferenceCache()
         else:
-            units = self._units.setdefault(name, RawUnits())
-            targets = self._targets.setdefault(name, {})
-            infer_cache = self._infer.setdefault(name, InferenceCache())
+            units, infer_cache = self._caches.setdefault(
+                name, (RawUnits(), InferenceCache())
+            )
         with self.tracer.span("epoch.collect", vp=name):
-            collector = EpochCollector(
+            collection = EpochCollector(
                 self.scenario.network,
                 vp,
                 data.view,
                 data.vp_ases,
                 units=units,
-                targets=targets,
+                cost=cost,
                 config=self.config.collection,
                 metrics=self.metrics,
                 label=name,
-            )
-            collection = collector.run()
+            ).run()
         with self.tracer.span("epoch.infer", vp=name):
             graph = build_router_graph(collection)
             ctx = build_context(
@@ -1054,24 +924,9 @@ class EpochRunner:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
-            infer_stats = EpochInferStats()
             links = run_incremental_inference(
-                ctx,
-                infer_cache,
-                _config_fingerprint(self.config),
-                stats=infer_stats,
-                force_full=self.force_full,
+                ctx, infer_cache, _config_fingerprint(self.config), cost
             )
-        stats = collector.stats
-        cost.probes += stats.probes
-        cost.traces_probed += stats.traces_probed
-        cost.traces_replayed += stats.traces_replayed
-        cost.targets_probed += stats.targets_probed
-        cost.targets_replayed += stats.targets_replayed
-        cost.units_probed += stats.units_probed
-        cost.units_reused += stats.units_reused
-        cost.routers_live += infer_stats.routers_live
-        cost.routers_replayed += infer_stats.routers_replayed
         return BdrmapResult(
             vp_name=vp.name,
             vp_addr=vp.addr,
@@ -1100,13 +955,8 @@ class EpochRunner:
 
         scenario = self.scenario
         scenario.ensure_forwarding_current()
-        if scenario.network.faults is not None:
-            raise EpochError(
-                "epoch mode requires a fault-free network: lossy probing "
-                "is not replayable"
-            )
         epoch = self._epoch
-        delta = self._consume_delta()
+        full = self._prev_compiled is None or self.force_full
         cost = EpochCost()
         with self.tracer.span("epoch", index=epoch):
             data = build_data_bundle(scenario)
@@ -1123,7 +973,7 @@ class EpochRunner:
                     source=self.source,
                 )
                 patch = None
-                if self._prev_compiled is None or self.force_full:
+                if full:
                     compiled = compile_map(bmap)
                 else:
                     compiled, patch = patch_compiled_map(
@@ -1135,8 +985,10 @@ class EpochRunner:
                     )
                 cost.compile_seconds = perf_clock() - started
         diff_summary = None
-        if self._prev_bmap is not None:
-            diff_summary = diff_border_maps(self._prev_bmap, bmap).to_dict()
+        if self.result_maps:
+            diff_summary = diff_border_maps(
+                self.result_maps[-1], bmap
+            ).to_dict()
 
         map_path = patch_path = None
         sections = compiled.sections()
@@ -1153,10 +1005,11 @@ class EpochRunner:
 
         record = EpochRecord(
             epoch=epoch,
-            mode="full" if (
-                self._prev_compiled is None or self.force_full
-            ) else "delta",
-            events=delta.to_list(),
+            mode="full" if full else "delta",
+            events=[
+                event.to_dict()
+                for event in scenario.mutations[self._mutation_cursor:]
+            ],
             cost=cost,
             diff=diff_summary,
             map_path=map_path,
@@ -1188,9 +1041,8 @@ class EpochRunner:
             )
             self.metrics.observe("epoch.probes.per_epoch", cost.probes)
             self.metrics.set_gauge("epoch.last", float(epoch))
-        self._prev_bmap = bmap
+        self._mutation_cursor = len(scenario.mutations)
         self._prev_compiled = compiled
-        self._prev_map_path = map_path
         self._epoch = epoch + 1
         self.result_maps.append(bmap)
         return record
@@ -1207,24 +1059,53 @@ class EpochRunner:
 # ---------------------------------------------------------------- chain replay
 
 
-def replay_chain(chain_path: str) -> List[str]:
-    """Verify a saved epoch chain end to end: apply each epoch's patch to
-    the previous epoch's artifact and assert the result is byte-identical
-    to the epoch's own artifact.  Returns the verified artifact paths."""
-    from ..serving.compiled import apply_map_patch
+def _chain_records(chain_path: str) -> List[dict]:
+    """The records of a saved epoch chain, each checked to name a saved
+    artifact; anything else raises :class:`EpochError`."""
+    from ..io.serialize import read_json
 
-    payload = EpochChain.load(chain_path)
-    records = payload.get("records", [])
-    verified: List[str] = []
-    prev_path: Optional[str] = None
-    for record in records:
+    try:
+        payload = read_json(chain_path)
+    except DataError as exc:
+        raise EpochError(
+            "cannot read epoch chain %s: %s" % (chain_path, exc)
+        ) from exc
+    if not isinstance(payload, dict) or payload.get("format") != CHAIN_FORMAT:
+        raise EpochError("%s is not an epoch chain" % chain_path)
+    records = payload.get("records")
+    if not isinstance(records, list):
+        raise EpochError("%s: records is not a list" % chain_path)
+    for index, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise EpochError(
+                "%s: record %d is not a JSON object" % (chain_path, index)
+            )
         map_path = record.get("map_path")
-        patch_path = record.get("patch_path")
-        if map_path is None:
+        if not isinstance(map_path, str) or not os.path.isfile(map_path):
             raise EpochError(
                 "epoch %s has no saved artifact to verify"
                 % record.get("epoch")
             )
+        if not isinstance(record.get("patch_path"), (str, type(None))):
+            raise EpochError(
+                "epoch %s: patch_path is not a path" % record.get("epoch")
+            )
+    return records
+
+
+def replay_chain(chain_path: str) -> List[str]:
+    """Verify a saved epoch chain end to end: apply each epoch's patch to
+    the previous epoch's artifact and assert the result is byte-identical
+    to the epoch's own artifact.  Returns the verified artifact paths.
+    A chain file that is not a well-formed chain raises
+    :class:`EpochError`."""
+    from ..serving.compiled import apply_map_patch
+
+    verified: List[str] = []
+    prev_path: Optional[str] = None
+    for record in _chain_records(chain_path):
+        map_path = record["map_path"]
+        patch_path = record.get("patch_path")
         if patch_path is not None:
             if prev_path is None:
                 raise EpochError(

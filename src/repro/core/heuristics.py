@@ -24,17 +24,16 @@ pass                      paper     Table 1 labels
 ``silent_neighbor``       §5.4.8    ``8 silent``, ``8 other icmp``
 ========================  ========  ==========================================
 
-Order and ablation are configured through :class:`HeuristicConfig` (the
-``passes`` tuple overrides the default order; the legacy boolean switches
-drop individual passes), not through if-chains.  Reasons are recorded with
-the labels Table 1 uses so the coverage analysis can reproduce the table's
-rows.
+Order and ablation are configured through one knob, the
+:class:`HeuristicConfig` ``passes`` tuple (omitting a name drops that
+pass), not through if-chains.  Reasons are recorded with the labels
+Table 1 uses so the coverage analysis can reproduce the table's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Type
+from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 from ..asgraph import Rel
 from ..errors import InferenceError
@@ -63,7 +62,6 @@ __all__ = [
     "HeuristicPass",
     "GraphHeuristicPass",
     "HeuristicConfig",
-    "InferenceEngine",
     "PASS_REGISTRY",
     "DEFAULT_PASS_ORDER",
     "build_context",
@@ -77,11 +75,6 @@ __all__ = [
 class HeuristicConfig:
     """Ablation and ordering switches for the heuristic passes."""
 
-    use_third_party: bool = True   # §5.4.5 third-party detection
-    use_relationships: bool = True # §5.4.5 relationship steps
-    use_step7: bool = True
-    use_step8: bool = True
-    use_rir: bool = True           # §5.4.1 unannounced-VP-space attribution
     # Extension (off by default — the paper stops at the first border):
     # bdrmapIT-style neighbor-constraint refinement of deep annotations.
     use_refinement: bool = False
@@ -124,9 +117,6 @@ class HeuristicPass:
     # Reason labels this pass can emit for *neighbor* routers, in Table 1
     # display order.  ("vp" is not a Table 1 row: it marks VP-owned routers.)
     table1_labels: Tuple[str, ...] = ()
-
-    def enabled(self, config: HeuristicConfig) -> bool:
-        return True
 
     def apply(
         self, router: InferredRouter, ctx: InferenceContext
@@ -374,9 +364,6 @@ class ThirdPartyPass(HeuristicPass):
     section = "§5.4.5"
     table1_labels = ("5 thirdparty",)
 
-    def enabled(self, config):
-        return config.use_third_party
-
     def apply(self, router, ctx):
         classes = ctx.classes(router)
         if classes <= {EXT} and classes:
@@ -410,9 +397,6 @@ class RelationshipPass(HeuristicPass):
     name = "relationship"
     section = "§5.4.5"
     table1_labels = ("5 relationship", "5 missing customer", "5 hidden peer")
-
-    def enabled(self, config):
-        return config.use_relationships
 
     def apply(self, router, ctx):
         classes = ctx.classes(router)
@@ -512,9 +496,6 @@ class AliasCollapsePass(GraphHeuristicPass):
     table1_labels = ("7 alias",)
     after_link_assembly = False
 
-    def enabled(self, config):
-        return config.use_step7
-
     def apply_graph(self, ctx):
         resolver = ctx.collection.resolver
         confirmed = {
@@ -579,9 +560,6 @@ class SilentNeighborPass(GraphHeuristicPass):
     section = "§5.4.8"
     table1_labels = ("8 silent", "8 other icmp")
     after_link_assembly = True
-
-    def enabled(self, config):
-        return config.use_step8
 
     def apply_graph(self, ctx):
         already = self._inferred_neighbor_ases(ctx)
@@ -661,7 +639,7 @@ DEFAULT_PASS_ORDER: Tuple[str, ...] = (
 
 
 def build_passes(config: HeuristicConfig) -> List[HeuristicPass]:
-    """Instantiate the configured passes, in order, honoring ablations."""
+    """Instantiate the configured passes, in order."""
     order = config.passes if config.passes is not None else DEFAULT_PASS_ORDER
     passes: List[HeuristicPass] = []
     for name in order:
@@ -672,9 +650,7 @@ def build_passes(config: HeuristicConfig) -> List[HeuristicPass]:
                 "unknown heuristic pass %r (known: %s)"
                 % (name, ", ".join(sorted(PASS_REGISTRY)))
             ) from None
-        instance = cls()
-        if instance.enabled(config):
-            passes.append(instance)
+        passes.append(cls())
     return passes
 
 
@@ -809,15 +785,6 @@ def _apply_passes_to_router(
     return deciding
 
 
-def _apply_router_passes(
-    ctx: InferenceContext, passes: List[HeuristicPass]
-) -> None:
-    for router in ctx.graph.by_distance():
-        if router.owner is not None:
-            continue
-        _apply_passes_to_router(ctx, router, passes)
-
-
 def _assemble_links(ctx: InferenceContext) -> None:
     seen: Set[Tuple[int, Optional[int], int]] = set()
     for rid in sorted(ctx.graph.routers):
@@ -847,9 +814,21 @@ def _assemble_links(ctx: InferenceContext) -> None:
             )
 
 
-def run_inference(ctx: InferenceContext) -> List[InferredLink]:
+def run_inference(
+    ctx: InferenceContext,
+    router_loop: Optional[
+        Callable[[InferenceContext, List[HeuristicPass]], None]
+    ] = None,
+) -> List[InferredLink]:
     """Run the configured passes over ``ctx``'s router graph and return
-    the inferred interdomain links."""
+    the inferred interdomain links.
+
+    ``router_loop(ctx, router_passes)``, when given, stands in for the
+    first-match loop over unowned routers: the incremental epoch path
+    (:func:`repro.core.epochs.run_incremental_inference`) replays
+    recorded decisions through it.  Everything around the loop (address
+    classification, graph-level passes, refinement, link assembly) is
+    this function's alone."""
     passes = build_passes(ctx.config)
     router_passes = [
         p for p in passes if not isinstance(p, GraphHeuristicPass)
@@ -868,7 +847,12 @@ def run_inference(ctx: InferenceContext) -> List[InferredLink]:
     with tracer.span("inference.prepare"):
         ctx.prepare()
     with tracer.span("inference.router_passes"):
-        _apply_router_passes(ctx, router_passes)
+        if router_loop is not None:
+            router_loop(ctx, router_passes)
+        else:
+            for router in ctx.graph.by_distance():
+                if router.owner is None:
+                    _apply_passes_to_router(ctx, router, router_passes)
     for heuristic in pre_assembly:
         with tracer.span("pass.%s" % heuristic.name):
             try:
@@ -889,64 +873,3 @@ def run_inference(ctx: InferenceContext) -> List[InferredLink]:
             except _PARTIAL_EVIDENCE_ERRORS:
                 ctx.degrade(heuristic.name)
     return ctx.links
-
-
-# ---------------------------------------------------------------- legacy facade
-
-
-class InferenceEngine:
-    """Compatibility facade over the pass registry.
-
-    Historically a 650-line monolith; now it only builds an
-    :class:`InferenceContext` and delegates to :func:`run_inference`.
-    Kept because its constructor signature is the natural way to run
-    inference over hand-built inputs (see ``tests/helpers.py``).
-    """
-
-    def __init__(
-        self,
-        graph,
-        collection,
-        view,
-        rels,
-        vp_ases,
-        focal_asn,
-        ixp_data=None,
-        rir=None,
-        config=None,
-    ) -> None:
-        self.config = config or HeuristicConfig()
-        self.ctx = InferenceContext(
-            graph=graph,
-            collection=collection,
-            view=view,
-            rels=rels,
-            vp_ases=frozenset(vp_ases),
-            focal_asn=focal_asn,
-            ixp_data=ixp_data,
-            rir=rir,
-            config=self.config,
-        )
-
-    @property
-    def graph(self):
-        return self.ctx.graph
-
-    @property
-    def addr_class(self) -> Dict[int, str]:
-        return self.ctx.addr_class
-
-    @property
-    def addr_origins(self) -> Dict[int, Tuple[int, ...]]:
-        return self.ctx.addr_origins
-
-    @property
-    def links(self) -> List[InferredLink]:
-        return self.ctx.links
-
-    @property
-    def pass_counts(self):
-        return self.ctx.pass_counts
-
-    def run(self) -> List[InferredLink]:
-        return run_inference(self.ctx)

@@ -105,7 +105,7 @@ class InferenceContext:
     def prepare(self) -> None:
         for addr in self.graph.by_addr:
             self.addr_class[addr] = self.classify_addr(addr)
-        if self.config.use_rir and self.rir is not None:
+        if self.rir is not None:
             self._extend_vp_space()
 
     def _extend_vp_space(self) -> None:

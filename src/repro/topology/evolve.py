@@ -8,10 +8,12 @@ tests and examples can exercise longitudinal monitoring (see
 :mod:`repro.analysis.diff` and :mod:`repro.core.epochs`).
 
 Every mutation returns a structured :class:`MutationEvent` (and appends it
-to ``scenario.mutations``), so downstream consumers — the incremental
-epoch pipeline above all — see *what changed* instead of having to diff
-object graphs.  Each event knows the concrete interface addresses it
-touched (``touched_addrs``), which is what trace invalidation keys off.
+to ``scenario.mutations``), so downstream consumers see *what changed*
+instead of having to diff object graphs: the incremental epoch pipeline
+records each epoch's events in its chain.  Invalidation does not key off
+the events — it compares forwarding signatures and inference snapshots
+between epochs (:mod:`repro.core.epochs`), which also catches what an
+event does not name, such as traces that re-route around a new link.
 
 After mutating, call :func:`rebuild_network` — forwarding state (routing
 oracle caches) is derived from the topology and must be recomputed.
@@ -45,10 +47,6 @@ class MutationEvent:
         payload["kind"] = self.kind
         return payload
 
-    @property
-    def touched_addrs(self) -> Tuple[int, ...]:
-        return ()
-
 
 @dataclass(frozen=True)
 class LinkAdded(MutationEvent):
@@ -64,10 +62,6 @@ class LinkAdded(MutationEvent):
     addrs: Tuple[int, ...]     # (addr_a, addr_b)
     created_relationship: bool
 
-    @property
-    def touched_addrs(self) -> Tuple[int, ...]:
-        return self.addrs
-
 
 @dataclass(frozen=True)
 class LinkRemoved(MutationEvent):
@@ -78,10 +72,6 @@ class LinkRemoved(MutationEvent):
     link_id: int
     ases: Tuple[int, ...]
     addrs: Tuple[int, ...]
-
-    @property
-    def touched_addrs(self) -> Tuple[int, ...]:
-        return self.addrs
 
 
 @dataclass(frozen=True)
@@ -96,10 +86,6 @@ class LinkMoved(MutationEvent):
     from_router: int
     to_router: int
     addrs: Tuple[int, ...]     # every address on the link
-
-    @property
-    def touched_addrs(self) -> Tuple[int, ...]:
-        return self.addrs
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from repro.alias import AliasResolver
 from repro.asgraph import InferredRelationships
 from repro.bgp import BGPView, RibEntry
 from repro.core.collection import Collection
-from repro.core.heuristics import HeuristicConfig, InferenceEngine
+from repro.core.heuristics import HeuristicConfig, run_inference
+from repro.core.pipeline import InferenceContext
 from repro.core.routergraph import build_router_graph
 from repro.net import ResponseKind
 from repro.probing.traceroute import TraceHop, TraceResult
@@ -128,19 +129,19 @@ class CaseBuilder:
     def run(self, config: Optional[HeuristicConfig] = None,
             ixp_data=None, rir=None):
         graph = build_router_graph(self.collection)
-        engine = InferenceEngine(
+        ctx = InferenceContext(
             graph=graph,
             collection=self.collection,
             view=self.view,
             rels=self.rels,
-            vp_ases=self.vp_ases,
+            vp_ases=frozenset(self.vp_ases),
             focal_asn=self.focal,
             ixp_data=ixp_data,
             rir=rir,
             config=config or HeuristicConfig(),
         )
-        links = engine.run()
-        return graph, links, engine
+        links = run_inference(ctx)
+        return graph, links, ctx
 
     def owner_of(self, graph, addr: str):
         router = graph.router_of_addr(aton(addr))

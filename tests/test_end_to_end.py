@@ -7,7 +7,7 @@ from repro.analysis import validate_result
 from repro.analysis.validation import neighbor_coverage
 from repro.core import BdrmapConfig
 from repro.core.collection import CollectionConfig
-from repro.core.heuristics import HeuristicConfig
+from repro.core.heuristics import DEFAULT_PASS_ORDER, HeuristicConfig
 from repro.topology import re_network, small_access, tier1
 
 
@@ -95,8 +95,10 @@ class TestAblations:
     def test_heuristic_ablation_changes_reasons(self):
         _, full = self._run()
         _, ablated = self._run(
-            heuristics=HeuristicConfig(use_relationships=False,
-                                       use_third_party=False)
+            heuristics=HeuristicConfig(passes=tuple(
+                name for name in DEFAULT_PASS_ORDER
+                if name not in ("relationship", "third_party")
+            ))
         )
         full_reasons = set(full.heuristic_counts())
         ablated_reasons = set(ablated.heuristic_counts())

@@ -9,20 +9,28 @@ and the tests compare their artifacts, replay the patch chain, and
 check that the delta epochs actually reused cached work.
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro import build_scenario, mini
-from repro.core.bdrmap import BdrmapConfig
-from repro.core.collection import CollectionConfig
+from repro.core.bdrmap import BdrmapConfig, build_data_bundle
+from repro.core.collection import CollectionConfig, Collector
 from repro.core.epochs import (
+    CHAIN_FORMAT,
+    EpochChain,
+    EpochCost,
     EpochError,
     EpochRunner,
+    InferenceCache,
     apply_seeded_churn,
     replay_chain,
+    run_incremental_inference,
 )
+from repro.core.heuristics import build_context, run_inference
+from repro.core.routergraph import build_router_graph
 from repro.errors import DataError, TopologyError
 from repro.topology.evolve import add_border_link
 
@@ -150,6 +158,126 @@ class TestChainReplay:
                 inc_records[0].map_path, inc_records[2].patch_path, out
             )
         assert not os.path.exists(out)
+
+
+class TestAtomicChainSave:
+    def test_failed_save_keeps_previous_chain(
+        self, evolution, tmp_path, monkeypatch
+    ):
+        """A chain save that fails before it is durable leaves the
+        previous chain.json byte for byte and no temp litter."""
+        inc = evolution[0]
+        target = tmp_path / "chain.json"
+        EpochChain(records=inc.chain.records[:1]).save(str(target))
+        before = target.read_bytes()
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            inc.save_chain(str(target))
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+def _chain_bytes(*records) -> bytes:
+    return json.dumps({"format": CHAIN_FORMAT, "records": list(records)})\
+        .encode("utf-8")
+
+
+class TestHostileChain:
+    """``replay_chain`` reads chain.json from disk: bytes that are not a
+    chain whose records name saved artifacts fail once, with
+    :class:`EpochError`, before anything is replayed."""
+
+    @pytest.mark.parametrize("payload", [
+        b'{"format": "bdrmap-repro-epoch-chain/1", "records": [{"ep',
+        b'{"format": "\xff"}',
+        b"[]",
+        b'{"format": "bdrmap-repro-epoch-chain/1", "records": 5}',
+        _chain_bytes(5),
+        b'{"format": "bdrmap-repro-epoch-chain/0", "records": []}',
+        _chain_bytes({"epoch": 0, "map_path": 7, "patch_path": None}),
+        _chain_bytes({"epoch": 0, "map_path": "missing.bdrm",
+                      "patch_path": None}),
+    ], ids=["truncated", "not-utf8", "list", "records-int", "record-int",
+            "wrong-format", "map-path-int", "map-path-missing"])
+    def test_malformed_chain_rejected(self, tmp_path, payload):
+        path = tmp_path / "chain.json"
+        path.write_bytes(payload)
+        with pytest.raises(EpochError):
+            replay_chain(str(path))
+
+    def test_patch_path_must_be_a_path(self, tmp_path):
+        artifact = tmp_path / "epoch_000.bdrm"
+        artifact.write_bytes(b"never read")
+        path = tmp_path / "chain.json"
+        path.write_bytes(_chain_bytes(
+            {"epoch": 0, "map_path": str(artifact), "patch_path": None},
+            {"epoch": 1, "map_path": str(artifact), "patch_path": 7},
+        ))
+        with pytest.raises(EpochError):
+            replay_chain(str(path))
+
+
+class TestReplayFallback:
+    """A recorded event that no longer maps onto the graph is not
+    replayed: its router runs its passes live, and the result is what
+    a from-scratch :func:`run_inference` gives."""
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        scenario = build_scenario(mini(seed=7))
+        data = build_data_bundle(scenario)
+        collection = Collector(
+            scenario.network, scenario.vps[0].addr, data.view, data.vp_ases
+        ).run()
+        return collection, data
+
+    @staticmethod
+    def _outcome(ctx, links):
+        owners = {
+            rid: (router.owner, router.reason)
+            for rid, router in ctx.graph.routers.items()
+        }
+        return links, owners, ctx.provenance.records
+
+    @pytest.mark.parametrize("corrupt", ["deciding", "assignment"])
+    def test_unresolvable_event_runs_live(self, measured, corrupt):
+        collection, data = measured
+
+        def fresh_ctx():
+            return build_context(
+                build_router_graph(collection), collection, data
+            )
+
+        cache = InferenceCache()
+        run_incremental_inference(fresh_ctx(), cache, "fp", EpochCost())
+        key, event = next(
+            (key, event) for key, event in sorted(cache.events.items())
+            if event.assignments
+        )
+        if corrupt == "deciding":
+            event = dataclasses.replace(event, deciding="no_such_pass")
+        else:
+            (target, owner, reason), *rest = event.assignments
+            stale = (target + (max(target) + 1,), owner, reason)
+            event = dataclasses.replace(
+                event, assignments=(stale, *rest)
+            )
+        cache.events[key] = event
+
+        cost = EpochCost()
+        ctx = fresh_ctx()
+        links = run_incremental_inference(ctx, cache, "fp", cost)
+        assert cost.routers_live == 1
+        assert cost.routers_replayed > 0
+        reference = fresh_ctx()
+        assert self._outcome(ctx, links) == self._outcome(
+            reference, run_inference(reference)
+        )
 
 
 class TestEpochPreconditions:

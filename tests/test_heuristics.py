@@ -6,7 +6,12 @@ limitation) from hand-written traces."""
 import pytest
 
 from repro.addr import Prefix, aton
-from repro.core.heuristics import HeuristicConfig
+from repro.core.heuristics import (
+    DEFAULT_PASS_ORDER,
+    PASS_REGISTRY,
+    HeuristicConfig,
+    build_passes,
+)
 from repro.datasets.ixp import IXPDataset
 from repro.datasets.rir import DelegationRecord, RIRDelegations
 from repro.probing.prefixscan import PrefixscanResult
@@ -18,6 +23,13 @@ A = 200
 B = 300
 C = 400
 D = 500
+
+
+def without(*names: str) -> HeuristicConfig:
+    """Every default pass except ``names``: the one ablation knob."""
+    return HeuristicConfig(
+        passes=tuple(p for p in DEFAULT_PASS_ORDER if p not in names)
+    )
 
 
 def base_case() -> CaseBuilder:
@@ -177,7 +189,7 @@ class TestStep5ThirdParty:
 
     def test_ablation_disables_third_party(self):
         case = self._third_party_case()
-        graph, links, _ = case.run(HeuristicConfig(use_third_party=False))
+        graph, links, _ = case.run(without("third_party"))
         # Without the detection, the IP-AS mapping wins and blames C.
         assert case.owner_of(graph, "40.0.0.2") == C
 
@@ -225,7 +237,7 @@ class TestStep5Relationships:
     def test_ablation_disables_relationships(self):
         case = base_case().c2p(A, X)
         case.trace(A, "20.0.0.1", ["10.0.0.1", "10.0.2.1", "20.0.0.9"])
-        graph, links, _ = case.run(HeuristicConfig(use_relationships=False))
+        graph, links, _ = case.run(without("relationship"))
         assert case.reason_of(graph, "10.0.2.1") != "5 relationship"
 
 
@@ -306,7 +318,7 @@ class TestStep7AnalyticalAliases:
 
     def test_ablation_disables_merge(self):
         case = self._fig10_case()
-        graph, links, _ = case.run(HeuristicConfig(use_step7=False))
+        graph, links, _ = case.run(without("alias_collapse"))
         near_a = graph.router_of_addr(aton("10.9.0.0"))
         near_b = graph.router_of_addr(aton("10.9.2.0"))
         assert near_a is not near_b
@@ -364,7 +376,7 @@ class TestStep8SilentNeighbors:
 
     def test_ablation_disables_step8(self):
         case = self._silent_case()
-        graph, links, _ = case.run(HeuristicConfig(use_step8=False))
+        graph, links, _ = case.run(without("silent_neighbor"))
         assert not [l for l in links if l.neighbor_as == A]
 
     def test_skipped_when_links_already_inferred(self):
@@ -438,3 +450,50 @@ class TestFig12Limitation:
         assert case.owner_of(graph, "10.0.7.1") == X
         # ...and the border is inferred at the next router instead.
         assert case.owner_of(graph, "10.0.8.1") == A
+
+
+class TestPassSelection:
+    """``HeuristicConfig.passes`` is the one ablation knob: a pass it
+    omits never runs, and a name it does not know is an error."""
+
+    @staticmethod
+    def _every_pass_case() -> CaseBuilder:
+        case = base_case().c2p(B, C)
+        case.announce("50.0.0.0/8", D, path=(9999, X, D))
+        # Fig 10: two /31 near ends facing one router of A (step 7).
+        case.trace(A, "20.0.0.1", ["10.1.0.1", "10.9.0.0", "10.9.0.1"])
+        case.trace(A, "20.0.1.1", ["10.1.0.1", "10.9.2.0", "10.9.2.1"])
+        case.alias("10.9.0.1", "10.9.2.1")
+        # Fig 8: a third-party responder on the way to B.
+        case.trace(B, "30.0.0.1", ["10.0.0.1", "10.0.3.1", "40.0.0.2"])
+        case.trace(B, "30.0.1.1",
+                   ["10.0.0.1", "10.0.1.1", "10.0.9.1", "30.0.0.9"])
+        # Fig 11: traces toward D die at X's router 10.0.1.1 (step 8).
+        case.trace(D, "50.0.0.1", ["10.0.0.1", "10.0.1.1", None, None])
+        case.trace(D, "50.0.1.1", ["10.0.0.1", "10.0.1.1", None, None])
+        # An X router no router-level pass decides: consulted by all.
+        case.trace(X, "10.5.0.1", ["10.0.0.1", "10.5.5.5"])
+        return case
+
+    @staticmethod
+    def _mentioned(ctx):
+        return set(ctx.pass_counts) | {
+            record.pass_name for record in ctx.provenance.records
+        }
+
+    @pytest.mark.parametrize("omitted", DEFAULT_PASS_ORDER)
+    def test_omitted_pass_never_runs(self, omitted):
+        _, _, full = self._every_pass_case().run()
+        assert omitted in self._mentioned(full)
+        _, _, ablated = self._every_pass_case().run(without(omitted))
+        assert omitted not in self._mentioned(ablated)
+        assert omitted not in ablated.degradations
+
+    def test_unknown_pass_name_raises(self):
+        config = HeuristicConfig(passes=("vp_router", "no_such_pass"))
+        with pytest.raises(ValueError) as excinfo:
+            build_passes(config)
+        message = str(excinfo.value)
+        assert "no_such_pass" in message
+        for name in PASS_REGISTRY:
+            assert name in message

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -108,6 +109,29 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "interdomain links" in output
         assert "neighbor-AS" in output
+
+    def test_run_out_write_is_atomic(self, capsys, tmp_path, monkeypatch):
+        """A run file save that fails before it is durable leaves the
+        previous file byte for byte and no temp litter."""
+        target = tmp_path / "run.json"
+
+        def run(seed):
+            return main(["run", "--name", "mini", "--seed", str(seed),
+                         "--all-vps", "--run-out", str(target)])
+
+        assert run(1) == 0
+        before = target.read_bytes()
+        assert json.loads(before)["results"]
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            run(3)
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_run_bad_vp_index(self, capsys):
         assert main(["run", "--name", "mini", "--vp", "99"]) == 2
@@ -290,7 +314,7 @@ class TestOfflineInference:
         """The point of archives: re-run inference under ablations without
         re-probing."""
         from repro.core.bdrmap import Bdrmap, BdrmapConfig, infer_from_collection
-        from repro.core.heuristics import HeuristicConfig
+        from repro.core.heuristics import DEFAULT_PASS_ORDER, HeuristicConfig
         from repro.io.serialize import collection_from_dict, collection_to_dict
 
         driver = Bdrmap(mini_scenario.network, mini_scenario.vps[0], mini_data)
@@ -302,8 +326,10 @@ class TestOfflineInference:
             collection_from_dict(archive),
             mini_data,
             config=BdrmapConfig(
-                heuristics=HeuristicConfig(use_relationships=False,
-                                           use_third_party=False)
+                heuristics=HeuristicConfig(passes=tuple(
+                    name for name in DEFAULT_PASS_ORDER
+                    if name not in ("relationship", "third_party")
+                ))
             ),
         )
         assert not any(
