@@ -61,10 +61,9 @@ def main() -> None:
     second = runner.run_epoch()
     cost = second.cost
     print("epoch 1 [%s]: %d probes (%d traces replayed from cache), "
-          "%d routers re-inferred + %d replayed, %d/%d sections patched"
+          "%d routers inferred, %d/%d sections patched"
           % (second.mode, cost.probes, cost.traces_replayed,
-             cost.routers_live, cost.routers_replayed,
-             cost.sections_patched,
+             cost.routers_live, cost.sections_patched,
              cost.sections_patched + cost.sections_reused))
 
     print()

@@ -962,12 +962,11 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
         cost = record.cost
         print(
             "epoch %d [%s]: probes=%d traces=%d+%d replayed "
-            "routers=%d live+%d replayed compile=%.1fms "
-            "sections=%d patched"
+            "routers=%d live compile=%.1fms sections=%d patched"
             % (
                 record.epoch, record.mode, cost.probes,
                 cost.traces_probed, cost.traces_replayed,
-                cost.routers_live, cost.routers_replayed,
+                cost.routers_live,
                 cost.compile_seconds * 1e3, cost.sections_patched,
             )
         )

@@ -1,9 +1,9 @@
-"""Incremental epoch pipeline: delta-driven re-inference (§4 longitudinal).
+"""Incremental epoch pipeline: delta re-measurement (§4 longitudinal).
 
 The deployed bdrmap re-runs continuously because interconnection changes
-— but real churn is sparse and localized, so paying a full re-probe,
-full heuristic re-run, and full compile every epoch scales cost with
-world size instead of churn.  This module is the delta path:
+— but real churn is sparse and localized, so paying a full re-probe and
+a full compile every epoch scales cost with world size instead of
+churn.  This module is the delta path:
 
 * :class:`EpochCollector` / :class:`EpochAliasResolver` — a collection
   engine that caches every *raw probing unit* (per-target traceroute
@@ -14,13 +14,10 @@ world size instead of churn.  This module is the delta path:
   delta modes share one canonical probing discipline (sorted targets,
   ``network.reset()`` before every probing unit), so a replayed unit's
   bytes are exactly what a fresh run would have produced.
-* :func:`run_incremental_inference` — :func:`~repro.core.heuristics.run_inference`
-  with a dirty-tracking router loop: per-router pass applications from
-  the previous epoch are recorded as replayable
-  :class:`ApplicationEvent`\\ s (consult trail + deciding pass + full
-  attempted assignment list + the AS set whose relationship annotations
-  the decision could have read); a router re-runs its passes live only
-  when its inputs changed.
+* :func:`run_incremental_inference` — the epoch's inference step:
+  :func:`~repro.core.heuristics.run_inference` over every router, every
+  epoch.  Decisions are not cached: working out which routers could
+  reuse theirs costs more than running every router live.
 * :class:`EpochRunner` — drives collection → inference → compile per
   epoch over the structured mutation events
   :mod:`repro.topology.evolve` records, patches the compiled map in place
@@ -41,19 +38,19 @@ per-unit independence).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..alias import AliasResolver
 from ..errors import DataError, TopologyError
 from ..net.network import _MAX_HOPS
 from ..net.routing import StepKind
 from ..obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry, NULL_REGISTRY
-from ..obs.provenance import ASSIGNED, CO_ASSIGNED, CONSIDERED, DEGRADED
 from ..obs.trace import NULL_TRACER, Tracer, perf_clock
 from ..rng import make_rng
 from ..topology.evolve import (
@@ -67,16 +64,13 @@ from ..topology.evolve import (
 from ..topology.model import LinkKind
 from .bdrmap import BdrmapConfig, DataBundle, build_data_bundle
 from .collection import Collection, CollectionConfig, Collector, TargetKey
-from .heuristics import _apply_passes_to_router, build_context, run_inference
+from .heuristics import build_context, run_inference
 from .report import BdrmapResult
 from .routergraph import build_router_graph
 from .targets import TargetBlock, group_by_origin
 
-# A forwarding signature is a nested tuple; a router's stable identity
-# across epochs is its sorted address tuple (addresses are unique to one
-# router within a collection, so keys never collide).
+# A forwarding signature is a nested tuple.
 Sig = Tuple
-RouterKey = Tuple[int, ...]
 
 
 class EpochError(DataError):
@@ -105,9 +99,9 @@ class SigCache:
         self.first_router = first_router
         self._memo: Dict[int, Sig] = {}
         self._reply_memo: Dict[int, Sig] = {}
-        self._addrs_memo: Dict[int, RouterKey] = {}
+        self._addrs_memo: Dict[int, Tuple[int, ...]] = {}
 
-    def _addrs(self, router_id: int) -> RouterKey:
+    def _addrs(self, router_id: int) -> Tuple[int, ...]:
         addrs = self._addrs_memo.get(router_id)
         if addrs is None:
             router = self.network.internet.routers[router_id]
@@ -468,315 +462,19 @@ class EpochCollector(Collector):
         return self.collection
 
 
-# ---------------------------------------------------------------- inference events
+# ---------------------------------------------------------------- inference
 
 
-@dataclass(frozen=True)
-class ApplicationEvent:
-    """A replayable record of one router's trip through the router-level
-    pass sequence: the consult trail (pass, verdict, error type), the
-    deciding pass, its *full* attempted assignment list (applied
-    only-if-unowned at replay, exactly like the live loop), and the AS
-    set whose relationship annotations the decision could have read."""
+def run_incremental_inference(ctx, cost: EpochCost):
+    """One epoch's inference step: :func:`~repro.core.heuristics.run_inference`
+    over ``ctx``, with the routers it ran over counted into ``cost``.
 
-    trail: Tuple[Tuple[str, str, Optional[str]], ...]
-    deciding: Optional[str]
-    assignments: Tuple[Tuple[RouterKey, Optional[int], Optional[str]], ...]
-    as_deps: FrozenSet[int]
-
-
-@dataclass
-class InferenceSnapshot:
-    """Everything the dirty computation compares across epochs."""
-
-    rows: Dict[RouterKey, Tuple] = field(default_factory=dict)
-    addr_info: Dict[int, Tuple] = field(default_factory=dict)
-    path_sigs: Dict[Tuple, Tuple] = field(default_factory=dict)
-    rels_fps: Dict[int, Tuple] = field(default_factory=dict)
-
-
-@dataclass
-class InferenceCache:
-    """Per-VP cross-epoch inference state."""
-
-    snapshot: Optional[InferenceSnapshot] = None
-    events: Dict[RouterKey, ApplicationEvent] = field(default_factory=dict)
-    config_fp: Optional[str] = None
-
-
-def _router_key(router) -> RouterKey:
-    return tuple(sorted(router.all_addrs()))
-
-
-def _router_row(ctx, router) -> Tuple:
-    return (
-        tuple(sorted(router.addrs)),
-        tuple(sorted(router.extra_addrs)),
-        router.min_dist,
-        tuple(sorted(router.dsts)),
-        tuple(sorted(router.last_hop_for)),
-        tuple(sorted(_router_key(n) for n in ctx.succ_routers(router))),
-        tuple(sorted(_router_key(n) for n in ctx.pred_routers(router))),
-    )
-
-
-def _path_sig(path, keys_by_rid) -> Tuple:
-    return (
-        tuple(keys_by_rid.get(rid, ()) for rid in path.routers),
-        tuple(path.had_gap_before),
-        path.final_kind.value if path.final_kind is not None else None,
-        path.final_src,
-        path.reached,
-    )
-
-
-def _rels_fingerprints(rels) -> Dict[int, Tuple]:
-    c2p_by_as: Dict[int, List] = {}
-    for customer, provider in rels.c2p:
-        c2p_by_as.setdefault(customer, []).append((customer, provider))
-        c2p_by_as.setdefault(provider, []).append((customer, provider))
-    p2p_by_as: Dict[int, List] = {}
-    for pair in rels.p2p:
-        canon = tuple(sorted(pair))
-        for asn in pair:
-            p2p_by_as.setdefault(asn, []).append(canon)
-    ases = set(c2p_by_as) | set(p2p_by_as) | set(rels.siblings)
-    return {
-        asn: (
-            tuple(sorted(c2p_by_as.get(asn, ()))),
-            tuple(sorted(p2p_by_as.get(asn, ()))),
-            tuple(sorted(rels.siblings.get(asn, frozenset()))),
-        )
-        for asn in ases
-    }
-
-
-def _capture_snapshot(ctx) -> InferenceSnapshot:
-    snap = InferenceSnapshot()
-    keys_by_rid: Dict[int, RouterKey] = {}
-    for rid, router in ctx.graph.routers.items():
-        keys_by_rid[rid] = _router_key(router)
-    for rid, router in ctx.graph.routers.items():
-        snap.rows[keys_by_rid[rid]] = _router_row(ctx, router)
-    for addr, cls in ctx.addr_class.items():
-        snap.addr_info[addr] = (cls, tuple(ctx.addr_origins.get(addr, ())))
-    for path in ctx.graph.paths:
-        key = (tuple(path.key), path.dst)
-        sig = _path_sig(path, keys_by_rid)
-        existing = snap.path_sigs.get(key, ())
-        snap.path_sigs[key] = existing + (sig,)
-    snap.rels_fps = _rels_fingerprints(ctx.rels)
-    return snap
-
-
-def _as_deps(ctx, router) -> FrozenSet[int]:
-    """The conservative AS-dependency cone of one router's decision:
-    every AS whose relationship annotations any router-level pass could
-    have consulted while deciding this router (tie-breaks, providers_of
-    votes over destination and on-path external ASes, sibling collapse)."""
-    deps: Set[int] = {ctx.focal_asn}
-    deps.update(ctx.vp_ases)
-    cone = {router.rid}
-    for hop in (ctx.succ_routers(router) + ctx.pred_routers(router)):
-        cone.add(hop.rid)
-        for hop2 in (ctx.succ_routers(hop) + ctx.pred_routers(hop)):
-            cone.add(hop2.rid)
-    for rid in cone:
-        near = ctx.graph.routers.get(rid)
-        if near is None:
-            continue
-        deps.update(near.dsts)
-        deps.update(near.last_hop_for)
-        for addr in near.all_addrs():
-            deps.update(ctx.addr_origins.get(addr, ()))
-    for path in ctx.graph.paths_through(router.rid):
-        for rid in path.routers:
-            on_path = ctx.graph.routers.get(rid)
-            if on_path is None:
-                continue
-            for addr in on_path.all_addrs():
-                deps.update(ctx.addr_origins.get(addr, ()))
-    return frozenset(deps)
-
-
-def _dirty_keys(
-    snap: InferenceSnapshot, cache: InferenceCache
-) -> Set[RouterKey]:
-    prev = cache.snapshot
-    assert prev is not None
-    changed: Set[RouterKey] = set()
-    key_of_addr: Dict[int, RouterKey] = {}
-    for key in snap.rows:
-        for addr in key:
-            key_of_addr[addr] = key
-    for key, row in snap.rows.items():
-        if prev.rows.get(key) != row:
-            changed.add(key)
-    for addr, info in snap.addr_info.items():
-        if addr in prev.addr_info and prev.addr_info[addr] != info:
-            owner = key_of_addr.get(addr)
-            if owner is not None:
-                changed.add(owner)
-
-    adjacency: Dict[RouterKey, Set[RouterKey]] = {}
-    for key, row in snap.rows.items():
-        neighbors = set(row[5]) | set(row[6])
-        adjacency.setdefault(key, set()).update(neighbors)
-        for neighbor in neighbors:
-            adjacency.setdefault(neighbor, set()).add(key)
-
-    dirty = set(changed)
-    frontier = set(changed)
-    for _ in range(2):
-        frontier = {
-            neighbor
-            for key in frontier
-            for neighbor in adjacency.get(key, ())
-        } - dirty
-        dirty |= frontier
-
-    def path_routers(sigs) -> Set[RouterKey]:
-        keys: Set[RouterKey] = set()
-        for sig in sigs:
-            keys.update(k for k in sig[0] if k)
-        return keys
-
-    for pkey, sigs in snap.path_sigs.items():
-        on_path = path_routers(sigs)
-        if prev.path_sigs.get(pkey) != sigs or (on_path & changed):
-            dirty |= on_path
-            old = prev.path_sigs.get(pkey)
-            if old is not None:
-                dirty |= {k for k in path_routers(old) if k in snap.rows}
-    for pkey in set(prev.path_sigs) - set(snap.path_sigs):
-        dirty |= {
-            k for k in path_routers(prev.path_sigs[pkey]) if k in snap.rows
-        }
-
-    changed_ases = {
-        asn
-        for asn in set(prev.rels_fps) | set(snap.rels_fps)
-        if prev.rels_fps.get(asn) != snap.rels_fps.get(asn)
-    }
-    if changed_ases:
-        for key, event in cache.events.items():
-            if event.as_deps & changed_ases:
-                dirty.add(key)
-    return dirty
-
-
-def _replay_event(ctx, router, event: ApplicationEvent, pass_map) -> bool:
-    """Re-emit a recorded pass application against the current graph.
-
-    Resolves everything first and returns False (no side effects) when
-    the record no longer maps onto the graph — the caller then runs the
-    passes live."""
-    targets = []
-    for key, owner, reason in event.assignments:
-        if not key:
-            return False
-        rid = ctx.graph.by_addr.get(key[0])
-        target = ctx.graph.routers.get(rid) if rid is not None else None
-        if target is None or _router_key(target) != key:
-            return False
-        targets.append((target, owner, reason))
-    if event.deciding is not None and event.deciding not in pass_map:
-        return False
-    for name, _, _ in event.trail:
-        if name not in pass_map:
-            return False
-
-    provenance = ctx.provenance
-    for name, verdict, error in event.trail:
-        section = pass_map[name].section
-        if verdict == DEGRADED:
-            ctx.degrade(name)
-            provenance.add(
-                router.rid, name, section, DEGRADED,
-                evidence={"error": error},
-            )
-        else:
-            provenance.add(router.rid, name, section, CONSIDERED)
-    if event.deciding is not None:
-        deciding = pass_map[event.deciding]
-        for target, owner, reason in targets:
-            if target.owner is None:
-                target.owner = owner
-                target.reason = reason
-                ctx.record(deciding.name, reason)
-                if target.rid == router.rid:
-                    provenance.add(
-                        router.rid, deciding.name, deciding.section,
-                        ASSIGNED, owner=owner, reason=reason,
-                    )
-                else:
-                    provenance.add(
-                        target.rid, deciding.name, deciding.section,
-                        CO_ASSIGNED, owner=owner, reason=reason,
-                        evidence={"via_router": router.rid},
-                    )
-    return True
-
-
-def _config_fingerprint(config: BdrmapConfig) -> str:
-    return repr((config.collection, config.heuristics))
-
-
-def run_incremental_inference(
-    ctx, cache: InferenceCache, config_fp: str, cost: EpochCost
-):
-    """:func:`repro.core.heuristics.run_inference`, with the router-level
-    pass loop replayed from the previous epoch's events wherever the
-    dirty computation proves the inputs unchanged (an empty ``cache``
-    runs every router live).  Graph-level passes, link assembly, and
-    (when enabled) refinement always run live — they read ownership
-    state, which is cheap to recompute and unsafe to replay.  Routers
-    run live and replayed are counted into ``cost``."""
-
-    def replay_or_live(ctx, router_passes) -> None:
-        pass_map = {p.name: p for p in router_passes}
-        snap = _capture_snapshot(ctx)
-        full = (
-            cache.snapshot is None
-            or cache.config_fp != config_fp
-            or ctx.config.use_refinement
-        )
-        dirty = set() if full else _dirty_keys(snap, cache)
-        events: Dict[RouterKey, ApplicationEvent] = {}
-
-        def observer(router, trail, deciding, attempted):
-            events[_router_key(router)] = ApplicationEvent(
-                trail=tuple(trail),
-                deciding=deciding,
-                assignments=tuple(
-                    (_router_key(a.router), a.owner, a.reason)
-                    for a in attempted
-                ),
-                as_deps=_as_deps(ctx, router),
-            )
-
-        for router in ctx.graph.by_distance():
-            if router.owner is not None:
-                continue
-            key = _router_key(router)
-            event = None if full else cache.events.get(key)
-            if (
-                event is not None
-                and key not in dirty
-                and _replay_event(ctx, router, event, pass_map)
-            ):
-                events[key] = event
-                cost.routers_replayed += 1
-            else:
-                _apply_passes_to_router(
-                    ctx, router, router_passes, observer=observer
-                )
-                cost.routers_live += 1
-        cache.snapshot = snap
-        cache.events = events
-        cache.config_fp = config_fp
-
-    return run_inference(ctx, replay_or_live)
+    Every router runs its passes live each epoch; what the epoch path
+    reuses is probing, not decisions.  The name is kept because the
+    benchmark's tracing plan wraps this function as its epoch inference
+    layer."""
+    cost.routers_live += len(ctx.graph.routers)
+    return run_inference(ctx)
 
 
 # ---------------------------------------------------------------- epoch chain
@@ -786,7 +484,9 @@ def run_incremental_inference(
 class EpochCost:
     """What one epoch actually cost, the quantities the ≥3x delta-vs-full
     bench floors are asserted over.  Every VP's collector and inference
-    count straight into the epoch's one instance."""
+    count straight into the epoch's one instance.  ``routers_live`` is
+    every router inference ran over; ``routers_replayed`` always reads 0
+    and is kept for readers of saved chains and bench records."""
 
     probes: int = 0
     traces_probed: int = 0
@@ -857,10 +557,10 @@ class EpochRunner:
     """Drive collection → inference → compile per epoch, incrementally.
 
     One runner owns one scenario's longitudinal state: per-VP raw-unit
-    and inference caches, the previous compiled map, and the chain of
-    :class:`EpochRecord`\\ s.  ``force_full=True`` disables every cache
-    (the from-scratch baseline the byte-identity bar is measured
-    against)."""
+    caches, the previous compiled map, and the chain of
+    :class:`EpochRecord`\\ s.  Inference runs live in every epoch.
+    ``force_full=True`` disables every cache (the from-scratch baseline
+    the byte-identity bar is measured against)."""
 
     def __init__(
         self,
@@ -883,8 +583,8 @@ class EpochRunner:
         self.chain = EpochChain()
         self._epoch = first_epoch
         self._mutation_cursor = len(scenario.mutations)
-        # Per VP name: its raw probing units and its inference cache.
-        self._caches: Dict[str, Tuple[RawUnits, InferenceCache]] = {}
+        # Per VP name: its raw probing units.
+        self._caches: Dict[str, RawUnits] = {}
         self._prev_compiled = None
         #: The dict BorderMap of each completed epoch, in order (tests
         #: compare these against from-scratch recomputes).
@@ -897,11 +597,9 @@ class EpochRunner:
     def _run_vp(self, vp, data: DataBundle, cost: EpochCost) -> BdrmapResult:
         name = vp.name
         if self.force_full:
-            units, infer_cache = RawUnits(), InferenceCache()
+            units = RawUnits()
         else:
-            units, infer_cache = self._caches.setdefault(
-                name, (RawUnits(), InferenceCache())
-            )
+            units = self._caches.setdefault(name, RawUnits())
         with self.tracer.span("epoch.collect", vp=name):
             collection = EpochCollector(
                 self.scenario.network,
@@ -924,9 +622,7 @@ class EpochRunner:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
-            links = run_incremental_inference(
-                ctx, infer_cache, _config_fingerprint(self.config), cost
-            )
+            links = run_incremental_inference(ctx, cost)
         return BdrmapResult(
             vp_name=vp.name,
             vp_addr=vp.addr,
@@ -1026,9 +722,6 @@ class EpochRunner:
             self.metrics.inc("epoch.traces.probed", cost.traces_probed)
             self.metrics.inc("epoch.traces.replayed", cost.traces_replayed)
             self.metrics.inc("epoch.routers.live", cost.routers_live)
-            self.metrics.inc(
-                "epoch.routers.replayed", cost.routers_replayed
-            )
             self.metrics.inc("epoch.units.probed", cost.units_probed)
             self.metrics.inc("epoch.units.reused", cost.units_reused)
             self.metrics.time("epoch.compile.seconds", cost.compile_seconds)
@@ -1095,8 +788,9 @@ def _chain_records(chain_path: str) -> List[dict]:
 
 def replay_chain(chain_path: str) -> List[str]:
     """Verify a saved epoch chain end to end: apply each epoch's patch to
-    the previous epoch's artifact and assert the result is byte-identical
-    to the epoch's own artifact.  Returns the verified artifact paths.
+    the previous epoch's artifact, in memory, and assert the result is
+    byte-identical to the epoch's own artifact.  Nothing is written.
+    Returns the verified artifact paths.
     A chain file that is not a well-formed chain raises
     :class:`EpochError`."""
     from ..serving.compiled import apply_map_patch
@@ -1112,16 +806,15 @@ def replay_chain(chain_path: str) -> List[str]:
                     "epoch %s carries a patch but has no predecessor"
                     % record.get("epoch")
                 )
-            rebuilt = map_path + ".replayed"
+            rebuilt = io.BytesIO()
             apply_map_patch(prev_path, patch_path, rebuilt)
-            with open(rebuilt, "rb") as fh_a, open(map_path, "rb") as fh_b:
-                if fh_a.read() != fh_b.read():
+            with open(map_path, "rb") as handle:
+                if rebuilt.getvalue() != handle.read():
                     raise EpochError(
                         "epoch %s replay mismatch: patch over %s does not "
                         "reproduce %s"
                         % (record.get("epoch"), prev_path, map_path)
                     )
-            os.unlink(rebuilt)
         verified.append(map_path)
         prev_path = map_path
     return verified

@@ -33,7 +33,7 @@ Table 1 uses so the coverage analysis can reproduce the table's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import Dict, List, Optional, Set, Tuple, Type
 
 from ..asgraph import Rel
 from ..errors import InferenceError
@@ -703,26 +703,12 @@ def _apply_passes_to_router(
     ctx: InferenceContext,
     router: InferredRouter,
     passes: List[HeuristicPass],
-    observer=None,
-) -> Optional[str]:
+) -> None:
     """Run the ordered router-level passes over one unowned router
-    (first match wins), with full metrics/tracing/provenance emission.
-
-    Returns the deciding pass name (None when every pass fell through).
-    ``observer``, when given, is called once as
-    ``observer(router, trail, deciding, attempted)`` where ``trail`` is
-    the ``(pass_name, verdict, error_type)`` sequence of the
-    non-deciding consults and ``attempted`` is the deciding pass's full
-    assignment list — this is the hook the incremental epoch pipeline
-    uses to record replayable application events without re-implementing
-    the pass loop.
-    """
+    (first match wins), with full metrics/tracing/provenance emission."""
     metrics = ctx.metrics
     timed = metrics.enabled
     provenance = ctx.provenance
-    trail: List[Tuple[str, str, Optional[str]]] = []
-    deciding: Optional[str] = None
-    attempted: List[Assignment] = []
     for heuristic in passes:
         with ctx.tracer.span(
             "pass.%s" % heuristic.name, router=router.rid
@@ -736,9 +722,6 @@ def _apply_passes_to_router(
                     router.rid, heuristic.name, heuristic.section,
                     DEGRADED,
                     evidence={"error": type(exc).__name__},
-                )
-                trail.append(
-                    (heuristic.name, DEGRADED, type(exc).__name__)
                 )
                 if timed:
                     metrics.time(
@@ -756,10 +739,7 @@ def _apply_passes_to_router(
                 router.rid, heuristic.name, heuristic.section,
                 CONSIDERED,
             )
-            trail.append((heuristic.name, CONSIDERED, None))
             continue
-        deciding = heuristic.name
-        attempted = list(outcome.assignments)
         for assignment in outcome.assignments:
             if assignment.router.owner is None:
                 assignment.router.owner = assignment.owner
@@ -780,9 +760,6 @@ def _apply_passes_to_router(
                         evidence={"via_router": router.rid},
                     )
         break
-    if observer is not None:
-        observer(router, trail, deciding, attempted)
-    return deciding
 
 
 def _assemble_links(ctx: InferenceContext) -> None:
@@ -814,21 +791,9 @@ def _assemble_links(ctx: InferenceContext) -> None:
             )
 
 
-def run_inference(
-    ctx: InferenceContext,
-    router_loop: Optional[
-        Callable[[InferenceContext, List[HeuristicPass]], None]
-    ] = None,
-) -> List[InferredLink]:
+def run_inference(ctx: InferenceContext) -> List[InferredLink]:
     """Run the configured passes over ``ctx``'s router graph and return
-    the inferred interdomain links.
-
-    ``router_loop(ctx, router_passes)``, when given, stands in for the
-    first-match loop over unowned routers: the incremental epoch path
-    (:func:`repro.core.epochs.run_incremental_inference`) replays
-    recorded decisions through it.  Everything around the loop (address
-    classification, graph-level passes, refinement, link assembly) is
-    this function's alone."""
+    the inferred interdomain links."""
     passes = build_passes(ctx.config)
     router_passes = [
         p for p in passes if not isinstance(p, GraphHeuristicPass)
@@ -847,12 +812,9 @@ def run_inference(
     with tracer.span("inference.prepare"):
         ctx.prepare()
     with tracer.span("inference.router_passes"):
-        if router_loop is not None:
-            router_loop(ctx, router_passes)
-        else:
-            for router in ctx.graph.by_distance():
-                if router.owner is None:
-                    _apply_passes_to_router(ctx, router, router_passes)
+        for router in ctx.graph.by_distance():
+            if router.owner is None:
+                _apply_passes_to_router(ctx, router, router_passes)
     for heuristic in pre_assembly:
         with tracer.span("pass.%s" % heuristic.name):
             try:

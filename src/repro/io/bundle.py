@@ -36,7 +36,12 @@ from ..datasets import (
     parse_rir_file,
 )
 from ..errors import DataError
-from .serialize import collection_from_dict, collection_to_dict, read_json
+from .serialize import (
+    atomic_write_text,
+    collection_from_dict,
+    collection_to_dict,
+    read_json,
+)
 
 _FILES = ("rib.txt", "delegations.txt", "peeringdb.txt", "pch.txt",
           "as2org.txt", "meta.json")
@@ -58,20 +63,20 @@ def save_bundle(
         "peeringdb.txt": pdb_text,
         "pch.txt": pch_text,
         "as2org.txt": generate_as2org(internet),
-        "meta.json": json.dumps(
-            {
-                "focal_asn": data.focal_asn,
-                "vp_ases": sorted(data.vp_ases),
-            },
-            indent=1,
-        ),
     }
-    for name, text in files.items():
-        with open(os.path.join(directory, name), "w") as handle:
-            handle.write(text)
     if collection is not None:
-        with open(os.path.join(directory, "traces.json"), "w") as handle:
-            json.dump(collection_to_dict(collection), handle)
+        files["traces.json"] = json.dumps(collection_to_dict(collection))
+    # meta.json goes last: a first save cut short leaves no meta.json,
+    # and load_bundle refuses a directory without one.
+    files["meta.json"] = json.dumps(
+        {
+            "focal_asn": data.focal_asn,
+            "vp_ases": sorted(data.vp_ases),
+        },
+        indent=1,
+    )
+    for name, text in files.items():
+        atomic_write_text(os.path.join(directory, name), text)
 
 
 def load_bundle(directory: str) -> Tuple[DataBundle, Optional[Collection]]:

@@ -17,7 +17,6 @@ channel.
 from .protocol import (
     Channel,
     Command,
-    FrameDecoder,
     Reply,
     encode,
     decode,
@@ -33,7 +32,6 @@ __all__ = [
     "Reply",
     "encode",
     "decode",
-    "FrameDecoder",
     "pack_frame",
     "unpack_frame",
     "Prober",

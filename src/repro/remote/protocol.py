@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import ChannelError, DataError, MeasurementTimeout, ProbeError
 from ..net.faults import ChannelFaultPolicy
@@ -143,58 +143,23 @@ def unpack_frame(data: bytes) -> bytes:
     Raises :class:`DataError` unless ``data`` is exactly one well-formed
     frame — the check that catches truncated or garbled shard messages.
     """
-    decoder = FrameDecoder()
-    frames = decoder.feed(data)
-    if len(frames) != 1 or decoder.pending:
+    header = FRAME_HEADER.size
+    if len(data) < header:
         raise DataError(
-            "expected exactly one frame, got %d (+%d buffered bytes)"
-            % (len(frames), decoder.pending)
+            "truncated frame: %d bytes, header needs %d" % (len(data), header)
         )
-    return frames[0]
-
-
-class FrameDecoder:
-    """Incremental frame reassembly over an arbitrary byte stream.
-
-    Feed it whatever chunks the transport delivers; it returns complete
-    payloads and buffers the remainder, so a frame split across reads (or
-    several frames delivered at once) both come out right.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    @property
-    def pending(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> List[bytes]:
-        self._buffer.extend(data)
-        frames: List[bytes] = []
-        for frame in self._drain():
-            frames.append(frame)
-        return frames
-
-    def _drain(self) -> Iterator[bytes]:
-        header = FRAME_HEADER.size
-        while len(self._buffer) >= header:
-            (length,) = FRAME_HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                # Poison the decoder: drop the corrupt prefix (and
-                # whatever rode in with it) so the error surfaces once
-                # and the channel can be torn down or restarted cleanly
-                # instead of re-raising on every subsequent feed.
-                self._buffer.clear()
-                raise DataError(
-                    "frame length %d exceeds cap %d (corrupt prefix?)"
-                    % (length, MAX_FRAME_BYTES)
-                )
-            if len(self._buffer) < header + length:
-                return
-            payload = bytes(self._buffer[header:header + length])
-            del self._buffer[:header + length]
-            yield payload
+    (length,) = FRAME_HEADER.unpack_from(data)
+    if length > MAX_FRAME_BYTES:
+        raise DataError(
+            "frame length %d exceeds cap %d (corrupt prefix?)"
+            % (length, MAX_FRAME_BYTES)
+        )
+    if len(data) != header + length:
+        raise DataError(
+            "expected exactly one frame of %d bytes, got %d"
+            % (header + length, len(data))
+        )
+    return bytes(data[header:])
 
 
 class Channel:

@@ -760,7 +760,13 @@ def save_map_patch(
 
 
 def load_map_patch(path: str) -> MapPatch:
-    """Read a patch artifact written by :func:`save_map_patch`."""
+    """Read a patch artifact written by :func:`save_map_patch`.
+
+    The container's checksums seal the bytes, not what ``patch_meta``
+    says, so its fields are mapped behind the same guard as the JSON
+    loaders: malformed metadata raises :class:`DataError`."""
+    from ..io.serialize import _decoding
+
     with open_container(path) as container:
         try:
             meta = json.loads(container.section_bytes("patch_meta"))
@@ -768,22 +774,18 @@ def load_map_patch(path: str) -> MapPatch:
             raise DataError(
                 "corrupt section 'patch_meta' in %s: %s" % (path, exc)
             ) from exc
-        if meta.get("format") != PATCH_FORMAT:
-            raise DataError(
-                "unknown map patch format %r in %s"
-                % (meta.get("format"), path)
+        with _decoding(meta, PATCH_FORMAT, "map patch %s" % path):
+            return MapPatch(
+                base_epoch=meta["base_epoch"],
+                new_epoch=meta["new_epoch"],
+                changed={
+                    name: container.section_bytes(name)
+                    for name in meta["changed"]
+                },
+                base_crcs={
+                    name: crc for name, crc in meta["base_crcs"].items()
+                },
             )
-        return MapPatch(
-            base_epoch=meta["base_epoch"],
-            new_epoch=meta["new_epoch"],
-            changed={
-                name: container.section_bytes(name)
-                for name in meta["changed"]
-            },
-            base_crcs={
-                name: crc for name, crc in meta["base_crcs"].items()
-            },
-        )
 
 
 def apply_map_patch(

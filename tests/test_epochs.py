@@ -1,37 +1,33 @@
-"""Tests for the incremental epoch pipeline (delta-driven re-inference
-and in-place compiled-map patching).
+"""Tests for the incremental epoch pipeline (delta re-measurement,
+live inference and in-place compiled-map patching).
 
 The absolute correctness bar: every incrementally patched epoch artifact
 is byte-identical to a from-scratch recompute of the same world state.
 The module fixture drives two same-seed replica scenarios through a
 3-epoch seeded evolution — one runner incremental, one forced full —
 and the tests compare their artifacts, replay the patch chain, and
-check that the delta epochs actually reused cached work.
+check that the delta epochs actually reused cached probing work.
 """
 
-import dataclasses
 import json
 import os
 
 import pytest
 
 from repro import build_scenario, mini
-from repro.core.bdrmap import BdrmapConfig, build_data_bundle
-from repro.core.collection import CollectionConfig, Collector
+from repro.core.bdrmap import BdrmapConfig
+from repro.core.collection import CollectionConfig
 from repro.core.epochs import (
     CHAIN_FORMAT,
     EpochChain,
-    EpochCost,
     EpochError,
     EpochRunner,
-    InferenceCache,
     apply_seeded_churn,
     replay_chain,
-    run_incremental_inference,
 )
-from repro.core.heuristics import build_context, run_inference
-from repro.core.routergraph import build_router_graph
 from repro.errors import DataError, TopologyError
+from repro.io.binfmt import open_container, write_container
+from repro.serving.compiled import apply_map_patch, load_map_patch
 from repro.topology.evolve import add_border_link
 
 N_EPOCHS = 3
@@ -99,9 +95,15 @@ class TestInvalidationSelectivity:
             cost = inc_rec.cost
             assert cost.traces_replayed > 0
             assert cost.units_reused > 0
-            assert cost.routers_replayed > 0
             assert cost.sections_reused > 0
             assert cost.probes < full_rec.cost.probes
+
+    def test_every_epoch_infers_every_router(self, evolution):
+        _, _, inc_records, full_records = evolution
+        for inc_rec, full_rec in zip(inc_records, full_records):
+            assert inc_rec.cost.routers_live == full_rec.cost.routers_live
+            assert inc_rec.cost.routers_live > 0
+            assert inc_rec.cost.routers_replayed == 0
 
     def test_first_epoch_is_cold(self, evolution):
         _, _, inc_records, _ = evolution
@@ -133,8 +135,6 @@ class TestChainReplay:
         assert verified == [r.map_path for r in inc_records]
 
     def test_patch_applies_onto_its_base(self, evolution, tmp_path):
-        from repro.serving.compiled import apply_map_patch
-
         _, _, inc_records, _ = evolution
         out = str(tmp_path / "rebuilt.bdrm")
         apply_map_patch(
@@ -147,8 +147,6 @@ class TestChainReplay:
         assert rebuilt == expected
 
     def test_wrong_base_refused(self, evolution, tmp_path):
-        from repro.serving.compiled import apply_map_patch
-
         _, _, inc_records, _ = evolution
         out = str(tmp_path / "bad.bdrm")
         # Epoch 2's patch is pinned to epoch 1's sections by CRC; epoch 0
@@ -158,6 +156,61 @@ class TestChainReplay:
                 inc_records[0].map_path, inc_records[2].patch_path, out
             )
         assert not os.path.exists(out)
+
+
+    def test_mismatch_leaves_no_file(self, evolution, tmp_path):
+        """A patch that does not reproduce its artifact raises, and the
+        replay writes nothing next to the artifacts."""
+        inc = evolution[0]
+        chain = inc.chain.to_dict()
+        for record in chain["records"]:
+            for key in ("map_path", "patch_path"):
+                if record[key] is not None:
+                    copy = tmp_path / os.path.basename(record[key])
+                    with open(record[key], "rb") as handle:
+                        copy.write_bytes(handle.read())
+                    record[key] = str(copy)
+        artifact = tmp_path / "epoch_001.bdrm"
+        flipped = bytearray(artifact.read_bytes())
+        flipped[-1] ^= 0xFF
+        artifact.write_bytes(bytes(flipped))
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(json.dumps(chain))
+        before = sorted(path.name for path in tmp_path.iterdir())
+        with pytest.raises(EpochError):
+            replay_chain(str(chain_path))
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
+class TestHostilePatch:
+    """The binfmt CRC seals a patch's bytes, not what its ``patch_meta``
+    says: a well-sealed patch whose metadata is malformed fails once,
+    with :class:`DataError`, on load and on apply."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda meta: [],
+        lambda meta: {k: v for k, v in meta.items() if k != "base_epoch"},
+        lambda meta: dict(meta, changed=5),
+        lambda meta: dict(meta, base_crcs=[1, 2]),
+    ], ids=["list", "no-base-epoch", "changed-int", "base-crcs-list"])
+    def test_malformed_meta_rejected(self, evolution, tmp_path, damage):
+        _, _, inc_records, _ = evolution
+        with open_container(inc_records[1].patch_path) as container:
+            sections = {
+                name: container.section_bytes(name)
+                for name in container.names()
+            }
+        meta = json.loads(sections["patch_meta"])
+        sections["patch_meta"] = json.dumps(damage(meta)).encode("utf-8")
+        patch_path = str(tmp_path / "damaged.patch.bdrm")
+        write_container(patch_path, sections)
+        with pytest.raises(DataError):
+            load_map_patch(patch_path)
+        with pytest.raises(DataError):
+            apply_map_patch(
+                inc_records[0].map_path, patch_path,
+                str(tmp_path / "out.bdrm"),
+            )
 
 
 class TestAtomicChainSave:
@@ -220,64 +273,6 @@ class TestHostileChain:
         ))
         with pytest.raises(EpochError):
             replay_chain(str(path))
-
-
-class TestReplayFallback:
-    """A recorded event that no longer maps onto the graph is not
-    replayed: its router runs its passes live, and the result is what
-    a from-scratch :func:`run_inference` gives."""
-
-    @pytest.fixture(scope="class")
-    def measured(self):
-        scenario = build_scenario(mini(seed=7))
-        data = build_data_bundle(scenario)
-        collection = Collector(
-            scenario.network, scenario.vps[0].addr, data.view, data.vp_ases
-        ).run()
-        return collection, data
-
-    @staticmethod
-    def _outcome(ctx, links):
-        owners = {
-            rid: (router.owner, router.reason)
-            for rid, router in ctx.graph.routers.items()
-        }
-        return links, owners, ctx.provenance.records
-
-    @pytest.mark.parametrize("corrupt", ["deciding", "assignment"])
-    def test_unresolvable_event_runs_live(self, measured, corrupt):
-        collection, data = measured
-
-        def fresh_ctx():
-            return build_context(
-                build_router_graph(collection), collection, data
-            )
-
-        cache = InferenceCache()
-        run_incremental_inference(fresh_ctx(), cache, "fp", EpochCost())
-        key, event = next(
-            (key, event) for key, event in sorted(cache.events.items())
-            if event.assignments
-        )
-        if corrupt == "deciding":
-            event = dataclasses.replace(event, deciding="no_such_pass")
-        else:
-            (target, owner, reason), *rest = event.assignments
-            stale = (target + (max(target) + 1,), owner, reason)
-            event = dataclasses.replace(
-                event, assignments=(stale, *rest)
-            )
-        cache.events[key] = event
-
-        cost = EpochCost()
-        ctx = fresh_ctx()
-        links = run_incremental_inference(ctx, cache, "fp", cost)
-        assert cost.routers_live == 1
-        assert cost.routers_replayed > 0
-        reference = fresh_ctx()
-        assert self._outcome(ctx, links) == self._outcome(
-            reference, run_inference(reference)
-        )
 
 
 class TestEpochPreconditions:

@@ -375,6 +375,36 @@ class TestBundles:
         assert collection is None
         assert data.rels.known_pairs() > 0
 
+    def test_failed_save_keeps_previous_bundle(
+        self, mini_scenario, mini_data, tmp_path, monkeypatch
+    ):
+        """A save over an existing bundle that fails before it is durable
+        leaves every file of the previous bundle byte for byte, and no
+        temp litter."""
+        from repro import build_data_bundle, build_scenario, mini
+        from repro.io import save_bundle
+
+        directory = tmp_path / "bundle"
+        save_bundle(str(directory), mini_scenario, mini_data)
+        before = {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        }
+        other = build_scenario(mini(seed=2))
+        other_data = build_data_bundle(other)
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            save_bundle(str(directory), other, other_data)
+        monkeypatch.undo()
+        after = {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        }
+        assert after == before
+        assert list(directory.glob("*.tmp")) == []
+
     def test_incomplete_bundle_rejected(self, tmp_path):
         from repro.errors import DataError
         from repro.io import load_bundle

@@ -15,7 +15,6 @@ from repro.obs import MetricsRegistry
 from repro.probing.retry import RetryStats
 from repro.remote.protocol import (
     Channel,
-    FrameDecoder,
     MAX_FRAME_BYTES,
     FRAME_HEADER,
     Reply,
@@ -86,24 +85,10 @@ class TestFraming:
         assert unpack_frame(pack_frame(payload)) == payload
         assert unpack_frame(pack_frame(b"")) == b""
 
-    def test_decoder_reassembles_byte_at_a_time(self):
-        stream = pack_frame(b"first") + pack_frame(b"second")
-        decoder = FrameDecoder()
-        frames = []
-        for position in range(len(stream)):
-            frames.extend(decoder.feed(stream[position:position + 1]))
-        assert frames == [b"first", b"second"]
-        assert decoder.pending == 0
-
-    def test_decoder_many_frames_one_feed(self):
-        payloads = [b"a", b"bb", b"", b"dddd"]
-        stream = b"".join(pack_frame(p) for p in payloads)
-        assert FrameDecoder().feed(stream) == payloads
-
     def test_oversized_length_prefix_rejected(self):
-        poisoned = FRAME_HEADER.pack(MAX_FRAME_BYTES + 1)
+        poisoned = FRAME_HEADER.pack(MAX_FRAME_BYTES + 1) + b"junk"
         with pytest.raises(DataError):
-            FrameDecoder().feed(poisoned)
+            unpack_frame(poisoned)
 
     def test_unpack_frame_is_strict(self):
         with pytest.raises(DataError):
@@ -112,18 +97,6 @@ class TestFraming:
             unpack_frame(pack_frame(b"x")[:-1])
         with pytest.raises(DataError):
             unpack_frame(pack_frame(b"x") + pack_frame(b"y"))
-
-    def test_decoder_recovers_after_oversize_frame(self):
-        """Regression: the oversize length prefix used to stay in the
-        buffer, so every subsequent feed() — even of valid frames —
-        re-raised the same error and wedged the channel for good."""
-        decoder = FrameDecoder()
-        with pytest.raises(DataError):
-            decoder.feed(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1) + b"junk")
-        # The poison (and whatever rode in with it) is gone...
-        assert decoder.pending == 0
-        # ...and the decoder keeps decoding valid frames afterwards.
-        assert decoder.feed(pack_frame(b"after")) == [b"after"]
 
 
 # -- channel retry backoff (satellite: full-jitter, seeded) ------------------
