@@ -2,7 +2,7 @@
 and the prefix→origin mapping bdrmap derives from them (§5.2)."""
 
 from .table import BGPView, RibEntry
-from .collectors import CollectorConfig, collect_public_view
+from .collectors import CollectorConfig, collect_public_view, public_view_inputs
 from .mrt import dump_rib, parse_rib
 
 __all__ = [
@@ -10,6 +10,7 @@ __all__ = [
     "RibEntry",
     "CollectorConfig",
     "collect_public_view",
+    "public_view_inputs",
     "dump_rib",
     "parse_rib",
 ]

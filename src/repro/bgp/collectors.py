@@ -9,7 +9,7 @@ links of Table 1's trace column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import List, Optional, Tuple
 
 from ..net.routing import RoutingOracle
@@ -50,13 +50,65 @@ def _as_path(oracle: RoutingOracle, peer: int, key) -> Optional[Tuple[int, ...]]
     return None
 
 
+def public_view_inputs(
+    internet: Internet,
+    config: Optional[CollectorConfig] = None,
+    focal_asn: Optional[int] = None,
+) -> tuple:
+    """Everything :func:`collect_public_view` reads, as one comparable
+    value: two calls whose inputs are equal return equal views.
+
+    The view reads the scenario seed, the collector config, the focal
+    ASN, each AS's kind (which picks the collector peers), the AS graph
+    with its relationships (the focal AS's providers and customers, and
+    every routing class's BFS and best-route choice), and each announced
+    prefix with its origins.  Its one router-level input is the
+    selective announcement: a restricted prefix is exported from an
+    origin to a neighbor iff one of its restricted links joins the two
+    ASes.  So the key holds the AS pairs those links join, not the link
+    ids: re-homing a link, or dropping one of several parallel ones,
+    leaves the view unchanged.
+    """
+    if config is None:
+        config = CollectorConfig()
+    graph = internet.graph
+    routers = internet.routers
+    announced = []
+    for prefix in sorted(internet.prefix_policies):
+        policy = internet.prefix_policies[prefix]
+        if not policy.announced:
+            continue
+        pairs = None
+        if policy.restricted_links is not None:
+            pairs = set()
+            for link_id in policy.restricted_links:
+                link = internet.links.get(link_id)
+                if link is None:
+                    continue
+                asns = {routers[iface.router_id].asn
+                        for iface in link.interfaces}
+                pairs.update((a, b) for a in asns for b in asns if a != b)
+            pairs = frozenset(pairs)
+        announced.append((prefix, policy.origins, pairs))
+    return (
+        internet.seed,
+        astuple(config),
+        focal_asn,
+        sorted((asn, node.kind.value) for asn, node in internet.ases.items()),
+        sorted(graph.ases()),
+        sorted((a, b, rel.value) for a, b, rel in graph.edges()),
+        announced,
+    )
+
+
 def collect_public_view(
     internet: Internet,
     oracle: RoutingOracle,
     config: Optional[CollectorConfig] = None,
     focal_asn: Optional[int] = None,
 ) -> BGPView:
-    """Assemble the public BGP view from a sample of collector peers."""
+    """Assemble the public BGP view from a sample of collector peers.
+    :func:`public_view_inputs` lists what it reads."""
     if config is None:
         config = CollectorConfig()
     rng = make_rng(internet.seed, "collectors", str(config.seed))

@@ -13,10 +13,15 @@ override :meth:`Bdrmap.stages` to swap individual stages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..asgraph import InferredRelationships, infer_relationships
-from ..bgp import BGPView, CollectorConfig, collect_public_view
+from ..bgp import (
+    BGPView,
+    CollectorConfig,
+    collect_public_view,
+    public_view_inputs,
+)
 from ..datasets import (
     IXPDataset,
     RIRDelegations,
@@ -51,6 +56,12 @@ class DataBundle:
     ixp: IXPDataset
     vp_ases: Set[int]
     focal_asn: int
+    #: What ``build_data_bundle`` built each derived part from, by part
+    #: name; a later build given this bundle as ``previous`` reuses
+    #: every part whose inputs are equal.  Empty for a loaded bundle.
+    built_from: Dict[str, Any] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -59,21 +70,56 @@ class BdrmapConfig:
     heuristics: HeuristicConfig = field(default_factory=HeuristicConfig)
 
 
-def build_data_bundle(scenario, collector_config: Optional[CollectorConfig] = None) -> DataBundle:
-    """Assemble input data for a scenario (shared across its VPs)."""
+def build_data_bundle(
+    scenario,
+    collector_config: Optional[CollectorConfig] = None,
+    previous: Optional[DataBundle] = None,
+) -> DataBundle:
+    """Assemble input data for a scenario (shared across its VPs).
+
+    Each derived part records what it was built from: for the public
+    view, everything :func:`~repro.bgp.public_view_inputs` lists; for
+    the relationships, the view's AS paths and the as2org text (the
+    sibling map); for the RIR and IXP data, their generated text.  Given
+    ``previous`` (the bundle of the same scenario's last epoch), a part
+    whose inputs equal the ones ``previous`` recorded is taken from it
+    instead of rebuilt; relationship inference, for one, is a function
+    of the path corpus and the siblings alone.  Reuse compares inputs,
+    never the scenario's mutation events, so every part equals what a
+    build without ``previous`` returns.
+    """
     internet = scenario.internet
-    network = scenario.network
-    view = collect_public_view(
-        internet,
-        network.oracle,
-        collector_config,
-        focal_asn=scenario.focal_asn,
+    built_from: Dict[str, Any] = {}
+
+    def part(name: str, inputs, build: Callable[[], Any]):
+        built_from[name] = inputs
+        if previous is not None and previous.built_from.get(name) == inputs:
+            return getattr(previous, name)
+        return build()
+
+    view = part(
+        "view",
+        public_view_inputs(internet, collector_config,
+                           focal_asn=scenario.focal_asn),
+        lambda: collect_public_view(
+            internet,
+            scenario.network.oracle,
+            collector_config,
+            focal_asn=scenario.focal_asn,
+        ),
     )
-    sibling_map = parse_as2org(generate_as2org(internet))
-    rels = infer_relationships(view.paths(), siblings=sibling_map.as_dict())
-    rir = parse_rir_file(generate_rir_files(internet))
-    pdb_text, pch_text = generate_ixp_data(internet)
-    ixp = parse_ixp_files(pdb_text, pch_text)
+    paths, as2org_text = view.paths(), generate_as2org(internet)
+    rels = part(
+        "rels",
+        (paths, as2org_text),
+        lambda: infer_relationships(
+            paths, siblings=parse_as2org(as2org_text).as_dict()
+        ),
+    )
+    rir_text = generate_rir_files(internet)
+    rir = part("rir", rir_text, lambda: parse_rir_file(rir_text))
+    ixp_texts = generate_ixp_data(internet)
+    ixp = part("ixp", ixp_texts, lambda: parse_ixp_files(*ixp_texts))
     return DataBundle(
         view=view,
         rels=rels,
@@ -81,6 +127,7 @@ def build_data_bundle(scenario, collector_config: Optional[CollectorConfig] = No
         ixp=ixp,
         vp_ases=set(scenario.vp_as_list),
         focal_asn=scenario.focal_asn,
+        built_from=built_from,
     )
 
 

@@ -558,9 +558,11 @@ class EpochRunner:
 
     One runner owns one scenario's longitudinal state: per-VP raw-unit
     caches, the previous compiled map, and the chain of
-    :class:`EpochRecord`\\ s.  Inference runs live in every epoch.
-    ``force_full=True`` disables every cache (the from-scratch baseline
-    the byte-identity bar is measured against)."""
+    :class:`EpochRecord`\\ s.  Inference runs live in every epoch; the
+    §5.2 inputs are rebuilt only where what they read changed (see
+    :func:`~repro.core.bdrmap.build_data_bundle`).  ``force_full=True``
+    disables every cache, that reuse included (the from-scratch
+    baseline the byte-identity bar is measured against)."""
 
     def __init__(
         self,
@@ -586,6 +588,9 @@ class EpochRunner:
         # Per VP name: its raw probing units.
         self._caches: Dict[str, RawUnits] = {}
         self._prev_compiled = None
+        # The last epoch's §5.2 inputs: build_data_bundle takes every
+        # part whose inputs are unchanged from it.
+        self._prev_data: Optional[DataBundle] = None
         #: The dict BorderMap of each completed epoch, in order (tests
         #: compare these against from-scratch recomputes).
         self.result_maps: List = []
@@ -655,7 +660,10 @@ class EpochRunner:
         full = self._prev_compiled is None or self.force_full
         cost = EpochCost()
         with self.tracer.span("epoch", index=epoch):
-            data = build_data_bundle(scenario)
+            data = build_data_bundle(
+                scenario,
+                previous=None if self.force_full else self._prev_data,
+            )
             results = [
                 self._run_vp(vp, data, cost) for vp in scenario.vps
             ]
@@ -736,6 +744,7 @@ class EpochRunner:
             self.metrics.set_gauge("epoch.last", float(epoch))
         self._mutation_cursor = len(scenario.mutations)
         self._prev_compiled = compiled
+        self._prev_data = data
         self._epoch = epoch + 1
         self.result_maps.append(bmap)
         return record

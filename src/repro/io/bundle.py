@@ -12,6 +12,16 @@ system to an analyst:
       meta.json        focal ASN + curated VP sibling list
       traces.json      the trace archive (optional)
 
+A save is atomic per bundle, not just per file.  Every file of the new
+bundle is first written and fsynced under a temp name; a failure there
+removes the temp files and leaves the old bundle whole.  Only then is
+the old ``meta.json`` withdrawn, the data files renamed into place, a
+``traces.json`` the new bundle lacks deleted, and the new ``meta.json``
+renamed in last.  A save cut short after the withdrawal leaves no
+``meta.json``, which :func:`load_bundle` refuses: a directory is read
+as one whole bundle or not at all.  Nothing else in the directory is
+touched.
+
 Relationship inferences are *not* stored: they are re-derived from the RIB
 and sibling data on load, exactly as §5.2 prescribes — so re-analyses pick
 up inference-algorithm improvements.
@@ -37,14 +47,23 @@ from ..datasets import (
 )
 from ..errors import DataError
 from .serialize import (
-    atomic_write_text,
     collection_from_dict,
     collection_to_dict,
     read_json,
+    stage_text,
+    unlink_quietly,
 )
 
 _FILES = ("rib.txt", "delegations.txt", "peeringdb.txt", "pch.txt",
           "as2org.txt", "meta.json")
+
+
+def _withdraw(path: str) -> None:
+    """Remove an old bundle file; only its absence is not an error."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
 def save_bundle(
@@ -66,8 +85,6 @@ def save_bundle(
     }
     if collection is not None:
         files["traces.json"] = json.dumps(collection_to_dict(collection))
-    # meta.json goes last: a first save cut short leaves no meta.json,
-    # and load_bundle refuses a directory without one.
     files["meta.json"] = json.dumps(
         {
             "focal_asn": data.focal_asn,
@@ -75,8 +92,21 @@ def save_bundle(
         },
         indent=1,
     )
-    for name, text in files.items():
-        atomic_write_text(os.path.join(directory, name), text)
+    staged = []   # (temp path, final path), meta.json last
+    try:
+        for name, text in files.items():
+            path = os.path.join(directory, name)
+            staged.append((stage_text(path, text), path))
+        _withdraw(os.path.join(directory, "meta.json"))
+        if collection is None:
+            _withdraw(os.path.join(directory, "traces.json"))
+        while staged:
+            os.replace(*staged[0])
+            staged.pop(0)
+    except BaseException:
+        for tmp_path, _ in staged:
+            unlink_quietly(tmp_path)
+        raise
 
 
 def load_bundle(directory: str) -> Tuple[DataBundle, Optional[Collection]]:

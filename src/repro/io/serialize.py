@@ -34,14 +34,11 @@ _FORMAT = "bdrmap-repro/1"
 _SHAPE_ERRORS = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 
 
-def atomic_write_text(target: str, payload: str) -> None:
-    """Write ``payload`` to ``target`` atomically.
-
-    The bytes land in a same-directory temp file which is fsynced and
-    then :func:`os.replace`-d over the target, so a crash at any point
-    leaves either the old artifact or the new one — never a truncated
-    hybrid.  Same-directory matters: ``os.replace`` is only atomic
-    within one filesystem.
+def stage_text(target: str, payload: str) -> str:
+    """Write ``payload`` to a fsynced temp file beside ``target`` and
+    return its path, for the caller to :func:`os.replace` over
+    ``target``.  A failure removes the temp file.  Same-directory
+    matters: ``os.replace`` is only atomic within one filesystem.
     """
     directory = os.path.dirname(os.path.abspath(target))
     fd, tmp_path = tempfile.mkstemp(
@@ -52,12 +49,34 @@ def atomic_write_text(target: str, payload: str) -> None:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
+    except BaseException:
+        unlink_quietly(tmp_path)
+        raise
+    return tmp_path
+
+
+def unlink_quietly(path: str) -> None:
+    """Remove ``path``, ignoring any error: temp-file cleanup on a path
+    that is already failing."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def atomic_write_text(target: str, payload: str) -> None:
+    """Write ``payload`` to ``target`` atomically.
+
+    The bytes land in a temp file (:func:`stage_text`) which is then
+    :func:`os.replace`-d over the target, so a crash at any point
+    leaves either the old artifact or the new one — never a truncated
+    hybrid.
+    """
+    tmp_path = stage_text(target, payload)
+    try:
         os.replace(tmp_path, target)
     except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+        unlink_quietly(tmp_path)
         raise
 
 

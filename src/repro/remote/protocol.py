@@ -81,13 +81,23 @@ def encode(message) -> bytes:
     return json.dumps(body, separators=(",", ":")).encode("utf-8")
 
 
+#: Each frame type's fields: name, the exact JSON type its value must
+#: have (so ``true`` is not an int ``seq``), and whether it must be there.
+_FRAME_FIELDS = {
+    "cmd": (("op", str, True), ("args", dict, True), ("seq", int, True),
+            ("tc", dict, False)),
+    "rep": (("seq", int, True), ("payload", dict, True),
+            ("err", str, False)),
+}
+
+
 def decode(data: bytes):
     """Decode one wire frame.
 
-    Truncated or garbled frames raise :class:`DataError` carrying an
-    excerpt of the offending payload; a structurally valid frame of an
-    unknown type still raises :class:`ProbeError` (a protocol-version
-    problem, not line noise).
+    Truncated, garbled or mistyped frames raise :class:`DataError`
+    carrying an excerpt of the offending payload; a structurally valid
+    frame of an unknown type still raises :class:`ProbeError` (a
+    protocol-version problem, not line noise).
     """
     try:
         body = json.loads(data.decode("utf-8"))
@@ -98,18 +108,26 @@ def decode(data: bytes):
     if not isinstance(body, dict):
         raise DataError("garbled frame (not an object): %r" % (data[:64],))
     kind = body.get("t")
-    try:
-        if kind == "cmd":
-            return Command(op=body["op"], args=body["args"], seq=body["seq"],
-                           trace=body.get("tc"))
-        if kind == "rep":
-            return Reply(seq=body["seq"], payload=body["payload"],
-                         error=body.get("err"))
-    except KeyError as exc:
-        raise DataError(
-            "truncated frame (missing %s): %r" % (exc, data[:64])
-        ) from exc
-    raise ProbeError("cannot decode message type %r" % kind)
+    fields = _FRAME_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ProbeError("cannot decode message type %r" % kind)
+    for name, expected, required in fields:
+        if name not in body:
+            if required:
+                raise DataError(
+                    "truncated frame (missing %r): %r" % (name, data[:64])
+                )
+        elif type(body[name]) is not expected:
+            raise DataError(
+                "mistyped frame (%s is %s, not %s): %r"
+                % (name, type(body[name]).__name__, expected.__name__,
+                   data[:64])
+            )
+    if kind == "cmd":
+        return Command(op=body["op"], args=body["args"], seq=body["seq"],
+                       trace=body.get("tc"))
+    return Reply(seq=body["seq"], payload=body["payload"],
+                 error=body.get("err"))
 
 
 # -- length framing ---------------------------------------------------------

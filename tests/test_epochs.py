@@ -9,12 +9,13 @@ and the tests compare their artifacts, replay the patch chain, and
 check that the delta epochs actually reused cached probing work.
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from repro import build_scenario, mini
+from repro import build_data_bundle, build_scenario, mini
 from repro.core.bdrmap import BdrmapConfig
 from repro.core.collection import CollectionConfig
 from repro.core.epochs import (
@@ -28,7 +29,13 @@ from repro.core.epochs import (
 from repro.errors import DataError, TopologyError
 from repro.io.binfmt import open_container, write_container
 from repro.serving.compiled import apply_map_patch, load_map_patch
-from repro.topology.evolve import add_border_link
+from repro.topology.evolve import (
+    add_border_link,
+    de_peer,
+    move_border_link,
+    rebuild_network,
+    remove_link,
+)
 
 N_EPOCHS = 3
 CHURN_SEED = 42
@@ -306,3 +313,163 @@ class TestEpochPreconditions:
         runner = EpochRunner(scenario)
         with pytest.raises(TopologyError):
             runner.run_epoch()
+
+
+# -- §5.2 input reuse ------------------------------------------------------------
+
+BUNDLE_PARTS = ("view", "rels", "rir", "ixp")
+
+
+def _restricted_links(scenario):
+    """Every restricted link of the first restricted prefix that joins
+    its first AS pair with more than one such link (on mini seed 1, the
+    three links joining AS100 and AS109)."""
+    internet = scenario.internet
+    policy = next(
+        internet.prefix_policies[prefix]
+        for prefix in sorted(internet.prefix_policies)
+        if internet.prefix_policies[prefix].restricted_links
+        and internet.prefix_policies[prefix].announced
+    )
+    by_pair = {}
+    for link_id in sorted(policy.restricted_links):
+        link = internet.links[link_id]
+        pair = tuple(sorted(
+            {internet.routers[iface.router_id].asn
+             for iface in link.interfaces}
+        ))
+        by_pair.setdefault(pair, []).append(link_id)
+    return next(links for links in by_pair.values() if len(links) > 1)
+
+
+def _public_neighbor(scenario, data):
+    """A neighbor of the focal AS that the public AS paths show."""
+    focal = scenario.focal_asn
+    return next(
+        b if a == focal else a
+        for path in data.view.paths()
+        for a, b in zip(path, path[1:])
+        if focal in (a, b)
+    )
+
+
+def _new_relationship(scenario, data):
+    internet = scenario.internet
+    focal = scenario.focal_asn
+    other = next(
+        asn for asn in sorted(internet.ases)
+        if asn != focal and internet.graph.relationship(focal, asn) is None
+    )
+    add_border_link(scenario, focal, other)
+
+
+def _move_focal_link(scenario, data):
+    internet = scenario.internet
+    focal = scenario.focal_asn
+    link = next(internet.interdomain_links(focal))
+    current = next(
+        iface.router_id for iface in link.interfaces
+        if internet.routers[iface.router_id].asn == focal
+    )
+    target = next(
+        rid for rid in sorted(internet.ases[focal].router_ids)
+        if rid != current
+    )
+    move_border_link(scenario, link.link_id, target)
+
+
+def _unannounce(scenario, data):
+    internet = scenario.internet
+    policy = internet.prefix_policies[data.view.prefixes()[0]]
+    internet.add_prefix_policy(dataclasses.replace(policy, origins=()))
+
+
+#: (mutation, whether the public view's inputs stay equal).
+MUTATIONS = {
+    "none": (lambda s, d: None, True),
+    "seeded_churn": (
+        lambda s, d: apply_seeded_churn(s, seed=1, epoch=1, fraction=0.02),
+        True,
+    ),
+    "parallel_link": (
+        lambda s, d: add_border_link(
+            s, s.focal_asn, sorted(s.internet.graph.neighbors(s.focal_asn))[0]
+        ),
+        True,
+    ),
+    "new_relationship": (_new_relationship, False),
+    # One of several restricted links joining the same AS pair.
+    "remove_link": (
+        lambda s, d: remove_link(s, _restricted_links(s)[0]), True,
+    ),
+    "move_link": (_move_focal_link, True),
+    "de_peer": (
+        lambda s, d: de_peer(s, s.focal_asn, _public_neighbor(s, d)), False,
+    ),
+    # Every restricted link joining one AS pair: the prefixes are no
+    # longer exported across that pair although the AS graph is the same.
+    "restricted_pair": (
+        lambda s, d: [remove_link(s, link_id)
+                      for link_id in _restricted_links(s)],
+        False,
+    ),
+    "unannounce": (_unannounce, False),
+}
+
+
+class TestInputReuse:
+    @pytest.mark.parametrize("case", sorted(MUTATIONS))
+    def test_reused_parts_equal_a_fresh_build(self, case):
+        mutate, view_kept = MUTATIONS[case]
+        scenario = build_scenario(mini(seed=1))
+        previous = build_data_bundle(scenario)
+        mutate(scenario, previous)
+        rebuild_network(scenario)
+
+        reused = build_data_bundle(scenario, previous=previous)
+        fresh = build_data_bundle(scenario)
+        assert reused.view.entries == fresh.view.entries
+        assert reused.rels == fresh.rels
+        assert reused.rir.records == fresh.rir.records
+        assert reused.ixp == fresh.ixp
+        for name in BUNDLE_PARTS:
+            same_inputs = reused.built_from[name] == previous.built_from[name]
+            assert (getattr(reused, name) is getattr(previous, name)) \
+                == same_inputs, name
+        assert (reused.view is previous.view) == view_kept
+        if not view_kept:
+            # Each such case really changes the view, so a key that
+            # missed its input would have reused a stale one.
+            assert fresh.view.entries != previous.view.entries
+
+    def test_epoch_after_de_peer_rebuilds_view_and_relationships(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core import epochs
+
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        real = epochs.build_data_bundle
+        monkeypatch.setattr(epochs, "build_data_bundle", recording)
+        scenarios = [build_scenario(mini(seed=1)) for _ in range(2)]
+        inc = EpochRunner(scenarios[0], out_dir=str(tmp_path / "inc"))
+        full = EpochRunner(scenarios[1], out_dir=str(tmp_path / "full"),
+                           force_full=True)
+        records = []
+        for runner, scenario in zip((inc, full), scenarios):
+            runner.run_epoch()
+            de_peer(scenario, scenario.focal_asn,
+                    _public_neighbor(scenario, built[-1]))
+            rebuild_network(scenario)
+            records.append(runner.run_epoch())
+        first, second = built[0], built[1]
+        assert second.view is not first.view
+        assert second.rels is not first.rels
+        assert second.rir is first.rir and second.ixp is first.ixp
+        with open(records[0].map_path, "rb") as inc_map, \
+                open(records[1].map_path, "rb") as full_map:
+            assert inc_map.read() == full_map.read()

@@ -405,6 +405,85 @@ class TestBundles:
         assert after == before
         assert list(directory.glob("*.tmp")) == []
 
+    @staticmethod
+    def _failing_from_third_call(real):
+        calls = []
+
+        def fail(*args):
+            calls.append(args)
+            if len(calls) >= 3:
+                raise OSError(28, "No space left on device")
+            return real(*args)
+
+        return fail
+
+    def test_resave_failing_to_stage_keeps_previous_bundle(
+        self, mini_scenario, mini_data, tmp_path, monkeypatch
+    ):
+        """A re-save whose third fsync fails renames nothing: every file
+        keeps the first bundle's bytes, and no temp file is left."""
+        from repro import build_data_bundle, build_scenario, mini
+        from repro.io import save_bundle
+
+        directory = tmp_path / "bundle"
+        save_bundle(str(directory), mini_scenario, mini_data)
+        before = {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        }
+        other = build_scenario(mini(seed=2))
+        other_data = build_data_bundle(other)
+        monkeypatch.setattr(os, "fsync", self._failing_from_third_call(os.fsync))
+        with pytest.raises(OSError):
+            save_bundle(str(directory), other, other_data)
+        monkeypatch.undo()
+        after = {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        }
+        assert after == before
+
+    def test_resave_without_collection_drops_old_traces(
+        self, mini_scenario, mini_data, tmp_path
+    ):
+        from repro import build_data_bundle, build_scenario, mini
+        from repro.core.bdrmap import Bdrmap
+        from repro.io import load_bundle, save_bundle
+
+        driver = Bdrmap(mini_scenario.network, mini_scenario.vps[0], mini_data)
+        driver.run()
+        directory = tmp_path / "bundle"
+        save_bundle(str(directory), mini_scenario, mini_data,
+                    collection=driver.collection)
+        other = build_scenario(mini(seed=2))
+        save_bundle(str(directory), other, build_data_bundle(other))
+        data, collection = load_bundle(str(directory))
+        assert collection is None
+        assert not (directory / "traces.json").exists()
+        assert data.focal_asn == other.focal_asn
+
+    def test_resave_cut_short_while_renaming_is_refused(
+        self, mini_scenario, mini_data, tmp_path, monkeypatch
+    ):
+        """A re-save that fails after its first renames has withdrawn the
+        old meta.json, so the directory is refused, never read as a mix
+        of the two bundles."""
+        from repro import build_data_bundle, build_scenario, mini
+        from repro.errors import DataError
+        from repro.io import load_bundle, save_bundle
+
+        directory = tmp_path / "bundle"
+        save_bundle(str(directory), mini_scenario, mini_data)
+        other = build_scenario(mini(seed=2))
+        other_data = build_data_bundle(other)
+        monkeypatch.setattr(
+            os, "replace", self._failing_from_third_call(os.replace)
+        )
+        with pytest.raises(OSError):
+            save_bundle(str(directory), other, other_data)
+        monkeypatch.undo()
+        assert list(directory.glob("*.tmp")) == []
+        with pytest.raises(DataError):
+            load_bundle(str(directory))
+
     def test_incomplete_bundle_rejected(self, tmp_path):
         from repro.errors import DataError
         from repro.io import load_bundle

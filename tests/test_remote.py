@@ -21,6 +21,8 @@ class TestProtocol:
     def test_decode_rejects_unknown_type(self):
         with pytest.raises(ProbeError):
             decode(b'{"t": "nope"}')
+        with pytest.raises(ProbeError):
+            decode(b'{"t": [1]}')
 
     def test_encode_rejects_unknown_object(self):
         with pytest.raises(ProbeError):
@@ -44,6 +46,20 @@ class TestProtocol:
             decode(b'{"t": "rep", "seq": 1, "payload": {')
         with pytest.raises(DataError):
             decode(b'[1, 2, 3]')                # valid JSON, not an object
+
+    @pytest.mark.parametrize("frame", [
+        b'{"t":"cmd","op":1,"args":2,"seq":"x"}',
+        b'{"t":"rep","seq":"x","payload":5}',
+        b'{"t":"cmd","op":"trace","args":{},"seq":1,"tc":7}',
+        b'{"t":"rep","seq":1,"payload":{},"err":3}',
+        b'{"t":"rep","seq":true,"payload":{}}',
+    ])
+    def test_mistyped_fields_raise_dataerror(self, frame):
+        from repro.errors import DataError
+
+        with pytest.raises(DataError) as excinfo:
+            decode(frame)
+        assert repr(frame[:64]) in str(excinfo.value)
 
     def test_reply_error_field_roundtrips(self):
         reply = Reply(seq=9, payload={}, error="ValueError: bad addr")
