@@ -145,7 +145,7 @@ def tier(mini_run, tmp_path_factory):
     artifact_path = os.path.join(str(workdir), "map.json")
     save_border_map(bmap, artifact_path)
     total = REQUESTS + BURST
-    workload = make_workload(bmap, data.view, total, seed=1)
+    workload = make_workload(bmap, total, seed=1)
     arrivals = [
         (index // MAX_INFLIGHT) * WAVE_GAP_S for index in range(REQUESTS)
     ]

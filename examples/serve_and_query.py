@@ -27,8 +27,8 @@ def main() -> None:
 
     # Stand the service up on the map's compiled form (flat tables whose
     # answer rows are memoized) and push a mixed batch through it.
-    service = BorderMapService(compile_map(bmap), batch_size=32)
-    workload = make_workload(bmap, data.view, 200, seed=3)
+    service = BorderMapService(compile_map(bmap))
+    workload = make_workload(bmap, 200, seed=3)
     answers = service.batch(workload)
     owners = sum(
         1 for a in answers if a.op == "owner" and a.value is not None

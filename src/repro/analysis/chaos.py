@@ -222,17 +222,16 @@ def run_chaos_suite(
 
 
 class KillableTransport:
-    """An in-process shard transport that can die on schedule.
+    """A shard transport that can die on schedule.
 
-    ``kill_after`` arms a crash after that many total exchanges — the
-    deterministic stand-in for "the process died right after acking the
-    prepare" that the mid-swap scenario needs.
+    It wraps another transport (the in-process one the tier is built
+    with).  ``kill_after`` arms a crash after that many total exchanges
+    — the deterministic stand-in for "the process died right after
+    acking the prepare" that the mid-swap scenario needs.
     """
 
-    def __init__(self, artifact_path: str, shard_id: int = 0) -> None:
-        from ..serving.shard import InProcessTransport
-
-        self._inner = InProcessTransport(artifact_path, shard_id=shard_id)
+    def __init__(self, inner) -> None:
+        self._inner = inner
         self.kill_after: Optional[int] = None
 
     @property
@@ -384,10 +383,8 @@ def run_shard_chaos(
     the same seed reproduces the same degraded-answer set.
     """
     from ..io import load_border_map
-    from ..serving.server import RestartPolicy, ShardedBorderServer, \
-        VirtualClock
+    from ..serving.server import make_local_server
     from ..serving.service import BorderMapService
-    from ..serving.shard import ShardChannel
 
     if metrics is None:
         metrics = NULL_REGISTRY
@@ -404,34 +401,15 @@ def run_shard_chaos(
         new_epoch = swap_epoch
 
     def build_server():
-        clock = VirtualClock()
-        transports = [
-            KillableTransport(artifact_path, shard_id=shard_id)
-            for shard_id in range(shards)
-        ]
-        channels = []
-        for shard_id, transport in enumerate(transports):
-            policy = None
-            if faults is not None:
-                policy = ChannelFaultPolicy(
-                    drop_rate=faults.drop_rate,
-                    garble_rate=faults.garble_rate,
-                    sever_rate=faults.sever_rate,
-                    delay_rate=faults.delay_rate,
-                    delay_seconds=faults.delay_seconds,
-                    seed=seed * 1000003 + shard_id,
-                )
-            channels.append(ShardChannel(
-                transport, faults=policy, deadline_s=5.0,
-                clock_advance=clock.advance,
-            ))
-        server = ShardedBorderServer(
-            channels, artifact_path=artifact_path, epoch=old_map.epoch,
-            clock=clock, reset_timeout_s=1.0,
-            restart_policy=RestartPolicy(base_s=0.5, seed=seed),
-            metrics=metrics, tracer=tracer,
+        server, clock = make_local_server(
+            artifact_path, epoch=old_map.epoch, shards=shards,
+            faults=faults, fault_seed=seed, reset_timeout_s=1.0,
+            restart_seed=seed, metrics=metrics, tracer=tracer,
         )
-        return server, clock, transports
+        for channel in server.channels:
+            channel.transport = KillableTransport(channel.transport)
+        return server, clock, [channel.transport
+                               for channel in server.channels]
 
     def settle(server, clock, run, limit=12):
         """Tick (advancing time past breaker/backoff windows) until the

@@ -535,7 +535,7 @@ def _telemetry_server(args: argparse.Namespace):
     if probe is None:
         return None
     epoch = probe.epoch
-    workload = make_workload(probe, None, args.queries, seed=args.seed)
+    workload = make_workload(probe, args.queries, seed=args.seed)
     close_backend(probe)
     metrics = MetricsRegistry()
     tracer = Tracer(seed=args.seed)
@@ -862,8 +862,7 @@ def _cmd_shard_chaos(args: argparse.Namespace) -> int:
         [result], view=data.view, rels=data.rels, epoch=2,
         source="shard-chaos swap %s" % args.name,
     )
-    workload = make_workload(bmap, data.view, args.queries,
-                             seed=args.fault_seed)
+    workload = make_workload(bmap, args.queries, seed=args.fault_seed)
     faults = None
     if args.channel_profile:
         from .net.faults import make_channel_faults

@@ -547,9 +547,18 @@ class EpochChain:
         }
 
     def save(self, path: str) -> None:
+        """Write the chain to ``path``, each artifact path relative to
+        the chain file's directory, so the directory replays from any
+        working directory and after it is moved."""
         from ..io.serialize import atomic_write_text
 
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        base = os.path.dirname(os.path.abspath(path))
+        chain = self.to_dict()
+        for record in chain["records"]:
+            for key in ("map_path", "patch_path"):
+                if record[key] is not None:
+                    record[key] = os.path.relpath(record[key], base)
+        payload = json.dumps(chain, indent=2, sort_keys=True)
         atomic_write_text(path, payload + "\n")
 
 
@@ -763,7 +772,8 @@ class EpochRunner:
 
 def _chain_records(chain_path: str) -> List[dict]:
     """The records of a saved epoch chain, each checked to name a saved
-    artifact; anything else raises :class:`EpochError`."""
+    artifact; anything else raises :class:`EpochError`.  A relative
+    artifact path is resolved against the chain file's directory."""
     from ..io.serialize import read_json
 
     try:
@@ -777,21 +787,27 @@ def _chain_records(chain_path: str) -> List[dict]:
     records = payload.get("records")
     if not isinstance(records, list):
         raise EpochError("%s: records is not a list" % chain_path)
+    base = os.path.dirname(chain_path)
     for index, record in enumerate(records):
         if not isinstance(record, dict):
             raise EpochError(
                 "%s: record %d is not a JSON object" % (chain_path, index)
             )
         map_path = record.get("map_path")
-        if not isinstance(map_path, str) or not os.path.isfile(map_path):
+        if not isinstance(map_path, str) \
+                or not os.path.isfile(os.path.join(base, map_path)):
             raise EpochError(
                 "epoch %s has no saved artifact to verify"
                 % record.get("epoch")
             )
-        if not isinstance(record.get("patch_path"), (str, type(None))):
+        patch_path = record.get("patch_path")
+        if not isinstance(patch_path, (str, type(None))):
             raise EpochError(
                 "epoch %s: patch_path is not a path" % record.get("epoch")
             )
+        record["map_path"] = os.path.join(base, map_path)
+        if patch_path is not None:
+            record["patch_path"] = os.path.join(base, patch_path)
     return records
 
 
@@ -799,7 +815,8 @@ def replay_chain(chain_path: str) -> List[str]:
     """Verify a saved epoch chain end to end: apply each epoch's patch to
     the previous epoch's artifact, in memory, and assert the result is
     byte-identical to the epoch's own artifact.  Nothing is written.
-    Returns the verified artifact paths.
+    Returns the verified artifact paths, resolved against the chain
+    file's directory.
     A chain file that is not a well-formed chain raises
     :class:`EpochError`."""
     from ..serving.compiled import apply_map_patch

@@ -114,9 +114,10 @@ def _decoding(data: Any, format_tag: str, what: str) -> Iterator[None]:
         raise DataError("malformed %s: %s" % (what, exc)) from exc
 
 
-def _write_payload(payload: str, target: Union[str, IO[str]]) -> None:
+def write_payload(payload: str, target: Union[str, IO[str]]) -> None:
     """Deliver serialized text to an open file object (caller owns
-    durability) or atomically to a path."""
+    durability) or atomically to a path (:func:`atomic_write_text`):
+    the one writer every text export goes through."""
     if hasattr(target, "write"):
         target.write(payload)
         return
@@ -636,7 +637,7 @@ def resume_checkpoint(path: str) -> Dict[str, SavedVP]:
 def save_report(report, target: Union[str, IO[str]]) -> None:
     """Write a run report to a path or open file object."""
     payload = json.dumps(report_to_dict(report), indent=1)
-    _write_payload(payload, target)
+    write_payload(payload, target)
 
 
 def load_report(source: Union[str, IO[str]]):
@@ -797,7 +798,7 @@ def save_border_map(bmap, target: Union[str, IO[str]],
             % format
         )
     payload = json.dumps(bordermap_to_dict(bmap), indent=1)
-    _write_payload(payload, target)
+    write_payload(payload, target)
 
 
 def load_border_map(source: Union[str, IO[str]]):
@@ -822,7 +823,7 @@ def load_border_map(source: Union[str, IO[str]]):
 def save_result(result: BdrmapResult, target: Union[str, IO[str]]) -> None:
     """Write a result to a path or open file object."""
     payload = json.dumps(result_to_dict(result), indent=1)
-    _write_payload(payload, target)
+    write_payload(payload, target)
 
 
 def load_result(source: Union[str, IO[str]]) -> BdrmapResult:

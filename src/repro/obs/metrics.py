@@ -266,14 +266,11 @@ class MetricsRegistry:
         }
 
     def write_json(self, target: Union[str, IO[str]]) -> None:
-        payload = json.dumps(self.as_dict(), indent=1, sort_keys=True)
-        if hasattr(target, "write"):
-            target.write(payload)
-            return
         # Function-level import: io.serialize pulls in report/provenance
         # modules that import this one.
-        from ..io.serialize import atomic_write_text
-        atomic_write_text(target, payload)
+        from ..io.serialize import write_payload
+        write_payload(json.dumps(self.as_dict(), indent=1, sort_keys=True),
+                      target)
 
     def summary(self) -> str:
         lines = []

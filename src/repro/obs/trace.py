@@ -175,14 +175,10 @@ class Tracer:
         )
 
     def write_jsonl(self, target: Union[str, IO[str]]) -> None:
-        payload = self.to_jsonl()
-        if hasattr(target, "write"):
-            target.write(payload)
-            return
         # Function-level import: io.serialize imports modules that
         # import this one.
-        from ..io.serialize import atomic_write_text
-        atomic_write_text(target, payload)
+        from ..io.serialize import write_payload
+        write_payload(self.to_jsonl(), target)
 
     def profile(self) -> List[Dict[str, Any]]:
         return profile_spans(span.as_dict() for span in self.spans)

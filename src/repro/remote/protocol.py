@@ -25,7 +25,6 @@ from typing import Any, Dict, Optional
 from ..errors import ChannelError, DataError, MeasurementTimeout, ProbeError
 from ..net.faults import ChannelFaultPolicy
 from ..probing.retry import RetryStats
-from ..rng import make_rng
 
 # Measurement ops that are safe to re-issue after a transport failure.
 # Every bdrmap measurement is idempotent (probing twice just costs probes);
@@ -186,32 +185,17 @@ class Channel:
     ``faults`` injects control-plane failures; ``timeout_s`` is how long a
     call waits (in virtual time) for a reply before declaring a timeout;
     ``max_retries`` bounds re-issues of idempotent ops after transport
-    failures.
-
-    ``backoff_s`` > 0 adds *full-jitter* exponential backoff between
-    retries: before retry k the channel waits (in virtual time) a uniform
-    draw from ``[0, min(max_backoff_s, backoff_s * 2**(k-1))]``, so
-    concurrent controllers recovering from the same outage don't stampede
-    the device in lockstep.  The draws come from ``repro.rng`` seeded by
-    ``seed`` — the same seed replays the same waits, keeping chaos runs
-    deterministic.  The default ``backoff_s=0.0`` retries immediately and
-    never touches the RNG, preserving the pre-backoff virtual timeline
-    byte for byte.
+    failures; a retry is re-sent at once.
     """
 
     def __init__(self, prober, faults: Optional[ChannelFaultPolicy] = None,
-                 timeout_s: float = 10.0, max_retries: int = 3,
-                 backoff_s: float = 0.0, max_backoff_s: float = 8.0,
-                 seed: int = 0) -> None:
+                 timeout_s: float = 10.0, max_retries: int = 3) -> None:
         self._prober = prober
         self._seq = 0
         self._connected = True
         self.faults = faults
         self.timeout_s = timeout_s
         self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.max_backoff_s = max_backoff_s
-        self._jitter_rng = make_rng(seed, "channel", "jitter")
         self.bytes_to_device = 0
         self.bytes_from_device = 0
         self.messages = 0
@@ -223,7 +207,6 @@ class Channel:
         self.severed = 0
         self.delays = 0
         self.reconnects = 0
-        self.backoff_waited_s = 0.0
         self.retry_stats = RetryStats()
         self.retry_stats.budget = max_retries
 
@@ -238,15 +221,6 @@ class Channel:
     def _reconnect(self) -> None:
         self.reconnects += 1
         self._connected = True
-
-    def _backoff(self, attempt: int) -> None:
-        """Full-jitter wait before (1-based) retry ``attempt``."""
-        if self.backoff_s <= 0:
-            return
-        cap = min(self.max_backoff_s, self.backoff_s * 2 ** (attempt - 1))
-        wait = self._jitter_rng.uniform(0.0, cap)
-        self.backoff_waited_s += wait
-        self._advance(wait)
 
     # -- calls -------------------------------------------------------------
 
@@ -266,7 +240,6 @@ class Channel:
             if attempt:
                 self.retries += 1
                 self.retry_stats.retries += 1
-                self._backoff(attempt)
             if not self._connected:
                 self._reconnect()
             try:

@@ -3,10 +3,13 @@
 The write path (``repro.core``) produces per-VP results; this package is
 the read path: :func:`compile_border_map` freezes results into an
 immutable :class:`BorderMap`, :class:`CompiledBorderMap` lowers that
-into flat mmap-able arrays, :class:`QueryEngine` serves counted lookups
-over either backend (one :class:`BorderMapBackend` protocol), and
-:class:`BorderMapService` adds request batching and zero-downtime swaps
-of a recompiled map.
+into flat mmap-able arrays, :class:`QueryEngine` serves counted batch
+lookups over either backend (one :class:`BorderMapBackend` protocol),
+and :class:`BorderMapService` answers batches against one engine
+snapshot and swaps in a recompiled map with zero downtime.  The
+sharded tier (:func:`make_local_server`, :func:`make_process_server`)
+runs one service per shard replica and does the batching, admission
+control and keep-last-good two-phase swaps.
 """
 
 from .backend import BorderMapBackend, close_backend

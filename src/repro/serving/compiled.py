@@ -644,16 +644,14 @@ def save_compiled_map(
     return write_container(target, compiled.sections())
 
 
-def load_compiled_map(path: str, verify: bool = True) -> CompiledBorderMap:
+def load_compiled_map(path: str) -> CompiledBorderMap:
     """Map a binary artifact and serve it without deserialization.
 
-    With ``verify=True`` (default) every section's checksum is proven
-    before the first answer — a corrupted or truncated artifact raises
-    :class:`DataError` naming the section, never a silent partial load.
-    ``verify=False`` defers checksums to first section access for pure
-    O(header) start on trusted storage.
+    Every section's checksum is proven before the first answer — a
+    corrupted or truncated artifact raises :class:`DataError` naming
+    the section, never a silent partial load.
     """
-    container = open_container(path, verify=verify)
+    container = open_container(path)
     try:
         return CompiledBorderMap.from_container(container)
     except DataError:

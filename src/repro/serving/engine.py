@@ -5,9 +5,9 @@ immutable map backend — the dict
 :class:`~repro.serving.bordermap.BorderMap` or the flat
 :class:`~repro.serving.compiled.CompiledBorderMap`, anything satisfying
 :class:`~repro.serving.backend.BorderMapBackend` — with per-operation
-call and latency counters, and exposes batched variants that read the
-clock twice per batch instead of twice per key — the shape a front end
-feeding it micro-batches wants.  It keeps no result cache: the compiled
+call and latency counters.  It answers batches only, reading the clock
+twice per batch instead of twice per key: the service hands it each
+batch a shard worker receives.  It keeps no result cache: the compiled
 map already memoizes every answer row it materializes, and the tier and
 the CLI serve every artifact in that form
 (:func:`~repro.serving.compiled.load_served_map` lowers a JSON one).  A
@@ -103,12 +103,7 @@ class QueryEngine:
     def __init__(self, border_map: BorderMapBackend,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.map = border_map
-        self.metrics = metrics
         self.stats = EngineStats(metrics)
-
-    @property
-    def epoch(self) -> int:
-        return self.map.epoch
 
     def _counted(self, op: str, count: int,
                  call: Callable[[Any], Any], arg: Any) -> Any:
@@ -120,19 +115,6 @@ class QueryEngine:
         stats.seconds += perf_clock() - started
         return value
 
-    # -- single-key queries -------------------------------------------------
-
-    def owner_of(self, addr: int) -> Optional[Ownership]:
-        return self._counted("owner", 1, self.map.owner_of, addr)
-
-    def border_for(self, addr: int) -> Tuple[BorderLink, ...]:
-        return self._counted("border", 1, self.map.border_for, addr)
-
-    def neighbors(self, asn: int) -> Optional[NeighborInfo]:
-        return self._counted("neighbors", 1, self.map.neighbors, asn)
-
-    # -- batched variants ---------------------------------------------------
-    #
     # Owner lookups have a bulk path on the map; the other two ops make
     # one map call per key.
 

@@ -40,6 +40,11 @@ resurrecting the old epoch.
 The server owns every dispatch step; :meth:`ShardedBorderServer.batch`
 and the async front end (:mod:`repro.serving.frontend`) run the same
 short per-group loop over them, and only the front end awaits.
+
+Two factories build a tier: :func:`make_local_server`, the in-process
+tier on a virtual clock that the tests, the CLI, the shard-kill chaos
+harness and the benchmark all use, and :func:`make_process_server`,
+one spawned child process per shard on the wall clock.
 """
 
 from __future__ import annotations
@@ -131,7 +136,6 @@ class ShardedBorderServer:
         epoch: int,
         clock,
         max_inflight: int = 256,
-        failure_threshold: int = 3,
         reset_timeout_s: float = 30.0,
         restart_policy: Optional[RestartPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -166,7 +170,6 @@ class ShardedBorderServer:
             channels,
             committed_path=artifact_path,
             clock=clock,
-            failure_threshold=failure_threshold,
             reset_timeout_s=reset_timeout_s,
             restart_policy=restart_policy,
             metrics=metrics,
@@ -464,15 +467,11 @@ class ShardedBorderServer:
 
     def write_merged_trace(self, target) -> None:
         """Atomic JSONL export of :meth:`merged_trace`."""
-        payload = "".join(
+        from ..io.serialize import write_payload
+        write_payload("".join(
             json.dumps(span, sort_keys=True) + "\n"
             for span in self.merged_trace()
-        )
-        if hasattr(target, "write"):
-            target.write(payload)
-            return
-        from ..io.serialize import atomic_write_text
-        atomic_write_text(target, payload)
+        ), target)
 
     # -- supervision ----------------------------------------------------------
 
@@ -518,17 +517,15 @@ def make_local_server(
     epoch: int,
     shards: int = 3,
     max_inflight: int = 256,
-    deadline_s: float = 5.0,
     faults: Optional[ChannelFaultPolicy] = None,
     fault_seed: int = 0,
-    failure_threshold: int = 3,
     reset_timeout_s: float = 30.0,
     restart_seed: int = 0,
     metrics: Optional[MetricsRegistry] = None,
     tracer=None,
-    clock: Optional[VirtualClock] = None,
 ) -> Tuple[ShardedBorderServer, VirtualClock]:
-    """A fully in-process sharded server on a virtual clock.
+    """A fully in-process sharded server on a virtual clock, with a 5 s
+    shard deadline.
 
     Deterministic end to end: the same seed and fault policy replay the
     same fault and restart timeline.  ``faults`` is a *template*; each
@@ -536,8 +533,7 @@ def make_local_server(
     the shard id, so fault streams are independent per shard but
     reproducible.
     """
-    if clock is None:
-        clock = VirtualClock()
+    clock = VirtualClock()
     channels = []
     for shard_id in range(shards):
         policy = None
@@ -553,14 +549,13 @@ def make_local_server(
         transport = InProcessTransport(artifact_path, shard_id=shard_id)
         channels.append(
             ShardChannel(
-                transport, faults=policy, deadline_s=deadline_s,
+                transport, faults=policy, deadline_s=5.0,
                 clock_advance=clock.advance,
             )
         )
     server = ShardedBorderServer(
         channels, artifact_path=artifact_path, epoch=epoch, clock=clock,
-        max_inflight=max_inflight, failure_threshold=failure_threshold,
-        reset_timeout_s=reset_timeout_s,
+        max_inflight=max_inflight, reset_timeout_s=reset_timeout_s,
         restart_policy=RestartPolicy(seed=restart_seed),
         metrics=metrics, tracer=tracer,
     )
@@ -572,29 +567,23 @@ def make_process_server(
     epoch: int,
     shards: int = 2,
     max_inflight: int = 256,
-    deadline_s: float = 10.0,
-    failure_threshold: int = 3,
-    reset_timeout_s: float = 5.0,
-    restart_seed: int = 0,
     metrics: Optional[MetricsRegistry] = None,
     tracer=None,
 ) -> ShardedBorderServer:
     """The production shape: each shard is a spawn-context child
-    process holding its own copy of the map; time is the wall clock
-    (via :func:`~repro.obs.trace.perf_clock`, the repo's one sanctioned
+    process holding its own copy of the map, with a 10 s deadline and a
+    5 s breaker reset; time is the wall clock (via
+    :func:`~repro.obs.trace.perf_clock`, the repo's one sanctioned
     wall-time source)."""
     channels = [
         ShardChannel(
             SpawnProcessTransport(artifact_path, shard_id=shard_id),
-            deadline_s=deadline_s,
+            deadline_s=10.0,
         )
         for shard_id in range(shards)
     ]
     return ShardedBorderServer(
         channels, artifact_path=artifact_path, epoch=epoch,
-        clock=perf_clock, max_inflight=max_inflight,
-        failure_threshold=failure_threshold,
-        reset_timeout_s=reset_timeout_s,
-        restart_policy=RestartPolicy(seed=restart_seed),
+        clock=perf_clock, max_inflight=max_inflight, reset_timeout_s=5.0,
         metrics=metrics, tracer=tracer,
     )

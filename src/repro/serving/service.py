@@ -1,13 +1,13 @@
-"""The lookup service: request batching and zero-downtime map swaps.
+"""The lookup service: batched answers and zero-downtime map swaps.
 
-:class:`BorderMapService` is the front end a deployment would put behind
-an RPC endpoint: callers submit ``(op, key)`` requests, the service packs
-them into micro-batches against one engine snapshot, and a freshly
-compiled :class:`~repro.serving.bordermap.BorderMap` (e.g. after
-re-inference on an evolved topology) is swapped in *stale-while-
-revalidate*: the old map keeps answering for the entire compile, and the
-swap itself is a single reference assignment, so a query observes either
-the old map or the new one — never a partially built one.
+:class:`BorderMapService` is what each shard worker of the serving tier
+(:mod:`repro.serving.shard`) answers from: :meth:`BorderMapService.batch`
+answers a caller-assembled batch of ``(op, key)`` requests against one
+engine snapshot, and :meth:`BorderMapService.swap` publishes a new map
+with a single reference assignment, so a query observes either the old
+map or the new one — never a partially built one.  Batching across
+callers, admission control and keep-last-good rollback belong to the
+tier (:class:`~repro.serving.server.ShardedBorderServer`).
 
 Every answer is tagged with the epoch of the map that produced it, which
 is what the hot-swap tests (and any cache-invalidation layer above) key
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..errors import DataError
 from ..obs.metrics import MetricsRegistry
@@ -49,9 +49,7 @@ def check_ops(requests: Sequence[Tuple[str, int]]) -> None:
                             % (key,))
 
 
-def make_workload(
-    bmap, view, count: int, seed: int = 0
-) -> List[Tuple[str, int]]:
+def make_workload(bmap, count: int, seed: int = 0) -> List[Tuple[str, int]]:
     """A deterministic serving workload over one compiled map.
 
     Mixes the query shapes a deployment sees: owner lookups on observed
@@ -108,67 +106,39 @@ class Answer:
 
 
 class BorderMapService:
-    """Batching, hot-swappable lookup service over a border map (either
-    backend: dict or compiled).
+    """Hot-swappable lookup service over a border map (either backend:
+    dict or compiled).
 
-    ``batch_size`` bounds the micro-batch: :meth:`submit` queues a
-    request and flushes automatically once the batch fills;
-    :meth:`flush` drains a partial batch.  Each batch is answered by one
-    engine snapshot, so a swap can never split a batch across maps.
+    Each :meth:`batch` is answered by one engine snapshot, so a swap can
+    never split a batch across maps.
     """
 
     def __init__(
         self,
         border_map: BorderMapBackend,
-        batch_size: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         # Request counters live in a registry (a private one unless the
         # deployment hands us its shared registry), like the engine's.
         if metrics is None or not metrics.enabled:
             self._metrics = MetricsRegistry()
-            self.metrics = metrics
         else:
             self._metrics = metrics
-            self.metrics = metrics
+        self.metrics = metrics
         self._engine = QueryEngine(border_map, metrics=self.metrics)
-        self.batch_size = batch_size
-        self._pending: List[Tuple[str, int]] = []
         self._swap_lock = threading.Lock()
 
     @property
     def requests(self) -> int:
         return self._metrics.counter("serving.service.requests")
 
-    @requests.setter
-    def requests(self, value: int) -> None:
-        self._metrics.set_counter("serving.service.requests", value)
-
     @property
     def batches(self) -> int:
         return self._metrics.counter("serving.service.batches")
 
-    @batches.setter
-    def batches(self, value: int) -> None:
-        self._metrics.set_counter("serving.service.batches", value)
-
     @property
     def swaps(self) -> int:
         return self._metrics.counter("serving.service.swaps")
-
-    @swaps.setter
-    def swaps(self, value: int) -> None:
-        self._metrics.set_counter("serving.service.swaps", value)
-
-    @property
-    def refresh_failures(self) -> int:
-        return self._metrics.counter("serving.service.refresh_failures")
-
-    @refresh_failures.setter
-    def refresh_failures(self, value: int) -> None:
-        self._metrics.set_counter(
-            "serving.service.refresh_failures", value
-        )
 
     # -- the served map -----------------------------------------------------
 
@@ -188,38 +158,19 @@ class BorderMapService:
 
     # -- querying -----------------------------------------------------------
 
-    def query(self, op: str, key: int) -> Answer:
-        """Answer one request immediately (no batching)."""
-        return self._answer_batch([(op, key)])[0]
-
-    def submit(self, op: str, key: int) -> List[Answer]:
-        """Queue a request; returns the flushed answers when this request
-        filled the batch, else an empty list."""
-        check_ops([(op, key)])
-        self._pending.append((op, key))
-        if len(self._pending) >= self.batch_size:
-            return self.flush()
-        return []
-
-    def flush(self) -> List[Answer]:
-        """Answer and clear the pending batch (in submission order)."""
-        pending, self._pending = self._pending, []
-        return self._answer_batch(pending)
-
-    def batch(self, requests: List[Tuple[str, int]]) -> List[Answer]:
-        """Answer a caller-assembled batch against one engine snapshot."""
-        return self._answer_batch(list(requests))
-
-    def _answer_batch(self, requests: List[Tuple[str, int]]) -> List[Answer]:
+    def batch(self, requests: Sequence[Tuple[str, int]]) -> List[Answer]:
+        """Answer a caller-assembled batch against one engine snapshot,
+        in request order."""
+        requests = list(requests)
         if not requests:
             return []
         check_ops(requests)
         engine = self._engine  # one snapshot for the whole batch
         epoch = engine.map.epoch
-        self.requests += len(requests)
-        self.batches += 1
+        self._metrics.inc("serving.service.requests", len(requests))
+        self._metrics.inc("serving.service.batches")
         # Group per op to use the engine's batched path, then restore
-        # submission order.
+        # request order.
         answers: List[Optional[Answer]] = [None] * len(requests)
         for op, method in (
             ("owner", engine.owner_of_batch),
@@ -251,30 +202,8 @@ class BorderMapService:
         with self._swap_lock:
             retired = self._engine.map.epoch
             self._engine = new_engine
-            self.swaps += 1
+            self._metrics.inc("serving.service.swaps")
         return retired
-
-    def refresh(
-        self, compile_fn: Callable[[], BorderMapBackend]
-    ) -> BorderMapBackend:
-        """Stale-while-revalidate: run ``compile_fn`` (re-inference plus
-        :func:`~repro.serving.bordermap.compile_border_map`, typically
-        minutes of work) while the current map keeps serving, then swap
-        the result in.
-
-        Keep-last-good: a ``compile_fn`` that raises (bad input data, a
-        broken artifact, an upstream outage) must never take the service
-        down — the failure is counted under
-        ``serving.service.refresh_failures`` and the old map keeps
-        serving.  The return value says which map is live afterwards.
-        """
-        try:
-            new_map = compile_fn()
-        except Exception:
-            self.refresh_failures += 1
-            return self._engine.map
-        self.swap(new_map)
-        return new_map
 
     def summary(self) -> str:
         return (

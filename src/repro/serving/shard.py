@@ -111,27 +111,23 @@ class ShardWorker:
     """One engine replica: a :class:`BorderMapService` plus the staged
     state of an in-progress two-phase swap.
 
-    ``loader`` maps an artifact path to a backend (the default is
-    :func:`repro.serving.compiled.load_served_map`: either artifact
-    format, served as a compiled map).
-    The worker itself is transport-agnostic: :meth:`handle_frame` takes
-    one framed request and returns one framed reply, and both
-    transports just move those bytes.
+    Every artifact it serves, initial or staged, loads through
+    :func:`repro.serving.compiled.load_served_map` (either artifact
+    format, served as a compiled map).  The worker itself is
+    transport-agnostic: :meth:`handle_frame` takes one framed request
+    and returns one framed reply, and both transports just move those
+    bytes.
     """
 
     def __init__(
         self,
         artifact_path: str,
         shard_id: int = 0,
-        loader: Optional[Callable[[str], Any]] = None,
         token: int = 0,
     ) -> None:
-        if loader is None:
-            loader = load_served_map
-        self._loader = loader
         self.shard_id = shard_id
         self.artifact_path = artifact_path
-        self.service = BorderMapService(loader(artifact_path))
+        self.service = BorderMapService(load_served_map(artifact_path))
         # Two-phase swap staging: (token, path, backend) or None.
         self._staged: Optional[Tuple[int, str, Any]] = None
         # The swap token of the epoch currently being served; 0 until
@@ -320,7 +316,7 @@ class ShardWorker:
             # while the old map keeps serving, so commit is a pure
             # pointer swap.
             started = perf_clock()
-            self._staged = (token, path, self._loader(path))
+            self._staged = (token, path, load_served_map(path))
             self.metrics.time("worker.prepare.seconds",
                               perf_clock() - started)
         self.metrics.inc("worker.prepares")
@@ -388,12 +384,10 @@ class InProcessTransport:
     same contract a supervisor has with a real child process.
     """
 
-    def __init__(self, artifact_path: str, shard_id: int = 0,
-                 loader: Optional[Callable[[str], Any]] = None) -> None:
+    def __init__(self, artifact_path: str, shard_id: int = 0) -> None:
         self.shard_id = shard_id
-        self._loader = loader
         self.worker: Optional[ShardWorker] = ShardWorker(
-            artifact_path, shard_id=shard_id, loader=loader,
+            artifact_path, shard_id=shard_id,
         )
         self.exchanges = 0
 
@@ -415,8 +409,7 @@ class InProcessTransport:
     def restart(self, artifact_path: str, token: int = 0) -> None:
         self.kill()
         self.worker = ShardWorker(
-            artifact_path, shard_id=self.shard_id, loader=self._loader,
-            token=token,
+            artifact_path, shard_id=self.shard_id, token=token,
         )
 
     def close(self) -> None:

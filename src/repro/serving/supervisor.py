@@ -6,7 +6,7 @@ a bounded degradation:
 
 * a per-shard **circuit breaker** stops the front end from burning its
   deadline budget on a shard that just failed (closed → open on
-  ``failure_threshold`` consecutive failures; open → half-open after
+  :data:`FAILURE_THRESHOLD` consecutive failures; open → half-open after
   ``reset_timeout_s`` on the supervisor's clock; one probe request
   closes or re-opens it);
 * **restart with exponential backoff + full jitter** rebuilds the
@@ -34,15 +34,14 @@ from .shard import ShardChannel
 #: Circuit breaker states, in escalation order.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
+#: Consecutive failures that open a closed breaker.
+FAILURE_THRESHOLD = 3
+
 
 class CircuitBreaker:
     """Consecutive-failure breaker with a clocked half-open probe."""
 
-    def __init__(self, failure_threshold: int = 3,
-                 reset_timeout_s: float = 30.0) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        self.failure_threshold = failure_threshold
+    def __init__(self, reset_timeout_s: float = 30.0) -> None:
         self.reset_timeout_s = reset_timeout_s
         self.state = CLOSED
         self.failures = 0           # consecutive, resets on success
@@ -67,7 +66,7 @@ class CircuitBreaker:
 
     def record_failure(self, now: float) -> None:
         self.failures += 1
-        if self.state == HALF_OPEN or self.failures >= self.failure_threshold:
+        if self.state == HALF_OPEN or self.failures >= FAILURE_THRESHOLD:
             if self.state != OPEN:
                 self.trips += 1
             self.state = OPEN
@@ -130,7 +129,6 @@ class ShardSupervisor:
         channels: List[ShardChannel],
         committed_path: str,
         clock: Callable[[], float],
-        failure_threshold: int = 3,
         reset_timeout_s: float = 30.0,
         restart_policy: Optional[RestartPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -146,11 +144,7 @@ class ShardSupervisor:
         self.committed_token = 0
         self.restart_policy = restart_policy or RestartPolicy()
         self.shards = [
-            SupervisedShard(
-                channel,
-                CircuitBreaker(failure_threshold=failure_threshold,
-                               reset_timeout_s=reset_timeout_s),
-            )
+            SupervisedShard(channel, CircuitBreaker(reset_timeout_s))
             for channel in channels
         ]
         self._gauge_states()

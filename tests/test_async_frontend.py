@@ -38,7 +38,7 @@ def tier(mini_data, mini_result, tmp_path_factory):
     path2 = str(workdir / "map-epoch2.json")
     save_border_map(bmap, path1)
     save_border_map(bmap2, path2)
-    workload = make_workload(bmap, mini_data.view, 90, seed=7)
+    workload = make_workload(bmap, 90, seed=7)
     duplicated = [req for req in workload for _ in range(3)]
     return SimpleNamespace(
         path1=path1,

@@ -285,7 +285,7 @@ def shard_tier(mini_data, mini_result, tmp_path_factory):
     new_path = str(workdir / "map-epoch2.json")
     save_border_map(bmap, old_path)
     save_border_map(swap, new_path)
-    workload = make_workload(bmap, mini_data.view, 160, seed=9)
+    workload = make_workload(bmap, 160, seed=9)
     return old_path, new_path, workload
 
 

@@ -264,16 +264,15 @@ class TestBackendsBehindEngine:
         dict_engine = QueryEngine(dict_map)
         flat_engine = QueryEngine(flat_map)
         addrs = _probe_addrs(dict_map)[:64]
-        for addr in addrs:
-            assert flat_engine.owner_of(addr) == dict_engine.owner_of(addr)
-            assert flat_engine.border_for(addr) == dict_engine.border_for(
-                addr
-            )
+        assert flat_engine.owner_of_batch(addrs) == \
+            dict_engine.owner_of_batch(addrs)
+        assert flat_engine.border_for_batch(addrs) == \
+            dict_engine.border_for_batch(addrs)
 
     def test_service_serves_compiled(self, dict_map, flat_map):
-        service = BorderMapService(flat_map, batch_size=4)
+        service = BorderMapService(flat_map)
         addr = dict_map.routers[0].addrs[0]
-        answer = service.query("owner", addr)
+        [answer] = service.batch([("owner", addr)])
         assert answer.value == dict_map.owner_of(addr)
         assert answer.epoch == flat_map.epoch
 
@@ -289,7 +288,7 @@ class TestBackendsBehindEngine:
         retired = service.swap(upgraded)
         assert retired == dict_map.epoch
         addr = dict_map.routers[0].addrs[0]
-        assert service.query("owner", addr).epoch == upgraded.epoch
+        assert service.batch([("owner", addr)])[0].epoch == upgraded.epoch
 
 
 class TestPropertyLowering:

@@ -141,6 +141,36 @@ class TestChainReplay:
         verified = replay_chain(chain_path)
         assert verified == [r.map_path for r in inc_records]
 
+    def test_relative_chain_replays_from_anywhere(self, tmp_path,
+                                                  monkeypatch):
+        """A chain saved under a relative out dir names its artifacts
+        relative to chain.json, so it replays from another working
+        directory and again after the directory is moved."""
+        monkeypatch.chdir(tmp_path)
+        scenario = build_scenario(mini(seed=7))
+        runner = EpochRunner(scenario, out_dir="rel_epochs")
+        runner.run_epoch()
+        apply_seeded_churn(scenario, seed=CHURN_SEED, epoch=1,
+                           fraction=CHURN_FRACTION)
+        assert runner.run_epoch().patch_path is not None
+        runner.save_chain()
+        with open(os.path.join("rel_epochs", "chain.json")) as f:
+            records = json.load(f)["records"]
+        assert [r["map_path"] for r in records] == [
+            "epoch_000.bdrm", "epoch_001.bdrm"
+        ]
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        assert replay_chain(os.path.join("..", "rel_epochs", "chain.json")) \
+            == [os.path.join("..", "rel_epochs", "epoch_%03d.bdrm" % epoch)
+                for epoch in (0, 1)]
+        monkeypatch.chdir(tmp_path)
+        os.rename("rel_epochs", "moved")
+        assert replay_chain(os.path.join("moved", "chain.json")) == [
+            os.path.join("moved", "epoch_%03d.bdrm" % epoch)
+            for epoch in (0, 1)
+        ]
+
     def test_patch_applies_onto_its_base(self, evolution, tmp_path):
         _, _, inc_records, _ = evolution
         out = str(tmp_path / "rebuilt.bdrm")

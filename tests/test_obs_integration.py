@@ -11,9 +11,12 @@ The contract under test:
 * provenance survives the result archive round-trip, and archives
   written without provenance keep their historical byte layout;
 * the wall clock is read in exactly one sanctioned place
-  (``repro.obs.trace.perf_clock``) — enforced by a grep lint.
+  (``repro.obs.trace.perf_clock``) — enforced by a grep lint;
+* files are written in exactly two places, both atomic — enforced by
+  a lint over the source's ``open`` calls.
 """
 
+import ast
 import json
 import os
 
@@ -230,20 +233,25 @@ class TestObservabilityCLI:
         assert "pass" in table
 
 
+SOURCE_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+)
+
+
+def _source_files():
+    for directory, _, names in os.walk(SOURCE_ROOT):
+        for name in names:
+            if name.endswith(".py"):
+                yield os.path.join(directory, name)
+
+
 class TestWallClockLint:
     """The wall clock has exactly one sanctioned read point."""
-
-    def _source_files(self):
-        root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
-        for directory, _, names in os.walk(os.path.abspath(root)):
-            for name in names:
-                if name.endswith(".py"):
-                    yield os.path.join(directory, name)
 
     def test_no_wall_clock_outside_obs(self):
         sanctioned = os.path.join("obs", "trace.py")
         offenders = []
-        for path in self._source_files():
+        for path in _source_files():
             if path.endswith(sanctioned):
                 continue  # perf_clock lives here, by definition
             with open(path) as handle:
@@ -256,3 +264,57 @@ class TestWallClockLint:
             "wall-clock reads outside repro.obs.trace.perf_clock:\n%s"
             % "\n".join(offenders)
         )
+
+
+class _FileWriters(ast.NodeVisitor):
+    """(function, mode) for each call that may write a file: an
+    ``open``/``fdopen`` whose mode writes, appends or creates (or is not
+    a literal), and pathlib's ``write_text``/``write_bytes``.
+    ``function`` is the innermost enclosing function."""
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        callee = getattr(node.func, "id", getattr(node.func, "attr", ""))
+        if callee in ("open", "fdopen"):
+            modes = node.args[1:2] + [
+                kw.value for kw in node.keywords if kw.arg == "mode"
+            ]
+            for mode in modes:
+                text = getattr(mode, "value", None)
+                if not isinstance(text, str) or set(text) & set("wax+"):
+                    self.found.append((self.scope[-1], text))
+        elif callee in ("write_text", "write_bytes"):
+            self.found.append((self.scope[-1], callee))
+        self.generic_visit(node)
+
+
+class TestFileWriterLint:
+    """Every file the package writes goes through one of two atomic
+    writers: ``io.serialize.stage_text`` (text; ``atomic_write_text``
+    and ``write_payload`` call it) and binfmt's ``write_container``."""
+
+    def test_only_atomic_writers_open_files_for_writing(self):
+        writers = set()
+        for path in _source_files():
+            with open(path) as handle:
+                visitor = _FileWriters()
+                visitor.visit(ast.parse(handle.read()))
+            relative = os.path.relpath(path, SOURCE_ROOT)
+            writers.update(
+                (relative, function, mode)
+                for function, mode in visitor.found
+            )
+        assert writers == {
+            (os.path.join("io", "serialize.py"), "stage_text", "w"),
+            (os.path.join("io", "binfmt.py"), "write_container", "wb"),
+        }

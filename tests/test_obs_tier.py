@@ -60,7 +60,7 @@ def artifact(mini_data, mini_result, tmp_path_factory):
     )
     path = str(workdir / "map-epoch1.json")
     save_border_map(bmap, path)
-    workload = make_workload(bmap, mini_data.view, 60, seed=5)
+    workload = make_workload(bmap, 60, seed=5)
     return SimpleNamespace(bmap=bmap, path=path, workload=workload)
 
 

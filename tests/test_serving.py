@@ -181,23 +181,6 @@ class TestEngine:
 
 
 class TestService:
-    def test_submit_flushes_at_batch_size(self, mini_map):
-        service = BorderMapService(mini_map, batch_size=3)
-        addr = mini_map.routers[0].addrs[0]
-        assert service.submit("owner", addr) == []
-        assert service.submit("owner", addr + 1) == []
-        answers = service.submit("owner", addr + 2)
-        assert len(answers) == 3
-        assert service.batches == 1
-        assert service.requests == 3
-
-    def test_flush_drains_partial(self, mini_map):
-        service = BorderMapService(mini_map, batch_size=10)
-        service.submit("neighbors", mini_map.neighbor_ases()[0])
-        answers = service.flush()
-        assert len(answers) == 1
-        assert service.flush() == []
-
     def test_answers_keep_submission_order(self, mini_map):
         service = BorderMapService(mini_map)
         addr = mini_map.routers[0].addrs[0]
@@ -212,8 +195,6 @@ class TestService:
     def test_unknown_op_rejected(self, mini_map):
         service = BorderMapService(mini_map)
         with pytest.raises(DataError):
-            service.submit("frobnicate", 1)
-        with pytest.raises(DataError):
             service.batch([("frobnicate", 1)])
 
     def test_swap_retires_old_epoch(self, mini_map, mini_data, mini_result):
@@ -226,24 +207,6 @@ class TestService:
         assert retired == mini_map.epoch
         assert service.epoch == new_map.epoch
         assert service.swaps == 1
-
-    def test_refresh_serves_stale_during_compile(self, mini_map, mini_data,
-                                                 mini_result):
-        service = BorderMapService(mini_map)
-        observed_during_compile = []
-
-        def compile_fn():
-            # While "recompiling", the old epoch must keep answering.
-            answer = service.query("owner", mini_map.routers[0].addrs[0])
-            observed_during_compile.append(answer.epoch)
-            return compile_border_map(
-                [mini_result], view=mini_data.view, epoch=7,
-            )
-
-        new_map = service.refresh(compile_fn)
-        assert observed_during_compile == [mini_map.epoch]
-        assert service.epoch == 7
-        assert new_map.epoch == 7
 
 
 class TestHotSwapConcurrency:
@@ -272,12 +235,15 @@ class TestHotSwapConcurrency:
         service = BorderMapService(maps[1])
         mismatches = []
         seen_epochs = set()
+        answered = [0] * 4
         stop = threading.Event()
 
-        def worker():
-            while not stop.is_set():
+        def worker(reader):
+            # At least one full pass, however soon the swaps finish.
+            while True:
                 for addr in probe_addrs:
-                    answer = service.query("owner", addr)
+                    answer = service.batch([("owner", addr)])[0]
+                    answered[reader] += 1
                     seen_epochs.add(answer.epoch)
                     if answer.epoch not in expected:
                         mismatches.append(("bad epoch", answer.epoch))
@@ -285,8 +251,11 @@ class TestHotSwapConcurrency:
                     if expected[answer.epoch][addr] != answer.value:
                         mismatches.append((answer.epoch, addr, answer.value))
                         return
+                if stop.is_set():
+                    return
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
+        threads = [threading.Thread(target=worker, args=(reader,))
+                   for reader in range(4)]
         for thread in threads:
             thread.start()
         for _ in range(50):
@@ -294,8 +263,10 @@ class TestHotSwapConcurrency:
                 service.swap(maps[epoch])
         stop.set()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert not mismatches
+        assert all(answered), answered
         assert service.swaps == 150
         assert seen_epochs <= {1, 2, 3}
 
@@ -319,11 +290,8 @@ class TestSwapCacheIsolation:
         map_b = self._prefix_map(222, epoch=0)
         addr = aton("10.1.2.3")
         service = BorderMapService(map_a)
-        # Prime both the single-key and batched cache paths.
-        assert service.query("owner", addr).value.asn == 111
         assert service.batch([("owner", addr)])[0].value.asn == 111
         service.swap(map_b)
-        assert service.query("owner", addr).value.asn == 222
         assert service.batch([("owner", addr)])[0].value.asn == 222
 
     def test_concurrent_swaps_between_same_epoch_maps(self):
@@ -336,17 +304,23 @@ class TestSwapCacheIsolation:
         addrs = [aton("10.0.0.%d" % i) for i in range(1, 21)]
         service = BorderMapService(map_a)
         bad = []
+        answered = [0] * 4
         stop = threading.Event()
 
-        def worker():
-            while not stop.is_set():
+        def worker(reader):
+            # At least one full pass, however soon the swaps finish.
+            while True:
                 for addr in addrs:
-                    answer = service.query("owner", addr)
+                    answer = service.batch([("owner", addr)])[0]
+                    answered[reader] += 1
                     if answer.value is None or answer.value.asn not in (111, 222):
                         bad.append((addr, answer.value))
                         return
+                if stop.is_set():
+                    return
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
+        threads = [threading.Thread(target=worker, args=(reader,))
+                   for reader in range(4)]
         for thread in threads:
             thread.start()
         for _ in range(100):
@@ -355,20 +329,23 @@ class TestSwapCacheIsolation:
         service.swap(map_b)
         stop.set()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert not bad
+        assert all(answered), answered
         assert all(
-            service.query("owner", addr).value.asn == 222 for addr in addrs
+            answer.value.asn == 222
+            for answer in service.batch([("owner", addr) for addr in addrs])
         )
 
 
-def test_bench_workload_is_deterministic(mini_map, mini_data):
+def test_bench_workload_is_deterministic(mini_map):
     """Same seed, same map → byte-identical workload (QPS numbers vary
     with the host; the queries they time must not)."""
-    first = make_workload(mini_map, mini_data.view, 300, seed=5)
-    second = make_workload(mini_map, mini_data.view, 300, seed=5)
+    first = make_workload(mini_map, 300, seed=5)
+    second = make_workload(mini_map, 300, seed=5)
     assert first == second
-    assert first != make_workload(mini_map, mini_data.view, 300, seed=6)
+    assert first != make_workload(mini_map, 300, seed=6)
 
 
 class TestRoundTrip:
