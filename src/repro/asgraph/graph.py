@@ -117,6 +117,11 @@ class ASGraph:
     def edge_count(self) -> int:
         return sum(1 for _ in self.edges())
 
+    def same_as(self, other: "ASGraph") -> bool:
+        """True when both graphs hold the same ASes and the same edges,
+        each with the same relationship."""
+        return self._rel == other._rel
+
     def copy(self) -> "ASGraph":
         clone = ASGraph()
         for asn, adjacent in self._rel.items():

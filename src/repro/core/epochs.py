@@ -46,10 +46,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..addr import Prefix
 from ..alias import AliasResolver
 from ..errors import DataError, TopologyError
 from ..net.network import _MAX_HOPS
-from ..net.routing import StepKind
+from ..net.routing import RoutingOracle, StepKind
 from ..obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry, NULL_REGISTRY
 from ..obs.trace import NULL_TRACER, Tracer, perf_clock
 from ..rng import make_rng
@@ -91,6 +92,15 @@ class SigCache:
     terminal fate (arrival / host liveness / unreachable).  Two epochs
     whose signatures for a destination are equal produce byte-identical
     probe exchanges for it — the replay soundness contract.
+
+    Only a router interface can be routed to directly (steps 1-2 of
+    :meth:`~repro.net.routing.RoutingOracle.step`), and it walks on its
+    own.  Every other address takes each hop from its covering prefix's
+    decision, so a prefix's addresses walk the same hops and differ only
+    in the terminal host's liveness.  Each prefix is walked once
+    (``None`` keys the unannounced addresses, which end at the first
+    router), and an address's signature is that walk with its own
+    liveness: the same tuple a walk of the address alone builds.
     """
 
     def __init__(self, network, vp_addr: int, first_router: int) -> None:
@@ -98,6 +108,9 @@ class SigCache:
         self.vp_addr = vp_addr
         self.first_router = first_router
         self._memo: Dict[int, Sig] = {}
+        # Covering prefix (None: unannounced) -> (its signature for a
+        # dead host address, for a live one), indexed by liveness.
+        self._prefix_memo: Dict[Optional[Prefix], Tuple[Sig, Sig]] = {}
         self._reply_memo: Dict[int, Sig] = {}
         self._addrs_memo: Dict[int, Tuple[int, ...]] = {}
 
@@ -124,10 +137,39 @@ class SigCache:
         if cached is not None:
             return cached
         oracle = self.network.oracle
+        policy = oracle.lookup_policy(dst)
+        live = policy is not None and dst in policy.live_hosts
+        if dst in self.network.internet.addr_to_iface:
+            sig = self._walk(policy, partial(oracle.step, dst=dst), live)
+        else:
+            key = policy.prefix if policy is not None else None
+            walks = self._prefix_memo.get(key)
+            if walks is None:
+                walks = self._prefix_memo[key] = self._prefix_walks(policy)
+            sig = walks[live]
+        self._memo[dst] = sig
+        return sig
+
+    def _prefix_walks(self, policy) -> Tuple[Sig, Sig]:
+        """The signatures of a dead and of a live host address that is
+        covered by ``policy``'s prefix and is no router interface."""
+        dead = self._walk(
+            policy, partial(self.network.oracle.prefix_step, policy=policy),
+            False,
+        )
+        last = dead[-1]
+        if last[0] != "host":
+            return dead, dead
+        return dead, dead[:-1] + (("host", last[1], True, last[3]),)
+
+    def _walk(self, policy, step_of, live: bool) -> Sig:
+        """The hops from the VP's first router, each decided by
+        ``step_of(router_id)``, toward a destination that ``policy``
+        covers; ``live`` is whether a terminal host answers."""
+        oracle = self.network.oracle
         routers = self.network.internet.routers
         # Every forward hop's next AS comes from the destination's one
         # class route, looked up once here instead of once per hop.
-        policy = oracle.lookup_policy(dst)
         routes = (
             oracle.class_routes(oracle.class_key(policy))
             if policy is not None else None
@@ -135,17 +177,13 @@ class SigCache:
         router_id = self.first_router
         hops: List[Sig] = []
         for _ in range(_MAX_HOPS):
-            step = oracle.step(router_id, dst)
+            step = step_of(router_id)
             addrs = self._addrs(router_id)
             if step.kind is StepKind.ARRIVE:
                 hops.append(("arrive", router_id, self._reply_sig(router_id),
                              addrs))
                 break
             if step.kind is StepKind.HOST:
-                live = (
-                    step.policy is not None
-                    and dst in step.policy.live_hosts
-                )
                 hops.append(("host", router_id, live, addrs))
                 break
             if step.kind is StepKind.UNREACHABLE:
@@ -165,9 +203,7 @@ class SigCache:
             router_id = step.next_router
         else:
             hops.append(("cap",))
-        sig = tuple(hops)
-        self._memo[dst] = sig
-        return sig
+        return tuple(hops)
 
 
 class ProbeMeter:
@@ -569,9 +605,13 @@ class EpochRunner:
     caches, the previous compiled map, and the chain of
     :class:`EpochRecord`\\ s.  Inference runs live in every epoch; the
     §5.2 inputs are rebuilt only where what they read changed (see
-    :func:`~repro.core.bdrmap.build_data_bundle`).  ``force_full=True``
-    disables every cache, that reuse included (the from-scratch
-    baseline the byte-identity bar is measured against)."""
+    :func:`~repro.core.bdrmap.build_data_bundle`), and each epoch's
+    routing oracle takes the last epoch's unrestricted class routes
+    while the AS graph is unchanged (see
+    :meth:`~repro.net.routing.RoutingOracle.take_class_routes`).
+    ``force_full=True`` disables every cache, both kinds of reuse
+    included (the from-scratch baseline the byte-identity bar is
+    measured against)."""
 
     def __init__(
         self,
@@ -600,6 +640,9 @@ class EpochRunner:
         # The last epoch's §5.2 inputs: build_data_bundle takes every
         # part whose inputs are unchanged from it.
         self._prev_data: Optional[DataBundle] = None
+        # The last epoch's routing oracle, held until the next epoch's
+        # oracle has taken its class routes.
+        self._prev_oracle: Optional[RoutingOracle] = None
         #: The dict BorderMap of each completed epoch, in order (tests
         #: compare these against from-scratch recomputes).
         self.result_maps: List = []
@@ -665,6 +708,10 @@ class EpochRunner:
 
         scenario = self.scenario
         scenario.ensure_forwarding_current()
+        oracle = scenario.network.oracle
+        if self._prev_oracle is not None:
+            oracle.take_class_routes(self._prev_oracle)
+            self._prev_oracle: Optional[RoutingOracle] = None
         epoch = self._epoch
         full = self._prev_compiled is None or self.force_full
         cost = EpochCost()
@@ -754,6 +801,8 @@ class EpochRunner:
         self._mutation_cursor = len(scenario.mutations)
         self._prev_compiled = compiled
         self._prev_data = data
+        if not self.force_full:
+            self._prev_oracle = oracle
         self._epoch = epoch + 1
         self.result_maps.append(bmap)
         return record

@@ -15,6 +15,13 @@ Fig 15/16.
 Route state is computed lazily per "routing class" (origin set +
 announcement restriction) and per AS, so large scenarios only pay for the
 (AS, destination) pairs actually traversed by probes.
+
+A class without an announcement restriction reads the AS graph alone, so
+an oracle rebuilt over the same Internet after a topology mutation takes
+those class routes from the oracle before it
+(:meth:`RoutingOracle.take_class_routes`) whenever the AS graph they were
+built from, every AS and every edge with its relationship, is unchanged.
+Restricted classes also read the border links and are always rebuilt.
 """
 
 from __future__ import annotations
@@ -192,6 +199,10 @@ class RoutingOracle:
         self._links_between: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._build_links_between()
         self._classes: Dict[ClassKey, _ClassRoutes] = {}
+        # A copy of the AS graph the class routes were built from, made
+        # when the first class is built, so an oracle that builds none
+        # pays nothing: a later oracle takes them only if it is equal.
+        self._classes_graph: Optional[ASGraph] = None
         self._intra: Dict[int, Dict[int, Dict[int, Tuple[float, int, int]]]] = {}
         self._egress_cache: Dict[Tuple[int, ClassKey], Optional[Tuple[int, int]]] = {}
         # Memoized forwarding decisions.  step() is a pure function of
@@ -319,6 +330,8 @@ class RoutingOracle:
     def class_routes(self, key: ClassKey) -> _ClassRoutes:
         routes = self._classes.get(key)
         if routes is None:
+            if self._classes_graph is None:
+                self._classes_graph = self.internet.graph.copy()
             routes = _ClassRoutes(
                 self.internet.graph,
                 key[0],
@@ -327,6 +340,24 @@ class RoutingOracle:
             )
             self._classes[key] = routes
         return routes
+
+    def take_class_routes(self, previous: "RoutingOracle") -> None:
+        """Take every unrestricted class route ``previous`` built, when
+        ``previous`` is an oracle over this Internet whose classes were
+        built from an AS graph equal to the current one.  Such a class
+        reads nothing but the AS graph, so it is exactly what this oracle
+        would build (and its memo fills lazily from the same graph
+        object).  Restricted classes also read the border links and are
+        never taken; a class this oracle already holds is kept."""
+        built_from = previous._classes_graph
+        if previous.internet is not self.internet or built_from is None \
+                or not built_from.same_as(self.internet.graph):
+            return
+        for key, routes in previous._classes.items():
+            if key[1] is None:
+                self._classes.setdefault(key, routes)
+        if self._classes_graph is None:
+            self._classes_graph = built_from
 
     def lookup_policy(self, dst: int) -> Optional[PrefixPolicy]:
         return self._announced.lookup_value(dst)
@@ -474,7 +505,15 @@ class RoutingOracle:
                             return step
 
         # 3. Normal prefix routing.
-        policy = self.lookup_policy(dst)
+        return self.prefix_step(router_id, self.lookup_policy(dst))
+
+    def prefix_step(
+        self, router_id: int, policy: Optional[PrefixPolicy]
+    ) -> Step:
+        """The decision at ``router_id`` for every destination covered by
+        ``policy``'s prefix (``None``: by no announced prefix) that is not
+        infrastructure the router routes to directly: step 3 of
+        :meth:`step`, memoized per (router, prefix)."""
         if policy is None:
             return _UNREACHABLE
         memo_key = (router_id, policy.prefix)

@@ -94,9 +94,10 @@ def decode(data: bytes):
     """Decode one wire frame.
 
     Truncated, garbled or mistyped frames raise :class:`DataError`
-    carrying an excerpt of the offending payload; a structurally valid
-    frame of an unknown type still raises :class:`ProbeError` (a
-    protocol-version problem, not line noise).
+    carrying an excerpt of the offending payload.  That includes a frame
+    whose type tag ``t`` is missing, is not a string or names no known
+    type: one flipped bit in the tag looks exactly like that, so it must
+    reach the callers that retry or reject line noise.
     """
     try:
         body = json.loads(data.decode("utf-8"))
@@ -109,7 +110,7 @@ def decode(data: bytes):
     kind = body.get("t")
     fields = _FRAME_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None:
-        raise ProbeError("cannot decode message type %r" % kind)
+        raise DataError("unknown frame type %r: %r" % (kind, data[:64]))
     for name, expected, required in fields:
         if name not in body:
             if required:

@@ -11,12 +11,16 @@ Every mutation returns a structured :class:`MutationEvent` (and appends it
 to ``scenario.mutations``), so downstream consumers see *what changed*
 instead of having to diff object graphs: the incremental epoch pipeline
 records each epoch's events in its chain.  Invalidation does not key off
-the events — it compares forwarding signatures and inference snapshots
-between epochs (:mod:`repro.core.epochs`), which also catches what an
-event does not name, such as traces that re-route around a new link.
+the events — it compares inputs between epochs (:mod:`repro.core.epochs`):
+the forwarding signatures of probed addresses, what each §5.2 input was
+built from, and the AS graph behind the routing oracle's class routes.
+That also catches what an event does not name, such as traces that
+re-route around a new link.
 
 After mutating, call :func:`rebuild_network` — forwarding state (routing
-oracle caches) is derived from the topology and must be recomputed.
+oracle caches) is derived from the topology and must be recomputed; the
+epoch runner then hands the new oracle the old one's unrestricted class
+routes if the AS graph is unchanged.
 Scenario entry points (``run_bdrmap``, the orchestrators, the epoch
 runner) refuse to measure while ``scenario.topology_dirty`` is set, so a
 forgotten rebuild is a clear :class:`~repro.errors.TopologyError` rather

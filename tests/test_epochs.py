@@ -15,7 +15,8 @@ import os
 
 import pytest
 
-from repro import build_data_bundle, build_scenario, mini
+from repro import build_data_bundle, build_scenario, mini, tier1
+from repro.core import build_targets
 from repro.core.bdrmap import BdrmapConfig
 from repro.core.collection import CollectionConfig
 from repro.core.epochs import (
@@ -23,11 +24,14 @@ from repro.core.epochs import (
     EpochChain,
     EpochError,
     EpochRunner,
+    SigCache,
     apply_seeded_churn,
     replay_chain,
 )
 from repro.errors import DataError, TopologyError
 from repro.io.binfmt import open_container, write_container
+from repro.net.network import _MAX_HOPS
+from repro.net.routing import RoutingOracle, StepKind
 from repro.serving.compiled import apply_map_patch, load_map_patch
 from repro.topology.evolve import (
     add_border_link,
@@ -503,3 +507,192 @@ class TestInputReuse:
         with open(records[0].map_path, "rb") as inc_map, \
                 open(records[1].map_path, "rb") as full_map:
             assert inc_map.read() == full_map.read()
+
+
+# -- routing decisions paid once --------------------------------------------------
+
+
+def _class_keys(scenario):
+    oracle = scenario.network.oracle
+    return {oracle.class_key(policy)
+            for policy in scenario.internet.prefix_policies.values()
+            if policy.announced}
+
+
+def _class_state(routes, ases):
+    return (routes.dist_c, routes.peer,
+            [routes.next_as(asn) for asn in ases])
+
+
+def _epoch_after(mutate):
+    """Run a mini epoch 0, ``mutate`` the world (rebuilding its network),
+    run epoch 1; returns the scenario, the class routes epoch 0's oracle
+    held for every announced prefix, and the keys epoch 1's oracle took
+    from it (holds as the same object)."""
+    scenario = build_scenario(mini(seed=7))
+    runner = EpochRunner(scenario)
+    runner.run_epoch()
+    before = scenario.network.oracle
+    held = {key: before.class_routes(key) for key in _class_keys(scenario)}
+    mutate(scenario)
+    runner.run_epoch()
+    after = scenario.network.oracle
+    assert after is not before
+    taken = {key for key, routes in held.items()
+             if after.class_routes(key) is routes}
+    return scenario, held, taken
+
+
+class TestClassRouteCarry:
+    """An epoch's oracle takes the last epoch's unrestricted class routes
+    while the AS graph is unchanged, and they equal fresh ones."""
+
+    def test_seeded_churn_takes_unrestricted_classes(self):
+        scenario, held, taken = _epoch_after(
+            lambda s: apply_seeded_churn(
+                s, seed=CHURN_SEED, epoch=1, fraction=CHURN_FRACTION
+            )
+        )
+        restricted = {key for key in held if key[1] is not None}
+        assert restricted
+        assert taken == set(held) - restricted
+        ases = sorted(scenario.internet.graph.ases())
+        fresh = RoutingOracle(scenario.internet)
+        for key in taken:
+            assert _class_state(held[key], ases) \
+                == _class_state(fresh.class_routes(key), ases), key
+
+    def test_changed_as_graph_takes_nothing(self):
+        def drop_peering(scenario):
+            focal = scenario.focal_asn
+            neighbor = sorted(scenario.internet.graph.neighbors(focal))[0]
+            de_peer(scenario, focal, neighbor)
+            rebuild_network(scenario)
+
+        scenario, held, taken = _epoch_after(drop_peering)
+        assert taken == set()
+        # The held classes are stale, so taking them would be wrong.
+        fresh = RoutingOracle(scenario.internet)
+        assert any(
+            (routes.dist_c, routes.peer) != (new.dist_c, new.peer)
+            for key, routes in held.items()
+            for new in [fresh.class_routes(key)]
+        )
+
+
+def _reference_signature(oracle, vp, dst):
+    """The signature of ``dst`` built the way SigCache built every one
+    before it walked once per prefix: one oracle step per hop for this
+    address alone, over ``oracle``."""
+    routers = oracle.internet.routers
+    policy = oracle.lookup_policy(dst)
+    routes = (
+        oracle.class_routes(oracle.class_key(policy))
+        if policy is not None else None
+    )
+
+    def reply(router_id):
+        step = oracle.step(router_id, vp.addr)
+        return (step.kind.value, step.out_addr, step.link_id)
+
+    router_id = vp.first_router
+    hops = []
+    for _ in range(_MAX_HOPS):
+        step = oracle.step(router_id, dst)
+        addrs = tuple(sorted(routers[router_id].addresses()))
+        if step.kind is StepKind.ARRIVE:
+            hops.append(("arrive", router_id, reply(router_id), addrs))
+            break
+        if step.kind is StepKind.HOST:
+            live = step.policy is not None and dst in step.policy.live_hosts
+            hops.append(("host", router_id, live, addrs))
+            break
+        if step.kind is StepKind.UNREACHABLE:
+            hops.append(("unreachable", router_id, addrs))
+            break
+        hops.append((
+            router_id,
+            step.link_id,
+            step.out_addr,
+            step.in_addr,
+            step.crosses_border,
+            routes.next_as(routers[router_id].asn)
+            if routes is not None else None,
+            reply(router_id),
+            addrs,
+        ))
+        router_id = step.next_router
+    else:
+        hops.append(("cap",))
+    return tuple(hops)
+
+
+class TestPrefixSignatures:
+    """A signature built from its covering prefix's one walk equals the
+    per-address walk, on a fresh network and on one rebuilt after churn
+    whose oracle took the last one's class routes."""
+
+    @pytest.mark.parametrize("config", [mini(seed=7), tier1()],
+                             ids=["mini", "tier1"])
+    def test_signatures_equal_the_per_hop_walk(self, config):
+        scenario = build_scenario(config)
+        limit = CollectionConfig().max_addrs_per_block
+        for churned in (False, True):
+            if churned:
+                previous = scenario.network.oracle
+                apply_seeded_churn(scenario, seed=CHURN_SEED, epoch=1,
+                                   fraction=CHURN_FRACTION)
+                scenario.network.oracle.take_class_routes(previous)
+            data = build_data_bundle(scenario)
+            addrs = [
+                addr
+                for block in build_targets(data.view, data.vp_ases)
+                for addr in block.candidate_addrs(limit)
+            ]
+            reference = RoutingOracle(scenario.internet)
+            for vp in scenario.vps:
+                sigs = SigCache(scenario.network, vp.addr, vp.first_router)
+                for addr in addrs:
+                    assert sigs.signature(addr) \
+                        == _reference_signature(reference, vp, addr), addr
+
+    def test_interface_unannounced_live_and_dead_hosts(self):
+        scenario = build_scenario(mini(seed=7))
+        internet = scenario.internet
+        vp = scenario.vps[0]
+        reference = RoutingOracle(internet)
+
+        def walk(addr):
+            return _reference_signature(reference, vp, addr)
+
+        def hosts(policy):
+            inside = [
+                addr for addr in range(policy.prefix.first,
+                                       policy.prefix.last + 1)
+                if addr not in internet.addr_to_iface
+                and reference.lookup_policy(addr) is policy
+            ]
+            live = [addr for addr in inside if addr in policy.live_hosts]
+            dead = [addr for addr in inside
+                    if addr not in policy.live_hosts]
+            return (live[0], dead[0]) if live and dead else None
+
+        live, dead = next(
+            pair
+            for prefix in sorted(internet.prefix_policies)
+            for pair in [hosts(internet.prefix_policies[prefix])]
+            if pair is not None and walk(pair[0]) != walk(pair[1])
+        )
+        interface = next(
+            addr for addr in sorted(internet.addr_to_iface)
+            if reference.lookup_policy(addr) is not None
+            and walk(addr)[-1][0] == "arrive"
+        )
+        unannounced = 0xCB007107  # TEST-NET-3, never allocated
+        assert reference.lookup_policy(unannounced) is None
+        assert walk(unannounced)[-1][0] == "unreachable"
+        asked = [live, dead, interface, unannounced]
+        for order in (asked, asked[::-1]):
+            sigs = SigCache(scenario.network, vp.addr, vp.first_router)
+            assert [sigs.signature(addr) for addr in order] \
+                == [walk(addr) for addr in order]

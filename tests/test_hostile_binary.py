@@ -1,6 +1,6 @@
 """Hostile bytes for the binary decoders: every truncation and single-byte
-flip of a compiled artifact, a map patch or a shard frame either loads
-or fails with DataError, never with anything else.
+flip of a compiled artifact, a map patch or a framed shard command or
+reply either loads or fails with DataError, never with anything else.
 
 Modelled on ``tests/test_hostile_archives.py``.  The artifact and patch
 are built from mini.  The flips stride over the artifact and the patch
@@ -14,7 +14,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import DataError
-from repro.remote.protocol import Command, encode, pack_frame, unpack_frame
+from repro.remote.protocol import (
+    Command,
+    Reply,
+    decode,
+    encode,
+    pack_frame,
+    unpack_frame,
+)
 from repro.serving import BorderMap, compile_border_map
 from repro.serving.compiled import (
     apply_map_patch,
@@ -25,6 +32,7 @@ from repro.serving.compiled import (
     save_compiled_map,
     save_map_patch,
 )
+from repro.serving.shard import ShardWorker
 
 MASKS = (0x01, 0x80, 0xFF)
 STRIDE = 3
@@ -117,8 +125,23 @@ class TestHostileBinary:
         path = str(tmp_path / "damaged.patch.bdrm")
         assert survivors(artifacts.patch_bytes, load_and_apply, path) == []
 
-    def test_frame_unpacks_or_fails_cleanly(self):
-        body = encode(Command(op="ping", args={}, seq=1))
-        frame = pack_frame(body)
-        assert unpack_frame(frame) == body
-        assert survivors(frame, unpack_frame, stride=1) == []
+    def test_frame_unpacks_or_fails_cleanly(self, artifacts):
+        """Every mutation of a framed command and of a framed reply
+        decodes or raises DataError (a flipped type tag included), and a
+        shard worker handed it answers with a well-formed frame instead
+        of raising."""
+        worker = ShardWorker(artifacts.base_path)
+        for message in (Command(op="ping", args={}, seq=1),
+                        Reply(seq=1, payload={"epoch": 1, "token": 0})):
+            frame = pack_frame(encode(message))
+            assert decode(unpack_frame(frame)) == message
+            assert survivors(
+                frame, lambda data: decode(unpack_frame(data)), stride=1
+            ) == []
+            escaped = []
+            for label, damaged in mutations(frame, stride=1):
+                try:
+                    unpack_frame(worker.handle_frame(damaged))
+                except Exception as exc:  # noqa: BLE001 - under test
+                    escaped.append("%s: %r" % (label, exc))
+            assert escaped == [], type(message).__name__

@@ -190,6 +190,29 @@ class TestRoutingOracle:
         assert chosen_dist <= best + 0.25
 
 
+class TestClassRouteCarry:
+    def test_taken_only_from_an_oracle_over_the_same_internet(self, scenario):
+        """An oracle takes another's unrestricted class routes only when
+        both route over one Internet: an identical copy built from the
+        same seed has an equal AS graph, yet gives nothing."""
+        policy = next(
+            p for p in sorted(scenario.internet.prefix_policies.values(),
+                              key=lambda p: p.prefix)
+            if p.announced and p.restricted_links is None
+        )
+        previous = RoutingOracle(scenario.internet)
+        key = previous.class_key(policy)
+        routes = previous.class_routes(key)
+        same = RoutingOracle(scenario.internet)
+        same.take_class_routes(previous)
+        assert same.class_routes(key) is routes
+        copy = build_scenario(mini(seed=2)).internet
+        assert copy.graph.same_as(scenario.internet.graph)
+        other = RoutingOracle(copy)
+        other.take_class_routes(previous)
+        assert other.class_routes(key) is not routes
+
+
 class TestStepSharing:
     """Forwarding decisions are memoized per (router, destination) and,
     past the infrastructure checks, per (router, covering prefix).  The

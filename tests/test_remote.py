@@ -19,10 +19,15 @@ class TestProtocol:
         assert decode(encode(reply)) == reply
 
     def test_decode_rejects_unknown_type(self):
-        with pytest.raises(ProbeError):
-            decode(b'{"t": "nope"}')
-        with pytest.raises(ProbeError):
-            decode(b'{"t": [1]}')
+        """A missing, mistyped or unknown type tag is line noise (one
+        flipped bit makes it), so it raises DataError with the excerpt."""
+        from repro.errors import DataError
+
+        for frame in (b'{"t": "nope"}', b'{"t": [1]}', b'{"seq": 1}',
+                      b'{"u":"cmd","seq":1,"op":"ping","args":{}}'):
+            with pytest.raises(DataError) as excinfo:
+                decode(frame)
+            assert repr(frame[:64]) in str(excinfo.value)
 
     def test_encode_rejects_unknown_object(self):
         with pytest.raises(ProbeError):
