@@ -11,7 +11,7 @@ monitor has; router ids are run-local).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..addr import ntoa
 from ..core.report import BdrmapResult
@@ -26,21 +26,6 @@ def _link_keys(result: BdrmapResult) -> Set[LinkKey]:
         addrs = frozenset(near.addrs) if near is not None else frozenset()
         keys.add((link.neighbor_as, addrs))
     return keys
-
-
-def _match(key: LinkKey, pool: Set[LinkKey]) -> Optional[LinkKey]:
-    """Same neighbor + overlapping near addresses → same physical link.
-
-    Candidates are tried in sorted order so the match — and therefore the
-    whole diff — is deterministic even when several candidates overlap
-    (set iteration order varies across processes with hash
-    randomization; a longitudinal monitor must produce one canonical
-    delta for one pair of maps)."""
-    neighbor, addrs = key
-    for candidate in sorted(pool, key=lambda k: (k[0], sorted(k[1]))):
-        if candidate[0] == neighbor and (candidate[1] & addrs or not addrs):
-            return candidate
-    return None
 
 
 @dataclass
@@ -98,20 +83,45 @@ class RunDiff:
         }
 
 
+def _key_order(key: LinkKey):
+    return key[0], sorted(key[1])
+
+
 def _diff_key_sets(
     diff: RunDiff, before_keys: Set[LinkKey], after_keys: Set[LinkKey]
 ) -> RunDiff:
-    unmatched_before = set(before_keys)
-    for key in sorted(after_keys, key=lambda k: (k[0], sorted(k[1]))):
-        matched = _match(key, unmatched_before)
-        if matched is not None:
-            unmatched_before.discard(matched)
+    """Match each after-key, in sorted order, to the first unmatched
+    before-key in sorted order with the same neighbor and overlapping
+    near addresses (any, when the after-key has none): the same physical
+    link.  Sorted order makes the match, and so the whole diff,
+    deterministic when several candidates overlap (set iteration order
+    varies across processes with hash randomization; a longitudinal
+    monitor must produce one canonical delta for one pair of maps).
+    The before-keys are sorted once and scanned per neighbor."""
+    before_sorted = sorted(before_keys, key=_key_order)
+    by_neighbor: Dict[int, List[LinkKey]] = {}
+    for key in before_sorted:
+        by_neighbor.setdefault(key[0], []).append(key)
+    matched: Set[LinkKey] = set()
+    for key in sorted(after_keys, key=_key_order):
+        addrs = key[1]
+        candidate = next(
+            (
+                candidate
+                for candidate in by_neighbor.get(key[0], ())
+                if candidate not in matched
+                and (candidate[1] & addrs or not addrs)
+            ),
+            None,
+        )
+        if candidate is not None:
+            matched.add(candidate)
             diff.stable_links += 1
         else:
             diff.added_links.append(key)
-    diff.removed_links = sorted(
-        unmatched_before, key=lambda k: (k[0], sorted(k[1]))
-    )
+    diff.removed_links = [
+        key for key in before_sorted if key not in matched
+    ]
     return diff
 
 

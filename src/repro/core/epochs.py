@@ -606,9 +606,10 @@ class EpochRunner:
     :class:`EpochRecord`\\ s.  Inference runs live in every epoch; the
     §5.2 inputs are rebuilt only where what they read changed (see
     :func:`~repro.core.bdrmap.build_data_bundle`), and each epoch's
-    routing oracle takes the last epoch's unrestricted class routes
-    while the AS graph is unchanged (see
-    :meth:`~repro.net.routing.RoutingOracle.take_class_routes`).
+    routing oracle records what its decisions read and takes from the
+    last epoch's oracle every class route, intra-AS table and (router,
+    prefix) decision whose inputs are unchanged (see
+    :meth:`~repro.net.routing.RoutingOracle.take_routes`).
     ``force_full=True`` disables every cache, both kinds of reuse
     included (the from-scratch baseline the byte-identity bar is
     measured against)."""
@@ -641,7 +642,7 @@ class EpochRunner:
         # part whose inputs are unchanged from it.
         self._prev_data: Optional[DataBundle] = None
         # The last epoch's routing oracle, held until the next epoch's
-        # oracle has taken its class routes.
+        # oracle has taken its routes.
         self._prev_oracle: Optional[RoutingOracle] = None
         #: The dict BorderMap of each completed epoch, in order (tests
         #: compare these against from-scratch recomputes).
@@ -709,9 +710,11 @@ class EpochRunner:
         scenario = self.scenario
         scenario.ensure_forwarding_current()
         oracle = scenario.network.oracle
-        if self._prev_oracle is not None:
-            oracle.take_class_routes(self._prev_oracle)
-            self._prev_oracle: Optional[RoutingOracle] = None
+        if not self.force_full:
+            oracle.record_inputs()
+            if self._prev_oracle is not None:
+                oracle.take_routes(self._prev_oracle)
+                self._prev_oracle = None
         epoch = self._epoch
         full = self._prev_compiled is None or self.force_full
         cost = EpochCost()

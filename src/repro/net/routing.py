@@ -16,12 +16,17 @@ Route state is computed lazily per "routing class" (origin set +
 announcement restriction) and per AS, so large scenarios only pay for the
 (AS, destination) pairs actually traversed by probes.
 
-A class without an announcement restriction reads the AS graph alone, so
-an oracle rebuilt over the same Internet after a topology mutation takes
-those class routes from the oracle before it
-(:meth:`RoutingOracle.take_class_routes`) whenever the AS graph they were
-built from, every AS and every edge with its relationship, is unchanged.
-Restricted classes also read the border links and are always rebuilt.
+An oracle rebuilt over the same Internet after a topology mutation takes
+from the oracle before it (:meth:`RoutingOracle.take_routes`) every route
+whose inputs are unchanged.  Both oracles record what their decisions read
+(:meth:`RoutingOracle.record_inputs`: the AS graph, each link's kind, IGP
+cost and ends, each AS's routers, each announced policy), and the new one
+takes every unrestricted class route while the AS graph is equal, every
+intra-AS table of an AS whose routers and internal links are unchanged,
+and every (router, prefix) decision of an unrestricted class whose AS and
+(AS, next AS) border links are unchanged, while no announced policy
+changed.  Restricted classes also read the border links; neither they nor
+their decisions are ever taken.
 """
 
 from __future__ import annotations
@@ -137,19 +142,30 @@ class _ClassRoutes:
                 if n not in self.peer or candidate < self.peer[n]:
                     self.peer[n] = candidate
 
-    def sel(self, asn: int, _stack: Optional[Set[int]] = None):
+    def sel(self, asn: int):
         """Selected route at ``asn``: (pref_rank, length, next_as) or None.
 
         pref_rank 0 = customer route, 1 = peer, 2 = provider/sibling.
-        ``next_as == asn`` means this AS originates the prefix.
+        ``next_as == asn`` means this AS originates the prefix.  The answer
+        does not depend on which ASes were asked before.
         """
         if asn in self._sel_memo:
             return self._sel_memo[asn]
-        if _stack is None:
-            _stack = set()
-        if asn in _stack:
-            return None  # sibling recursion guard; do not memoize
-        _stack.add(asn)
+        return self._sel(asn, {})[0]
+
+    def _sel(self, asn: int, stack: Dict[int, int]):
+        """:meth:`sel` below the ASes on ``stack`` (asn -> depth): the
+        route, and the shallowest depth at which the sibling recursion
+        guard cut a route below ``asn``.  A route cut at ``asn`` itself or
+        deeper is a loop through that AS, which never wins, so the answer
+        is exact and memoized; one cut above ``asn`` is not."""
+        if asn in self._sel_memo:
+            return self._sel_memo[asn], len(stack)
+        depth = stack.get(asn)
+        if depth is not None:
+            return None, depth  # sibling recursion guard
+        depth = stack[asn] = len(stack)
+        low = depth
         candidates: List[Tuple[int, int, int]] = []
         cust = self.dist_c.get(asn)
         if cust is not None:
@@ -165,7 +181,8 @@ class _ClassRoutes:
                 rel = graph.relationship(asn, n)
                 if rel not in (Rel.PROVIDER, Rel.SIBLING):
                     continue
-                upstream = self.sel(n, _stack)
+                upstream, cut = self._sel(n, stack)
+                low = min(low, cut)
                 if upstream is None:
                     continue
                 option = (upstream[1] + 1, n)
@@ -173,17 +190,79 @@ class _ClassRoutes:
                     best = option
             if best is not None:
                 candidates.append((2, best[0], best[1]))
-        _stack.discard(asn)
+        del stack[asn]
         chosen = min(candidates) if candidates else None
-        if chosen is not None or not _stack:
-            # Only memoize definitive answers (avoid caching results that
-            # were suppressed by the recursion guard).
+        if low >= depth:
             self._sel_memo[asn] = chosen
-        return chosen
+        return chosen, low
 
     def next_as(self, asn: int) -> Optional[int]:
         chosen = self.sel(asn)
         return chosen[2] if chosen is not None else None
+
+
+@dataclass
+class _Inputs:
+    """What an oracle's decisions read from its Internet, recorded by
+    :meth:`RoutingOracle.record_inputs`.  Values are copied, since the
+    topology mutates in place (a re-homed link keeps its ``Interface``
+    objects).  The order of a router's interfaces, which breaks ties
+    between parallel INTRA links, is not recorded: the mutations in
+    :mod:`repro.topology.evolve` only append or remove interfaces, so
+    equal INTRA links keep their order."""
+
+    graph: ASGraph
+    # link id -> (kind, IGP cost, ((router id, address), ...))
+    links: Dict[int, tuple]
+    # asn -> its router ids
+    routers: Dict[int, Tuple[int, ...]]
+    # announced prefix -> (its policy, origins, host routers, restriction)
+    policies: Dict[Prefix, tuple]
+
+    def same_policies(self, before: "_Inputs") -> bool:
+        """Every announced policy is the same object, with equal origins,
+        host routers and restriction."""
+        if self.policies.keys() != before.policies.keys():
+            return False
+        return all(
+            then[0] is now[0] and then[1:] == now[1:]
+            for prefix, now in self.policies.items()
+            for then in [before.policies[prefix]]
+        )
+
+    def changes_since(
+        self, before: "_Inputs"
+    ) -> Tuple[Set[int], Set[Tuple[int, int]]]:
+        """The ASes whose intra-AS tables, and the ordered AS pairs whose
+        border links, may read differently now than over ``before``: a
+        changed router set or INTRA link dirties its AS, a changed
+        inter-AS link every pair it joined, before or after."""
+        dirty_ases = {
+            asn for asn in self.routers.keys() | before.routers.keys()
+            if self.routers.get(asn) != before.routers.get(asn)
+        }
+        dirty_pairs: Set[Tuple[int, int]] = set()
+        asn_of = {
+            router_id: asn
+            for asn, router_ids in self.routers.items()
+            for router_id in router_ids
+        }
+        for link_id in self.links.keys() | before.links.keys():
+            now, then = self.links.get(link_id), before.links.get(link_id)
+            if now == then:
+                continue
+            for entry in (now, then):
+                if entry is None:
+                    continue
+                kind, _, ends = entry
+                ases = {asn_of[router_id] for router_id, _ in ends}
+                if kind is LinkKind.INTRA:
+                    dirty_ases |= ases
+                else:
+                    dirty_pairs.update(
+                        (a, b) for a in ases for b in ases if a != b
+                    )
+        return dirty_ases, dirty_pairs
 
 
 class RoutingOracle:
@@ -199,10 +278,9 @@ class RoutingOracle:
         self._links_between: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._build_links_between()
         self._classes: Dict[ClassKey, _ClassRoutes] = {}
-        # A copy of the AS graph the class routes were built from, made
-        # when the first class is built, so an oracle that builds none
-        # pays nothing: a later oracle takes them only if it is equal.
-        self._classes_graph: Optional[ASGraph] = None
+        # What the decisions read, recorded on request (record_inputs), so
+        # an oracle nobody takes from pays nothing for it.
+        self._inputs: Optional[_Inputs] = None
         self._intra: Dict[int, Dict[int, Dict[int, Tuple[float, int, int]]]] = {}
         self._egress_cache: Dict[Tuple[int, ClassKey], Optional[Tuple[int, int]]] = {}
         # Memoized forwarding decisions.  step() is a pure function of
@@ -216,8 +294,8 @@ class RoutingOracle:
         self._step_memo: Dict[Tuple[int, int], Step] = {}
         # Past the infrastructure checks a decision reads only the router
         # and the covering prefix's policy, so every destination in one
-        # announced prefix shares it: (router, prefix) -> Step.
-        self._prefix_memo: Dict[Tuple[int, Prefix], Step] = {}
+        # announced prefix shares it: prefix -> router -> Step.
+        self._prefix_memo: Dict[Prefix, Dict[int, Step]] = {}
 
     # -- static structure -----------------------------------------------------
 
@@ -330,8 +408,6 @@ class RoutingOracle:
     def class_routes(self, key: ClassKey) -> _ClassRoutes:
         routes = self._classes.get(key)
         if routes is None:
-            if self._classes_graph is None:
-                self._classes_graph = self.internet.graph.copy()
             routes = _ClassRoutes(
                 self.internet.graph,
                 key[0],
@@ -341,23 +417,86 @@ class RoutingOracle:
             self._classes[key] = routes
         return routes
 
-    def take_class_routes(self, previous: "RoutingOracle") -> None:
-        """Take every unrestricted class route ``previous`` built, when
-        ``previous`` is an oracle over this Internet whose classes were
-        built from an AS graph equal to the current one.  Such a class
-        reads nothing but the AS graph, so it is exactly what this oracle
-        would build (and its memo fills lazily from the same graph
-        object).  Restricted classes also read the border links and are
-        never taken; a class this oracle already holds is kept."""
-        built_from = previous._classes_graph
-        if previous.internet is not self.internet or built_from is None \
-                or not built_from.same_as(self.internet.graph):
+    # -- carrying routes across a rebuild --------------------------------------
+
+    def record_inputs(self) -> None:
+        """Record what this oracle's decisions read from the Internet as
+        it stands now, so that an oracle rebuilt after a mutation can take
+        from this one what still holds (:meth:`take_routes`).  Call it
+        while the Internet is as this oracle was built over: before the
+        next mutation."""
+        internet = self.internet
+        self._inputs = _Inputs(
+            graph=internet.graph.copy(),
+            links={
+                link_id: (
+                    link.kind,
+                    link.igp_cost,
+                    tuple((iface.router_id, iface.addr)
+                          for iface in link.interfaces),
+                )
+                for link_id, link in internet.links.items()
+            },
+            routers={
+                asn: tuple(node.router_ids)
+                for asn, node in internet.ases.items()
+            },
+            policies={
+                policy.prefix: (
+                    policy,
+                    policy.origins,
+                    dict(policy.host_router),
+                    policy.restricted_links,
+                )
+                for policy in internet.prefix_policies.values()
+                if policy.announced
+            },
+        )
+
+    def take_routes(self, previous: "RoutingOracle") -> None:
+        """Take from ``previous`` every route whose inputs are unchanged.
+
+        Nothing is taken unless both oracles route over this Internet,
+        both hold a record (:meth:`record_inputs`) and the recorded AS
+        graphs are equal.  Then this oracle takes every unrestricted class
+        route, which reads the AS graph alone; every intra-AS table of an
+        AS whose router set and INTRA links are unchanged; and, when every
+        announced policy is unchanged, every (router, prefix) decision of
+        an unrestricted class at a router of such an AS whose (AS, next
+        AS) border links are unchanged too (a decision to deliver inside
+        the AS, or of no route, reads no border link).  Restricted classes
+        also read the border links, so neither they nor their decisions
+        are taken.  What this oracle already holds is kept."""
+        before, now = previous._inputs, self._inputs
+        if previous is self or previous.internet is not self.internet \
+                or before is None or now is None \
+                or not before.graph.same_as(now.graph):
             return
         for key, routes in previous._classes.items():
             if key[1] is None:
                 self._classes.setdefault(key, routes)
-        if self._classes_graph is None:
-            self._classes_graph = built_from
+        dirty_ases, dirty_pairs = now.changes_since(before)
+        for asn, table in previous._intra.items():
+            if asn not in dirty_ases:
+                self._intra.setdefault(asn, table)
+        if not now.same_policies(before):
+            return
+        routers = self.internet.routers
+        for prefix, decisions in previous._prefix_memo.items():
+            policy = now.policies[prefix][0]
+            if policy.restricted_links is not None:
+                continue
+            routes = self.class_routes(self.class_key(policy))
+            held = self._prefix_memo.setdefault(prefix, {})
+            for router_id, step in decisions.items():
+                asn = routers[router_id].asn
+                if asn in dirty_ases:
+                    continue
+                next_as = routes.next_as(asn)
+                if next_as not in (None, asn) \
+                        and (asn, next_as) in dirty_pairs:
+                    continue
+                held.setdefault(router_id, step)
 
     def lookup_policy(self, dst: int) -> Optional[PrefixPolicy]:
         return self._announced.lookup_value(dst)
@@ -516,10 +655,12 @@ class RoutingOracle:
         :meth:`step`, memoized per (router, prefix)."""
         if policy is None:
             return _UNREACHABLE
-        memo_key = (router_id, policy.prefix)
-        step = self._prefix_memo.get(memo_key)
+        decisions = self._prefix_memo.get(policy.prefix)
+        if decisions is None:
+            decisions = self._prefix_memo[policy.prefix] = {}
+        step = decisions.get(router_id)
         if step is None:
-            step = self._prefix_memo[memo_key] = self._route_prefix(
+            step = decisions[router_id] = self._route_prefix(
                 router_id, policy
             )
         return step

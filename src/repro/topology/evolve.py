@@ -13,14 +13,16 @@ instead of having to diff object graphs: the incremental epoch pipeline
 records each epoch's events in its chain.  Invalidation does not key off
 the events — it compares inputs between epochs (:mod:`repro.core.epochs`):
 the forwarding signatures of probed addresses, what each §5.2 input was
-built from, and the AS graph behind the routing oracle's class routes.
-That also catches what an event does not name, such as traces that
-re-route around a new link.
+built from, and what the routing oracle's decisions read (the AS graph,
+each link's ends and IGP cost, each AS's routers, the announced
+policies).  That also catches what an event does not name, such as
+traces that re-route around a new link.
 
 After mutating, call :func:`rebuild_network` — forwarding state (routing
 oracle caches) is derived from the topology and must be recomputed; the
-epoch runner then hands the new oracle the old one's unrestricted class
-routes if the AS graph is unchanged.
+epoch runner then hands the new oracle the old one, which gives it every
+class route, intra-AS table and (router, prefix) decision whose inputs
+the mutations left unchanged.
 Scenario entry points (``run_bdrmap``, the orchestrators, the epoch
 runner) refuse to measure while ``scenario.topology_dirty`` is set, so a
 forgotten rebuild is a clear :class:`~repro.errors.TopologyError` rather

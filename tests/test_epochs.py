@@ -33,6 +33,7 @@ from repro.io.binfmt import open_container, write_container
 from repro.net.network import _MAX_HOPS
 from repro.net.routing import RoutingOracle, StepKind
 from repro.serving.compiled import apply_map_patch, load_map_patch
+from repro.topology.model import LinkKind
 from repro.topology.evolve import (
     add_border_link,
     de_peer,
@@ -580,6 +581,157 @@ class TestClassRouteCarry:
         )
 
 
+def _decisions(oracle):
+    """An oracle's (router, prefix) decisions, by (router, prefix)."""
+    return {(router_id, prefix): step
+            for prefix, steps in oracle._prefix_memo.items()
+            for router_id, step in steps.items()}
+
+
+def _runner_take(config, mutate, monkeypatch):
+    """Run epoch 0 of ``config``'s scenario through a runner, ``mutate``
+    the world (rebuilding its network) and run epoch 1; returns the
+    scenario, epoch 0's oracle and what epoch 1's oracle held right
+    after it took from it: class routes, intra-AS tables by AS and
+    decisions by (router, prefix)."""
+    scenario = build_scenario(config)
+    runner = EpochRunner(scenario)
+    runner.run_epoch()
+    before = scenario.network.oracle
+    held = {}
+    take = RoutingOracle.take_routes
+
+    def spy(oracle, previous):
+        take(oracle, previous)
+        held["classes"] = dict(oracle._classes)
+        held["tables"] = dict(oracle._intra)
+        held["decisions"] = _decisions(oracle)
+
+    monkeypatch.setattr(RoutingOracle, "take_routes", spy)
+    mutate(scenario)
+    runner.run_epoch()
+    return scenario, before, held
+
+
+def _pairs(scenario, oracle, decisions):
+    """The (AS, next AS) pair each (router, prefix) decision read."""
+    internet = scenario.internet
+    pairs = {}
+    for router_id, prefix in decisions:
+        policy = internet.prefix_policies[prefix]
+        asn = internet.routers[router_id].asn
+        routes = oracle.class_routes(oracle.class_key(policy))
+        pairs[router_id, prefix] = (asn, routes.next_as(asn))
+    return pairs
+
+
+def _churn(scenario):
+    apply_seeded_churn(scenario, seed=CHURN_SEED, epoch=1,
+                       fraction=CHURN_FRACTION)
+
+
+class TestDecisionCarry:
+    """An epoch's oracle takes the last epoch's intra-AS tables and
+    (router, prefix) decisions whose inputs are unchanged, and they equal
+    a fresh oracle's."""
+
+    @pytest.mark.parametrize("config", [mini(seed=7), tier1()],
+                             ids=["mini", "tier1"])
+    def test_seeded_churn_takes_exact_routes(self, config, monkeypatch):
+        scenario, before, held = _runner_take(config, _churn, monkeypatch)
+        policies = scenario.internet.prefix_policies
+        assert any(policies[prefix].restricted_links is not None
+                   for prefix in before._prefix_memo)
+        assert held["tables"] and held["decisions"]
+        fresh = RoutingOracle(scenario.internet)
+        for asn, table in held["tables"].items():
+            assert table is before._intra[asn]
+            assert table == fresh._intra_table(asn), asn
+        for (router_id, prefix), step in held["decisions"].items():
+            policy = policies[prefix]
+            assert policy.restricted_links is None
+            assert step == fresh.prefix_step(router_id, policy), \
+                (router_id, prefix)
+
+    def test_moved_border_link_drops_its_pair_only(self, monkeypatch):
+        moved = set()
+
+        def move(scenario):
+            internet, focal = scenario.internet, scenario.focal_asn
+            oracle = scenario.network.oracle
+            neighbor = min(
+                next_as
+                for asn, next_as in _pairs(
+                    scenario, oracle, _decisions(oracle)
+                ).values()
+                if asn == focal and next_as not in (None, focal)
+            )
+            link = next(
+                link for link in internet.interdomain_links(focal)
+                if link.kind is LinkKind.INTERDOMAIN
+                and neighbor in {internet.routers[i.router_id].asn
+                                 for i in link.interfaces}
+            )
+            near = next(i.router_id for i in link.interfaces
+                        if internet.routers[i.router_id].asn == focal)
+            to_router = next(router_id for router_id
+                             in sorted(internet.ases[focal].router_ids)
+                             if router_id != near)
+            move_border_link(scenario, link.link_id, to_router)
+            rebuild_network(scenario)
+            moved.update({(focal, neighbor), (neighbor, focal)})
+
+        scenario, _, held = _runner_take(mini(seed=7), move, monkeypatch)
+        focal = scenario.focal_asn
+        pairs = _pairs(scenario, scenario.network.oracle,
+                       held["decisions"]).values()
+        assert not moved & set(pairs)
+        assert any(asn == focal and next_as not in (None, focal)
+                   for asn, next_as in pairs)
+        assert focal in held["tables"]
+
+    def test_changed_igp_cost_drops_that_as(self, monkeypatch):
+        def reweigh(scenario):
+            internet = scenario.internet
+            link = next(
+                internet.links[iface.link_id]
+                for router_id in internet.ases[scenario.focal_asn].router_ids
+                for iface in internet.routers[router_id].interfaces
+                if internet.links[iface.link_id].kind is LinkKind.INTRA
+            )
+            link.igp_cost += 7.0
+            rebuild_network(scenario)
+
+        scenario, before, held = _runner_take(mini(seed=7), reweigh,
+                                              monkeypatch)
+        focal = scenario.focal_asn
+        routers = scenario.internet.routers
+        assert focal in before._intra and focal not in held["tables"]
+        assert any(routers[router_id].asn == focal
+                   for router_id, _ in _decisions(before))
+        assert not any(routers[router_id].asn == focal
+                       for router_id, _ in held["decisions"])
+        assert held["tables"] and held["decisions"]
+
+    def test_de_peer_takes_nothing(self, monkeypatch):
+        def drop_peering(scenario):
+            focal = scenario.focal_asn
+            neighbor = sorted(scenario.internet.graph.neighbors(focal))[0]
+            de_peer(scenario, focal, neighbor)
+            rebuild_network(scenario)
+
+        _, before, held = _runner_take(mini(seed=7), drop_peering,
+                                       monkeypatch)
+        assert before._intra and _decisions(before)
+        assert held == {"classes": {}, "tables": {}, "decisions": {}}
+
+    def test_force_full_records_and_holds_nothing(self, evolution):
+        inc, full, _, _ = evolution
+        assert inc.scenario.network.oracle._inputs is not None
+        assert full.scenario.network.oracle._inputs is None
+        assert full._prev_oracle is None
+
+
 def _reference_signature(oracle, vp, dst):
     """The signature of ``dst`` built the way SigCache built every one
     before it walked once per prefix: one oracle step per hop for this
@@ -640,9 +792,11 @@ class TestPrefixSignatures:
         for churned in (False, True):
             if churned:
                 previous = scenario.network.oracle
+                previous.record_inputs()
                 apply_seeded_churn(scenario, seed=CHURN_SEED, epoch=1,
                                    fraction=CHURN_FRACTION)
-                scenario.network.oracle.take_class_routes(previous)
+                scenario.network.oracle.record_inputs()
+                scenario.network.oracle.take_routes(previous)
             data = build_data_bundle(scenario)
             addrs = [
                 addr

@@ -1,9 +1,12 @@
 """Tests for topology evolution and longitudinal run diffing."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import build_scenario, build_data_bundle, mini, run_bdrmap
-from repro.analysis.diff import diff_results
+from repro.analysis.diff import RunDiff, diff_border_maps, diff_results
 from repro.asgraph import Rel
 from repro.errors import TopologyError
 from repro.topology.evolve import (
@@ -280,3 +283,85 @@ class TestLongitudinalDiff:
             isinstance(n, int) and addrs == sorted(addrs)
             for n, addrs in baseline["added_links"] + baseline["removed_links"]
         )
+
+
+def _quadratic_diff(before_keys, after_keys):
+    """The diff as it was computed when every after-key sorted the whole
+    unmatched pool again: the reference for the one-sort match."""
+    def order(key):
+        return key[0], sorted(key[1])
+
+    def match(key, pool):
+        neighbor, addrs = key
+        for candidate in sorted(pool, key=order):
+            if candidate[0] == neighbor and (candidate[1] & addrs or not addrs):
+                return candidate
+        return None
+
+    diff = RunDiff()
+    before_neighbors = {key[0] for key in before_keys}
+    after_neighbors = {key[0] for key in after_keys}
+    diff.gained_neighbors = after_neighbors - before_neighbors
+    diff.lost_neighbors = before_neighbors - after_neighbors
+    unmatched = set(before_keys)
+    for key in sorted(after_keys, key=order):
+        matched = match(key, unmatched)
+        if matched is not None:
+            unmatched.discard(matched)
+            diff.stable_links += 1
+        else:
+            diff.added_links.append(key)
+    diff.removed_links = sorted(unmatched, key=order)
+    return diff.to_dict()
+
+
+def _as_result(keys):
+    """A stand-in run with one link per key; a key without addresses has
+    no near router in the graph."""
+    links, routers = [], {}
+    for rid, (neighbor, addrs) in enumerate(sorted(keys, key=repr)):
+        links.append(SimpleNamespace(near_rid=rid, neighbor_as=neighbor))
+        if addrs:
+            routers[rid] = SimpleNamespace(addrs=sorted(addrs))
+    return SimpleNamespace(
+        links=links,
+        graph=SimpleNamespace(routers=routers),
+        neighbor_ases=lambda: {link.neighbor_as for link in links},
+    )
+
+
+def _as_border_map(keys):
+    keys = sorted(keys, key=repr)
+    return SimpleNamespace(
+        links=[SimpleNamespace(near_router=index, neighbor_as=neighbor)
+               for index, (neighbor, _) in enumerate(keys)],
+        routers=[SimpleNamespace(addrs=tuple(sorted(addrs)))
+                 for _, addrs in keys],
+        neighbor_ases=lambda: tuple(sorted({key[0] for key in keys})),
+    )
+
+
+_keys = st.sets(
+    st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.frozensets(st.integers(min_value=0, max_value=5), max_size=3),
+    ),
+    max_size=10,
+)
+
+
+class TestDiffMatching:
+    """Sorting the before-keys once and scanning each neighbor's list
+    matches exactly what sorting the unmatched pool per after-key did:
+    shared neighbors, overlapping and empty address sets included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_keys, _keys)
+    def test_equals_the_quadratic_match(self, before, after):
+        reference = _quadratic_diff(before, after)
+        assert diff_results(
+            _as_result(before), _as_result(after)
+        ).to_dict() == reference
+        assert diff_border_maps(
+            _as_border_map(before), _as_border_map(after)
+        ).to_dict() == reference

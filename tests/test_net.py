@@ -190,11 +190,25 @@ class TestRoutingOracle:
         assert chosen_dist <= best + 0.25
 
 
+def _forwarded(scenario, oracle):
+    """A policy without an announcement restriction, and the first
+    router of the first VP, whose decision for it forwards."""
+    router_id = scenario.vps[0].first_router
+    policy = next(
+        p for p in sorted(scenario.internet.prefix_policies.values(),
+                          key=lambda p: p.prefix)
+        if p.announced and p.restricted_links is None
+        and oracle.prefix_step(router_id, p).kind is StepKind.FORWARD
+    )
+    return policy, router_id
+
+
 class TestClassRouteCarry:
     def test_taken_only_from_an_oracle_over_the_same_internet(self, scenario):
-        """An oracle takes another's unrestricted class routes only when
-        both route over one Internet: an identical copy built from the
-        same seed has an equal AS graph, yet gives nothing."""
+        """An oracle takes another's unrestricted class routes, intra-AS
+        tables and decisions only when both route over one Internet: an
+        identical copy built from the same seed has an equal AS graph,
+        yet gives nothing."""
         policy = next(
             p for p in sorted(scenario.internet.prefix_policies.values(),
                               key=lambda p: p.prefix)
@@ -203,14 +217,42 @@ class TestClassRouteCarry:
         previous = RoutingOracle(scenario.internet)
         key = previous.class_key(policy)
         routes = previous.class_routes(key)
+        forwarded, router_id = _forwarded(scenario, previous)
+        step = previous.prefix_step(router_id, forwarded)
+        asn = scenario.internet.routers[router_id].asn
+        table = previous._intra_table(asn)
+        previous.record_inputs()
         same = RoutingOracle(scenario.internet)
-        same.take_class_routes(previous)
+        same.record_inputs()
+        same.take_routes(previous)
         assert same.class_routes(key) is routes
+        assert same._intra_table(asn) is table
+        assert same.prefix_step(router_id, forwarded) is step
         copy = build_scenario(mini(seed=2)).internet
         assert copy.graph.same_as(scenario.internet.graph)
         other = RoutingOracle(copy)
-        other.take_class_routes(previous)
+        other.record_inputs()
+        other.take_routes(previous)
         assert other.class_routes(key) is not routes
+        assert other._intra == {} and other._prefix_memo == {}
+
+    def test_nothing_taken_without_both_records(self, scenario):
+        def held(record_previous, record_current):
+            previous = RoutingOracle(scenario.internet)
+            _forwarded(scenario, previous)  # a class, tables, decisions
+            current = RoutingOracle(scenario.internet)
+            if record_previous:
+                previous.record_inputs()
+            if record_current:
+                current.record_inputs()
+            current.take_routes(previous)
+            return current._classes, current._intra, current._prefix_memo
+
+        assert held(False, True) == held(True, False) == ({}, {}, {})
+        assert all(held(True, True))
+
+    def test_record_is_made_on_request_only(self, scenario):
+        assert RoutingOracle(scenario.internet)._inputs is None
 
 
 class TestStepSharing:

@@ -2,10 +2,16 @@
 egress selection, and the links-between index."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.asgraph import ASGraph, Rel
-from repro.net.routing import StepKind, _class_fingerprint
-from repro.topology import build_scenario, mini
+from repro.net.routing import (
+    RoutingOracle,
+    StepKind,
+    _ClassRoutes,
+    _class_fingerprint,
+)
+from repro.topology import build_scenario, large_access, mini
 from repro.topology.model import LinkKind
 
 
@@ -99,8 +105,6 @@ class TestClassRoutes:
         graph.add_edge(3, 9, Rel.PEER)
         graph.add_edge(9, 1, Rel.PEER)
 
-        from repro.net.routing import _ClassRoutes
-
         routes = _ClassRoutes(graph, (1,), None, lambda o, n: True)
         # 3 has a customer route (via 2, length 2) and no direct peer link
         # to 1... but 9 has a peer route of length 1 via its peering with 1.
@@ -116,12 +120,113 @@ class TestClassRoutes:
         graph.add_edge(1, 2, Rel.PROVIDER)
         graph.add_edge(1, 3, Rel.PROVIDER)
 
-        from repro.net.routing import _ClassRoutes
-
         # Origin 1 exports to nobody (no allowed first hops).
         routes = _ClassRoutes(graph, (1,), frozenset(), lambda o, n: False)
         assert routes.next_as(2) is None
         assert routes.next_as(3) is None
+
+
+def _fixed_point(graph, routes):
+    """Every AS's selected route, computed apart from ``sel``: customer
+    and peer routes as the class built them, and provider and sibling
+    routes relaxed to the shortest-path fixed point (then lowest next
+    AS), starting from no route."""
+    chosen = {}
+    for asn in graph.ases():
+        own = [(rank,) + route
+               for rank, table in ((0, routes.dist_c), (1, routes.peer))
+               for route in [table.get(asn)] if route is not None]
+        chosen[asn] = min(own) if own else None
+    upward = {
+        asn: [n for n in graph.neighbors(asn)
+              if graph.relationship(asn, n) in (Rel.PROVIDER, Rel.SIBLING)]
+        for asn in graph.ases()
+        if chosen[asn] is None
+    }
+    changed = True
+    while changed:
+        changed = False
+        for asn, neighbors in upward.items():
+            options = [(chosen[n][1] + 1, n)
+                       for n in neighbors if chosen[n] is not None]
+            best = (2,) + min(options) if options else None
+            if best != chosen[asn]:
+                chosen[asn] = best
+                changed = True
+    return chosen
+
+
+@st.composite
+def _graphs(draw):
+    """A small AS graph: providers only above their customers, siblings
+    and peers anywhere, and one or two origins."""
+    size = draw(st.integers(min_value=2, max_value=8))
+    graph = ASGraph()
+    for asn in range(size):
+        graph.add_as(asn)
+    for a in range(size):
+        for b in range(a + 1, size):
+            rel = draw(st.sampled_from(
+                (None, None, Rel.PROVIDER, Rel.SIBLING, Rel.PEER)
+            ))
+            if rel is not None:
+                graph.add_edge(a, b, rel)
+    origins = tuple(sorted(draw(
+        st.sets(st.integers(0, size - 1), min_size=1, max_size=2)
+    )))
+    order = draw(st.permutations(range(size)))
+    return graph, origins, order
+
+
+class TestClassRouteOrder:
+    """A class's answers do not depend on which ASes were asked before:
+    the sibling recursion guard cuts loops, and an answer computed with a
+    route cut above its AS is not memoized."""
+
+    def test_sibling_answer_does_not_depend_on_the_order_asked(self):
+        # 10 and 11 are siblings; 20 provides 10 and 30 provides 11.  The
+        # origin 50 is a customer of 20 and of 40, a customer of 30.
+        graph = ASGraph()
+        graph.add_edge(10, 11, Rel.SIBLING)
+        graph.add_edge(10, 20, Rel.PROVIDER)
+        graph.add_edge(11, 30, Rel.PROVIDER)
+        graph.add_edge(50, 20, Rel.PROVIDER)
+        graph.add_edge(50, 40, Rel.PROVIDER)
+        graph.add_edge(40, 30, Rel.PROVIDER)
+
+        def answers(order):
+            routes = _ClassRoutes(graph, (50,), None, lambda o, n: True)
+            return {asn: routes.sel(asn) for asn in order}
+
+        # Via 10 (over 20) and via 30 both take three hops; 10 is lower.
+        assert answers([10, 11]) == answers([11, 10])
+        assert answers([10, 11])[11] == (2, 3, 10)
+
+    def test_large_access_answers_do_not_depend_on_the_order_asked(self):
+        internet = build_scenario(large_access()).internet
+        keys = sorted(
+            {(p.origins, p.restricted_links)
+             for p in internet.prefix_policies.values() if p.announced},
+            key=lambda key: (key[0], sorted(key[1] or ())),
+        )
+        ases = sorted(internet.graph.ases())
+
+        def answers(order):
+            oracle = RoutingOracle(internet)
+            return [
+                {asn: routes.sel(asn) for asn in order}
+                for key in keys for routes in [oracle.class_routes(key)]
+            ]
+
+        assert answers(ases) == answers(ases[::-1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_graphs())
+    def test_answers_equal_the_shortest_path_fixed_point(self, drawn):
+        graph, origins, order = drawn
+        routes = _ClassRoutes(graph, origins, None, lambda o, n: True)
+        asked = {asn: routes.sel(asn) for asn in order}
+        assert asked == _fixed_point(graph, routes)
 
 
 class TestStepSemantics:
