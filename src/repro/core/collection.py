@@ -106,6 +106,9 @@ class Collector:
         self.label = label
         self.collection = Collection()
         self.collection.stop_set.shared = self.config.share_stop_sets
+        # address -> _is_external's answer.  A collector's view and VP
+        # ASes are fixed for its life; an epoch builds a new collector.
+        self._external: Dict[int, bool] = {}
         # Retry counters become views over the shared registry, under a
         # per-VP prefix so concurrent collections stay distinguishable.
         self.collection.retry_stats.bind(
@@ -130,8 +133,14 @@ class Collector:
     # -- helpers ------------------------------------------------------------
 
     def _is_external(self, addr: int) -> bool:
-        origins = self.view.origins_of_addr(addr)
-        return bool(origins) and not (set(origins) & self.vp_ases)
+        """Is ``addr`` announced, and by no VP AS?"""
+        external = self._external.get(addr)
+        if external is None:
+            origins = self.view.origins_of_addr(addr)
+            external = self._external[addr] = bool(origins) and not (
+                set(origins) & self.vp_ases
+            )
+        return external
 
     def _first_external(self, trace: TraceResult) -> Optional[int]:
         for hop in trace.hops:

@@ -49,23 +49,22 @@ class CongestionSchedule:
     """Per-link congestion profiles (links without one are uncongested)."""
 
     def __init__(self) -> None:
-        self._profiles: Dict[int, CongestionProfile] = {}
+        # link id -> profile.  Public so the packet walk can test for any
+        # congestion with one dict truth test per probe.
+        self.profiles: Dict[int, CongestionProfile] = {}
 
     def congest(self, link_id: int, profile: Optional[CongestionProfile] = None) -> None:
-        self._profiles[link_id] = profile or CongestionProfile()
+        self.profiles[link_id] = profile or CongestionProfile()
 
     def clear(self, link_id: int) -> None:
-        self._profiles.pop(link_id, None)
+        self.profiles.pop(link_id, None)
 
     def profile(self, link_id: int) -> Optional[CongestionProfile]:
-        return self._profiles.get(link_id)
+        return self.profiles.get(link_id)
 
     def delay_ms(self, link_id: int, now: float) -> float:
-        profile = self._profiles.get(link_id)
+        profile = self.profiles.get(link_id)
         return profile.delay_ms(now) if profile is not None else 0.0
 
     def congested_links(self):
-        return sorted(self._profiles)
-
-    def __len__(self) -> int:
-        return len(self._profiles)
+        return sorted(self.profiles)

@@ -71,13 +71,15 @@ class _Route:
         if self.stop is not None:
             return
         steps, routers, delays = self.steps, self.routers, self.delays
-        step_of = network.oracle.step
+        oracle = network.oracle
+        decided = oracle.steps_toward(self.dst)
         links = network.internet.links
-        dst = self.dst
         index = len(steps)
         router_id, delay = routers[index], delays[index]
         while index <= limit:
-            step = step_of(router_id, dst)
+            step = decided.get(router_id)
+            if step is None:
+                step = oracle.step(router_id, self.dst)
             steps.append(step)
             if step.kind is not StepKind.FORWARD:
                 self.stop = index
@@ -113,8 +115,8 @@ class Network:
         # Optional fault injection (repro.net.faults).  None means the
         # simulator stays perfectly deterministic and lossless.
         self.faults = faults
-        # Instrumentation sink; NULL_REGISTRY keeps the zero-obs hot
-        # path at one no-op call per probe.
+        # Instrumentation sink; with NULL_REGISTRY (not enabled) a probe
+        # makes no metrics call at all.
         self.metrics: MetricsRegistry = NULL_REGISTRY
         # The two most recent routes walked without faults or congestion.
         # A traceroute sends all its TTLs toward one destination back to
@@ -222,9 +224,8 @@ class Network:
         addresses = router.addresses()
         return min(addresses) if addresses else None
 
-    def _expired_source(self, router: Router, probe: Probe,
-                        in_addr: Optional[int]) -> Optional[int]:
-        policy = self._policy(router)
+    def _expired_source(self, router: Router, policy: RouterPolicy,
+                        probe: Probe, in_addr: Optional[int]) -> Optional[int]:
         if policy.vrouter:
             next_as = self.oracle.next_as_of(router.asn, probe.dst)
             if next_as is not None and next_as in policy.vrouter:
@@ -237,42 +238,47 @@ class Network:
             return in_addr
         return self._reply_egress_addr(router, probe.src)
 
-    def _respond(self, router: Router, probe: Probe, kind: ResponseKind,
-                 src: Optional[int], delay_ms: float) -> Optional[Response]:
+    def _reply(self, router: Router, policy: RouterPolicy, probe: Probe,
+               kind: ResponseKind, src: Optional[int],
+               delay_ms: float) -> Optional[Response]:
+        """The reply ``router`` sends from ``src``, or None when it has no
+        source address or its ICMP rate limit drops it.  Every router
+        reply, on both walks, is built here."""
         if src is None:
             return None
-        if not self._rate_ok(router):
+        if policy.rate_limit_pps is not None and not self._rate_ok(router):
             return None
-        ipid = self._ipid_state(router).next(self.now, src)
-        return Response(
-            src=src,
-            kind=kind,
-            ipid=ipid,
-            quoted_dst=probe.dst,
-            rtt=self._rtt(delay_ms, probe.dst & 0xFFFF),
-            truth_router_id=router.router_id,
-        )
+        router_id = router.router_id
+        ipid = self._ipid.get(router_id)
+        if ipid is None:
+            ipid = self._ipid_state(router)
+        dst = probe.dst
+        # _rtt's formula, inline to save a call per reply; change both.
+        jitter = (
+            (int(delay_ms * 1000) * 2654435761 + (dst & 0xFFFF)) % 997
+        ) / 1000.0
+        return Response(src, kind, ipid.next(self.now, src), dst,
+                        2.0 * delay_ms + jitter, router_id)
 
-    def _ttl_expired(self, router: Router, probe: Probe,
-                     in_addr: Optional[int], delay_ms: float) -> Optional[Response]:
-        policy = self._policy(router)
+    def _ttl_expired(self, router: Router, policy: RouterPolicy,
+                     probe: Probe, in_addr: Optional[int],
+                     delay_ms: float) -> Optional[Response]:
         if not policy.responds_ttl_expired:
             return None
-        src = self._expired_source(router, probe, in_addr)
-        return self._respond(router, probe, ResponseKind.TTL_EXPIRED, src,
-                             delay_ms)
+        src = self._expired_source(router, policy, probe, in_addr)
+        return self._reply(router, policy, probe, ResponseKind.TTL_EXPIRED,
+                           src, delay_ms)
 
-    def _arrival(self, router: Router, probe: Probe,
+    def _arrival(self, router: Router, policy: RouterPolicy, probe: Probe,
                  delay_ms: float) -> Optional[Response]:
         """The probe is addressed to one of this router's interfaces."""
-        policy = self._policy(router)
         if probe.kind is ProbeKind.ICMP_ECHO:
             if not policy.responds_echo:
                 return None
             # Echo replies are sourced from the probed address (§4: the
             # reply source gives no clue which interface the probe reached).
-            return self._respond(router, probe, ResponseKind.ECHO_REPLY,
-                                 probe.dst, delay_ms)
+            return self._reply(router, policy, probe, ResponseKind.ECHO_REPLY,
+                               probe.dst, delay_ms)
         if probe.kind is ProbeKind.UDP:
             if not policy.responds_udp:
                 return None
@@ -280,21 +286,21 @@ class Network:
                 src = self._reply_egress_addr(router, probe.src)
             else:
                 src = probe.dst
-            return self._respond(router, probe, ResponseKind.DEST_UNREACH_PORT,
-                                 src, delay_ms)
+            return self._reply(router, policy, probe,
+                               ResponseKind.DEST_UNREACH_PORT, src, delay_ms)
         if probe.kind is ProbeKind.TCP_ACK:
             if not policy.responds_echo:
                 return None
-            return self._respond(router, probe, ResponseKind.TCP_RST,
-                                 probe.dst, delay_ms)
+            return self._reply(router, policy, probe, ResponseKind.TCP_RST,
+                               probe.dst, delay_ms)
         return None
 
-    def _host_delivery(self, router: Router, probe: Probe, ttl: int,
-                       delay_ms: float, policy_live: bool) -> Optional[Response]:
-        """The probe reached the router hosting its destination prefix."""
-        if ttl <= 0:
-            return None
-        if policy_live:
+    def _host_delivery(self, router: Router, policy: RouterPolicy,
+                       probe: Probe, step: Step,
+                       delay_ms: float) -> Optional[Response]:
+        """The probe reached the router hosting its destination prefix,
+        with TTL to spare."""
+        if step.policy is not None and probe.dst in step.policy.live_hosts:
             # A live host answers echo (and UDP with port unreachable).
             ipid = self._host_ipid.randint(0, 0xFFFF)
             kind = (
@@ -312,12 +318,11 @@ class Network:
             )
         # Dead address: some edge routers send host-unreachable, most drop.
         if (router.router_id * 2654435761 + probe.dst) % 10 < 3:
-            policy = self._policy(router)
             if policy.responds_ttl_expired:
-                src = self._expired_source(router, probe, None)
-                return self._respond(
-                    router, probe, ResponseKind.DEST_UNREACH_NET, src, delay_ms
-                )
+                src = self._expired_source(router, policy, probe, None)
+                return self._reply(router, policy, probe,
+                                   ResponseKind.DEST_UNREACH_NET, src,
+                                   delay_ms)
         return None
 
     # -- the walk --------------------------------------------------------------
@@ -338,10 +343,13 @@ class Network:
             raise ProbeError("probe source %r is not a registered VP" % probe.src)
         self.now += 1.0 / self.pps
         self.probes_sent += 1
-        self.metrics.inc("probe.sent")
+        metrics = self.metrics
+        counted = metrics.enabled
+        if counted:
+            metrics.inc("probe.sent")
 
         faults = self.faults
-        if faults is None and not self.congestion:
+        if faults is None and not self.congestion.profiles:
             response = self._walk_route(vp, probe)
         else:
             response = self._walk(vp, probe, faults)
@@ -355,9 +363,11 @@ class Network:
                     response = None
                 elif faults.reply_lost(self.now):
                     response = None
-        self.metrics.inc(
-            "probe.answered" if response is not None else "probe.unanswered"
-        )
+        if counted:
+            metrics.inc(
+                "probe.answered" if response is not None
+                else "probe.unanswered"
+            )
         return response
 
     def _walk_route(self, vp: VantagePoint,
@@ -366,29 +376,36 @@ class Network:
         the recorded route: a probe of TTL t jumps straight to the hop
         where its TTL runs out or the route stops, reading live router
         policies only at the hops entered over a border (firewalls) and
-        at that final hop."""
+        at that final hop.  Every probe of a collection without faults
+        takes this path, so it reads policies inline and picks the
+        common TTL-expired source itself."""
         route = self._route
         dst = probe.dst
+        first_router = vp.first_router
         if (
             route is None
             or route.dst != dst
-            or route.first_router != vp.first_router
+            or route.first_router != first_router
         ):
             last = self._last_route
             if (
                 last is None
                 or last.dst != dst
-                or last.first_router != vp.first_router
+                or last.first_router != first_router
             ):
-                last = _Route(vp.first_router, dst)
+                last = _Route(first_router, dst)
             self._last_route = route
             self._route = route = last
-        expire = max(probe.ttl, 1) - 1  # the hop whose TTL decrement hits 0
-        limit = min(expire, _MAX_HOPS - 1)
-        route.extend(self, limit)
-        stop = route.stop
-        final = limit if stop is None or stop > limit else stop
+        ttl = probe.ttl
+        expire = ttl - 1 if ttl > 1 else 0  # the hop whose TTL hits 0
+        limit = expire if expire < _MAX_HOPS else _MAX_HOPS - 1
         steps = route.steps
+        stop = route.stop
+        if stop is None and len(steps) <= limit:
+            route.extend(self, limit)
+            stop = route.stop
+        final = limit if stop is None or stop > limit else stop
+        path = route.routers
         routers = self.internet.routers
 
         for hop in route.borders:
@@ -396,35 +413,47 @@ class Network:
                 break
             if steps[hop].kind is StepKind.ARRIVE:
                 break
-            router = routers[route.routers[hop]]
-            policy = self._policy(router)
+            router = routers[path[hop]]
+            policy = router.policy
+            if policy is None:
+                policy = _DEFAULT_POLICY
             if policy.firewall and not (
                 policy.firewall_allow_echo
                 and probe.kind is ProbeKind.ICMP_ECHO
             ):
                 if policy.firewall_admin_reply and policy.responds_ttl_expired:
                     src = self._expired_source(
-                        router, probe, steps[hop - 1].in_addr
+                        router, policy, probe, steps[hop - 1].in_addr
                     )
-                    return self._respond(
-                        router, probe, ResponseKind.DEST_UNREACH_ADMIN, src,
+                    return self._reply(
+                        router, policy, probe,
+                        ResponseKind.DEST_UNREACH_ADMIN, src,
                         route.delays[hop]
                     )
                 return None
 
-        router = routers[route.routers[final]]
+        router = routers[path[final]]
+        policy = router.policy
+        if policy is None:
+            policy = _DEFAULT_POLICY
         step = steps[final]
         delay_ms = route.delays[final]
         if step.kind is StepKind.ARRIVE:
-            return self._arrival(router, probe, delay_ms)
+            return self._arrival(router, policy, probe, delay_ms)
         if final == expire:
-            in_addr = steps[final - 1].in_addr if final else None
-            return self._ttl_expired(router, probe, in_addr, delay_ms)
+            if not policy.responds_ttl_expired:
+                return None
+            src = steps[final - 1].in_addr if final else None
+            if (
+                src is None
+                or policy.vrouter
+                or policy.source_sel is not SourceSel.INGRESS
+            ):
+                src = self._expired_source(router, policy, probe, src)
+            return self._reply(router, policy, probe,
+                               ResponseKind.TTL_EXPIRED, src, delay_ms)
         if step.kind is StepKind.HOST:
-            live = step.policy is not None and probe.dst in step.policy.live_hosts
-            return self._host_delivery(
-                router, probe, probe.ttl - final - 1, delay_ms, live
-            )
+            return self._host_delivery(router, policy, probe, step, delay_ms)
         return None  # unreachable, or the hop cap
 
     def _walk(self, vp: VantagePoint, probe: Probe,
@@ -446,15 +475,16 @@ class Network:
             if faults is not None and faults.router_dark(router_id, self.now):
                 return None
             step = self.oracle.step(router_id, probe.dst)
+            policy = self._policy(router)
 
             if step.kind is StepKind.ARRIVE:
-                return self._arrival(router, probe, delay_ms)
+                return self._arrival(router, policy, probe, delay_ms)
 
             ttl -= 1
             if ttl <= 0:
-                return self._ttl_expired(router, probe, in_addr, delay_ms)
+                return self._ttl_expired(router, policy, probe, in_addr,
+                                         delay_ms)
 
-            policy = self._policy(router)
             if (
                 arrived_via_border
                 and policy.firewall
@@ -465,16 +495,16 @@ class Network:
             ):
                 # Probes are not allowed deeper into this network.
                 if policy.firewall_admin_reply and policy.responds_ttl_expired:
-                    src = self._expired_source(router, probe, in_addr)
-                    return self._respond(
-                        router, probe, ResponseKind.DEST_UNREACH_ADMIN, src,
-                        delay_ms
+                    src = self._expired_source(router, policy, probe, in_addr)
+                    return self._reply(
+                        router, policy, probe,
+                        ResponseKind.DEST_UNREACH_ADMIN, src, delay_ms
                     )
                 return None
 
             if step.kind is StepKind.HOST:
-                live = step.policy is not None and probe.dst in step.policy.live_hosts
-                return self._host_delivery(router, probe, ttl, delay_ms, live)
+                return self._host_delivery(router, policy, probe, step,
+                                           delay_ms)
 
             if step.kind is StepKind.UNREACHABLE:
                 return None

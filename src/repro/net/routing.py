@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import enum
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import DefaultDict, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..addr import Prefix
 from ..asgraph import ASGraph, Rel
@@ -283,15 +284,17 @@ class RoutingOracle:
         self._inputs: Optional[_Inputs] = None
         self._intra: Dict[int, Dict[int, Dict[int, Tuple[float, int, int]]]] = {}
         self._egress_cache: Dict[Tuple[int, ClassKey], Optional[Tuple[int, int]]] = {}
-        # Memoized forwarding decisions.  step() is a pure function of
-        # (router, dst) over the static topology — every input it reads
-        # (policies, intra tables, class routes, egress choice) is fixed at
-        # construction — so the walk of probe N toward a destination pays
-        # the route computation once and every later probe through the same
-        # (router, dst) pair is a dict hit.  This is the collection hot
-        # path: every route the network's walk records is built from these
-        # steps, and sibling targets in a /24 share almost every hop.
-        self._step_memo: Dict[Tuple[int, int], Step] = {}
+        # Memoized forwarding decisions, dst -> router -> Step.  step() is
+        # a pure function of (router, dst) over the static topology — every
+        # input it reads (policies, intra tables, class routes, egress
+        # choice) is fixed at construction — so the walk of probe N toward
+        # a destination pays the route computation once and every later
+        # probe through the same (router, dst) pair is a dict hit.  This is
+        # the collection hot path: every route the network's walk records
+        # is built from these steps, and sibling targets in a /24 share
+        # almost every hop.  Keyed by destination first, a walk fetches
+        # its destination's table once and reads one dict per hop.
+        self._step_memo: DefaultDict[int, Dict[int, Step]] = defaultdict(dict)
         # Past the infrastructure checks a decision reads only the router
         # and the covering prefix's policy, so every destination in one
         # announced prefix shares it: prefix -> router -> Step.
@@ -598,13 +601,19 @@ class RoutingOracle:
         ``dst``.  Memoized: decisions depend only on static topology, so
         repeated walks (every probe after the first toward a block) are
         dict lookups."""
-        memo_key = (router_id, dst)
-        cached = self._step_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        decision = self._step_uncached(router_id, dst)
-        self._step_memo[memo_key] = decision
+        decided = self._step_memo[dst]
+        decision = decided.get(router_id)
+        if decision is None:
+            decision = decided[router_id] = self._step_uncached(
+                router_id, dst
+            )
         return decision
+
+    def steps_toward(self, dst: int) -> Dict[int, Step]:
+        """The decisions :meth:`step` has memoized toward ``dst`` so far,
+        router -> Step.  A walk toward ``dst`` reads each hop here and
+        asks :meth:`step` only on a miss."""
+        return self._step_memo[dst]
 
     def _step_uncached(self, router_id: int, dst: int) -> Step:
         internet = self.internet

@@ -23,16 +23,16 @@ def ping(
     ``retry`` upgrades the flat ``attempts`` loop to an exponential
     backoff budget (loss-tolerant); without it behaviour is unchanged.
     """
-    def probe() -> Probe:
-        return Probe(src=vp_addr, dst=dst, ttl=ttl, kind=kind,
-                     flow_id=dst & 0xFFFF)
-
+    packet = Probe(src=vp_addr, dst=dst, ttl=ttl, kind=kind,
+                   flow_id=dst & 0xFFFF)
     if retry is not None:
-        response, _, _ = send_with_retry(network, probe, retry, retry_stats)
+        response, _, _ = send_with_retry(
+            network, lambda: packet, retry, retry_stats
+        )
         return response
     response = None
     for _ in range(attempts):
-        response = network.send(probe())
+        response = network.send(packet)
         if response is not None:
             return response
     return response

@@ -94,15 +94,13 @@ def paris_traceroute(
     completion_kinds = {ResponseKind.ECHO_REPLY, ResponseKind.TCP_RST}
     if kind is ProbeKind.UDP:
         completion_kinds = {ResponseKind.DEST_UNREACH_PORT}
+    send = network.send
     gap = 0
     for ttl in range(1, max_ttl + 1):
-        def probe() -> Probe:
-            return Probe(src=vp_addr, dst=dst, ttl=ttl, kind=kind,
-                         flow_id=flow_id)
-
+        packet = Probe(vp_addr, dst, ttl, kind, flow_id)
         if retry is not None:
             response, verdict, used = send_with_retry(
-                network, probe, retry, retry_stats
+                network, lambda: packet, retry, retry_stats
             )
             result.probes_used += used
             result.retries_used += used - 1
@@ -114,7 +112,7 @@ def paris_traceroute(
             response = None
             for _ in range(attempts):
                 result.probes_used += 1
-                response = network.send(probe())
+                response = send(packet)
                 if response is not None:
                     break
         if response is None:

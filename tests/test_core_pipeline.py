@@ -184,7 +184,7 @@ class TestCollector:
     def scenario(self):
         return build_scenario(mini(seed=2))
 
-    def _collect(self, scenario, **overrides):
+    def _collector(self, scenario, **overrides):
         config = CollectionConfig(**overrides)
         from repro.bgp import collect_public_view
 
@@ -192,14 +192,36 @@ class TestCollector:
             scenario.internet, scenario.network.oracle,
             focal_asn=scenario.focal_asn,
         )
-        collector = Collector(
+        return Collector(
             scenario.network,
             scenario.vps[0].addr,
             view,
             set(scenario.vp_as_list),
             config,
         )
-        return collector.run()
+
+    def _collect(self, scenario, **overrides):
+        return self._collector(scenario, **overrides).run()
+
+    def test_externality_answers_match_definition(self, scenario):
+        """The collector answers each address's externality once; over
+        every hop address of a collection the remembered answer equals
+        the definition: announced, and by no VP AS."""
+        collector = self._collector(scenario)
+        collection = collector.run()
+        addrs = sorted({
+            hop.addr
+            for trace in collection.traces
+            for hop in trace.hops
+            if hop.addr is not None
+        })
+        answers = set()
+        for addr in addrs:
+            origins = collector.view.origins_of_addr(addr)
+            expected = bool(origins) and not (set(origins) & collector.vp_ases)
+            assert collector._is_external(addr) is expected, addr
+            answers.add(expected)
+        assert answers == {True, False}
 
     def test_traces_cover_every_target_as(self, scenario):
         collection = self._collect(scenario, use_alias_resolution=False)

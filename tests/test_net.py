@@ -625,6 +625,105 @@ class TestRouteMemo:
             router.policy.firewall_allow_echo = index % 3 == 0
             router.policy.firewall_admin_reply = index % 3 == 1
 
+    @staticmethod
+    def _paths(scenario, dsts):
+        """(VP address, destination) -> the ground-truth router path."""
+        network = scenario.network
+        return {
+            (vp.addr, dst): network.truth_path(vp.addr, dst)
+            for vp in scenario.vps
+            for dst in dsts
+        }
+
+    @staticmethod
+    def _unfirewalled(internet, path, hop):
+        """No firewall on ``path`` before ``hop`` can stop a probe."""
+        return not any(
+            internet.routers[router_id].policy.firewall
+            for router_id in path[1:hop]
+        )
+
+    @classmethod
+    def _vary_policies(cls, scenario, paths):
+        """Give the routers a probe reaches behind no firewall, past the
+        first hop, each reply behaviour the recorded-route walk reads at
+        its final hop, cycling through silent TTL expiry, a
+        virtual-router source, reply-egress source selection and a rate
+        limit, and through every IPID model; the routers owning probed
+        interfaces alternately answer UDP from the probed address."""
+        internet = scenario.internet
+        reached = sorted({
+            path[hop]
+            for path in paths.values()
+            for hop in range(1, len(path))
+            if cls._unfirewalled(internet, path, hop + 1)
+        })
+        models = list(IPIDModel)
+        for index, router_id in enumerate(reached):
+            router = internet.routers[router_id]
+            policy = router.policy
+            role = index % 4
+            policy.responds_ttl_expired = role != 0
+            if role == 1:
+                policy.vrouter = {
+                    asn: max(router.addresses())
+                    for asn in internet.graph.neighbors(router.asn)
+                }
+            policy.source_sel = (
+                SourceSel.REPLY_EGRESS if role == 2 else SourceSel.INGRESS
+            )
+            policy.rate_limit_pps = 1.0 if role == 3 else None
+            policy.ipid_model = models[index // 4 % len(models)]
+        owners = sorted({
+            internet.addr_to_iface[dst].router_id
+            for _, dst in paths
+            if dst in internet.addr_to_iface
+        })
+        for index, router_id in enumerate(owners):
+            policy = internet.routers[router_id].policy
+            policy.responds_udp = True
+            policy.udp_reply_egress = index % 2 == 0
+
+    @classmethod
+    def _final_hop_cases(cls, scenario, paths, probes, answers):
+        """The reply behaviours ``answers`` show at the hop where a
+        probe's TTL ran out, or at the probed interface."""
+        internet = scenario.internet
+        oracle = scenario.network.oracle
+        cases = set()
+        for probe, answer in zip(probes, answers):
+            path = paths[probe.src, probe.dst]
+            hop = probe.ttl - 1
+            if answer is not None:
+                policy = internet.routers[answer.truth_router_id].policy \
+                    if answer.truth_router_id is not None else None
+                if policy is not None:
+                    cases.add(policy.ipid_model)
+                if answer.kind is ResponseKind.DEST_UNREACH_PORT \
+                        and policy is not None \
+                        and not policy.udp_reply_egress:
+                    assert answer.src == probe.dst
+                    cases.add("udp from the probed address")
+            if not 1 <= hop < len(path) \
+                    or not cls._unfirewalled(internet, path, hop) \
+                    or oracle.step(path[hop], probe.dst).kind \
+                    is StepKind.ARRIVE:
+                continue
+            policy = internet.routers[path[hop]].policy
+            in_addr = oracle.step(path[hop - 1], probe.dst).in_addr
+            if answer is None:
+                if not policy.responds_ttl_expired:
+                    cases.add("silent")
+                elif policy.rate_limit_pps is not None:
+                    cases.add("rate-limited drop")
+            elif answer.kind is ResponseKind.TTL_EXPIRED \
+                    and answer.src != in_addr:
+                if answer.src in policy.vrouter.values():
+                    cases.add("virtual-router source")
+                elif policy.source_sel is SourceSel.REPLY_EGRESS:
+                    cases.add("reply-egress source")
+        return cases
+
     def _destinations(self, scenario):
         """Target candidates of every VP, live and dead host addresses,
         router interfaces and unrouted space."""
@@ -677,9 +776,11 @@ class TestRouteMemo:
     @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
     def test_matches_hop_by_hop_walk(self, cold):
         memo, reference = self._twins()
-        self._firewall(memo)
-        self._firewall(reference)
         dsts = self._destinations(memo)
+        paths = self._paths(memo, dsts)
+        for twin in (memo, reference):
+            self._firewall(twin)
+            self._vary_policies(twin, paths)
         ascending = self._probes(memo, dsts, range(1, 33))
         answers = self._answers(memo, reference, ascending, cold)
         # Shorter TTLs over routes already recorded in full.
@@ -694,6 +795,22 @@ class TestRouteMemo:
             ResponseKind.DEST_UNREACH_ADMIN,
             ResponseKind.TCP_RST,
         }
+        cases = self._final_hop_cases(
+            memo, paths, ascending + descending, answers
+        )
+        assert cases >= set(IPIDModel) | {
+            "silent",
+            "rate-limited drop",
+            "virtual-router source",
+            "reply-egress source",
+            "udp from the probed address",
+        }
+        digest = hashlib.sha256()
+        for answer in answers:
+            digest.update(repr(answer).encode())
+        network = memo.network
+        digest.update(repr((network.now, network.probes_sent)).encode())
+        assert digest.hexdigest() == ROUTE_WALK_DIGEST
 
     def test_hop_cap(self, monkeypatch):
         """Routes longer than ``_MAX_HOPS`` end the walk silently at the
@@ -819,4 +936,12 @@ class TestRouteMemo:
 #: the hop-by-hop walk must keep producing exactly these.
 FAULTED_WALK_DIGEST = (
     "994b224072fb3ce12e7c73e937072028cd3b898bd7b0af77f5fcb7475928299d"
+)
+
+#: sha256 of the answers of both sweeps in
+#: TestRouteMemo.test_matches_hop_by_hop_walk, then the final clock and
+#: probe count.  Both walks build replies through one builder, so
+#: comparing them cannot catch a drift in it; this digest can.
+ROUTE_WALK_DIGEST = (
+    "029e9d2d05bc4e762314ff98bd8c2c4f2bbabd6164cadf1a0ff25ab499f0d1c9"
 )
