@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from ..bgp import BGPView
+from ..net import ResponseKind
 from .collection import Collection
 
 
@@ -41,22 +42,23 @@ def naive_borders(
     third-party handling — exactly the error-prone method of [44].
     """
     found: Set[NaiveLink] = set()
+    ttl_expired = ResponseKind.TTL_EXPIRED
     for trace in collection.traces:
-        hops = [
-            hop
-            for hop in trace.hops
-            if hop.addr is not None and hop.is_ttl_expired
+        addrs = [
+            addr
+            for addr, kind in zip(trace.addrs, trace.kinds)
+            if kind is ttl_expired
         ]
-        for left, right in zip(hops, hops[1:]):
-            left_origins = set(view.origins_of_addr(left.addr))
-            right_origins = set(view.origins_of_addr(right.addr))
+        for left, right in zip(addrs, addrs[1:]):
+            left_origins = set(view.origins_of_addr(left))
+            right_origins = set(view.origins_of_addr(right))
             if not left_origins or not right_origins:
                 continue
             if left_origins & vp_ases and not (right_origins & vp_ases):
                 found.add(
                     NaiveLink(
-                        near_addr=left.addr,
-                        far_addr=right.addr,
+                        near_addr=left,
+                        far_addr=right,
                         neighbor_as=min(right_origins),
                     )
                 )

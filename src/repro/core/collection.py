@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..alias import AliasResolver
 from ..bgp import BGPView
-from ..net import Network
+from ..net import Network, ResponseKind
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
 from ..probing import StopSet, paris_traceroute
 from ..probing.prefixscan import PrefixscanResult, prefixscan
@@ -25,6 +25,8 @@ from ..probing.traceroute import TraceResult
 from .targets import TargetBlock, group_by_origin
 
 TargetKey = Tuple[int, ...]
+
+_TTL_EXPIRED = ResponseKind.TTL_EXPIRED
 
 
 @dataclass
@@ -73,13 +75,10 @@ class Collection:
         destination (whose interface placement is ambiguous, §4)."""
         found: Set[int] = set()
         for trace in self.traces:
-            for hop in trace.hops:
-                if (
-                    hop.addr is not None
-                    and hop.is_ttl_expired
-                    and hop.addr != trace.dst
-                ):
-                    found.add(hop.addr)
+            dst = trace.dst
+            for addr, kind in zip(trace.addrs, trace.kinds):
+                if kind is _TTL_EXPIRED and addr != dst:
+                    found.add(addr)
         return found
 
 
@@ -143,21 +142,19 @@ class Collector:
         return external
 
     def _first_external(self, trace: TraceResult) -> Optional[int]:
-        for hop in trace.hops:
-            if hop.addr is None or not hop.is_ttl_expired:
-                continue
-            if self._is_external(hop.addr):
-                return hop.addr
+        for addr, kind in zip(trace.addrs, trace.kinds):
+            if kind is _TTL_EXPIRED and self._is_external(addr):
+                return addr
         return None
 
     def _saw_external_router(self, trace: TraceResult, probed: int) -> bool:
         """Did the trace reveal any external address besides the probed
         destination itself?  (§5.3: retry other addresses otherwise, to
         avoid interpreting third-party addresses as neighbors.)"""
-        for hop in trace.hops:
-            if hop.addr is None or hop.addr == probed:
+        for addr in trace.addrs:
+            if addr is None or addr == probed:
                 continue
-            if self._is_external(hop.addr):
+            if self._is_external(addr):
                 return True
         return False
 
@@ -194,7 +191,7 @@ class Collector:
         """File one finished trace toward ``key`` and feed its first
         external address to the target's stop set."""
         if self.metrics.enabled:
-            self.metrics.observe("trace.hops", len(trace.hops))
+            self.metrics.observe("trace.hops", len(trace.addrs))
         self.collection.traces.append(trace)
         self.collection.trace_keys.append(key)
         self.collection.per_target.setdefault(key, []).append(trace)
@@ -243,16 +240,14 @@ class Collector:
         """Consecutive responsive TTL-expired hop pairs across all traces."""
         pairs: Set[Tuple[int, int]] = set()
         for trace in self.collection.traces:
-            hops = trace.hops
-            for left, right in zip(hops, hops[1:]):
-                if (
-                    left.addr is not None
-                    and right.addr is not None
-                    and left.is_ttl_expired
-                    and right.is_ttl_expired
-                    and left.addr != right.addr
-                ):
-                    pairs.add((left.addr, right.addr))
+            left = None  # the previous hop's address, if it was TTL-expired
+            for addr, kind in zip(trace.addrs, trace.kinds):
+                if kind is not _TTL_EXPIRED:
+                    left = None
+                    continue
+                if left is not None and left != addr:
+                    pairs.add((left, addr))
+                left = addr
         return sorted(pairs)
 
     def run_alias_resolution(self) -> None:

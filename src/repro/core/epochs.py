@@ -429,9 +429,9 @@ class EpochCollector(Collector):
     def _observed_external(self, traces) -> Tuple:
         seen: Dict[int, bool] = {}
         for trace in traces:
-            for hop in trace.hops:
-                if hop.addr is not None and hop.addr not in seen:
-                    seen[hop.addr] = self._is_external(hop.addr)
+            for addr in trace.addrs:
+                if addr is not None and addr not in seen:
+                    seen[addr] = self._is_external(addr)
         return tuple(sorted(seen.items()))
 
     def run_traceroutes(self) -> None:

@@ -32,6 +32,7 @@ from typing import (
 from ..asgraph import InferredRelationships
 from ..bgp import BGPView
 from ..datasets import IXPDataset, RIRDelegations
+from ..net import ResponseKind
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
 from ..obs.provenance import ProvenanceLog
 from ..obs.trace import NULL_TRACER, Tracer
@@ -113,11 +114,12 @@ class InferenceContext:
         assumed delegated to the VP network; the RIR files identify the
         enclosing blocks, which we then treat as VP space."""
         vp_opaque_ids: Set[str] = set()
+        ttl_expired = ResponseKind.TTL_EXPIRED
         for trace in self.collection.traces:
             addrs = [
-                hop.addr
-                for hop in trace.hops
-                if hop.addr is not None and hop.is_ttl_expired
+                addr
+                for addr, kind in zip(trace.addrs, trace.kinds)
+                if kind is ttl_expired
             ]
             last_vp = -1
             for index, addr in enumerate(addrs):

@@ -10,7 +10,7 @@ per-trace router sequences the heuristics need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..net import ResponseKind
 from .collection import Collection, TargetKey
@@ -40,8 +40,8 @@ class TracePath:
 
     key: TargetKey
     dst: int
-    routers: List[int]                    # rids, consecutive duplicates merged
-    had_gap_before: List[bool]            # per position: unresponsive gap before
+    routers: Tuple[int, ...]              # rids, consecutive duplicates merged
+    had_gap_before: Tuple[bool, ...]      # per position: unresponsive gap before
     final_kind: Optional[ResponseKind]    # non-TTL-expired terminal response
     final_src: Optional[int]
     reached: bool
@@ -131,10 +131,10 @@ class RouterGraph:
         moved = self._on_paths.pop(absorb_rid, None)
         if moved:
             for path in moved:
-                path.routers[:] = [
+                path.routers = tuple([
                     keep_rid if rid == absorb_rid else rid
                     for rid in path.routers
-                ]
+                ])
             kept = self._on_paths.get(keep_rid, [])
             union = {path.position: path for path in kept + moved}
             self._on_paths[keep_rid] = [union[p] for p in sorted(union)]
@@ -164,6 +164,7 @@ def build_router_graph(collection: Collection) -> RouterGraph:
     """Assemble the router graph from a finished collection."""
     graph = RouterGraph()
     observed = collection.observed_ttl_expired_addrs()
+    ttl_expired = ResponseKind.TTL_EXPIRED
 
     # Alias closure → routers.  Addresses with no positive alias evidence
     # become single-interface routers.
@@ -191,23 +192,24 @@ def build_router_graph(collection: Collection) -> RouterGraph:
         final_kind: Optional[ResponseKind] = None
         final_src: Optional[int] = None
         last_router: Optional[int] = None
-        for hop in trace.hops:
-            if hop.addr is None:
+        dst = trace.dst
+        for ttl, (addr, kind) in enumerate(zip(trace.addrs, trace.kinds), 1):
+            if addr is None:
                 gap_pending = True
                 continue
-            if not hop.is_ttl_expired:
-                final_kind = hop.kind
-                final_src = hop.addr
+            if kind is not ttl_expired:
+                final_kind = kind
+                final_src = addr
                 continue
-            if hop.addr == trace.dst:
+            if addr == dst:
                 # A time-exceeded source equal to the probed destination is
                 # position-ambiguous (§4); do not use it as an interface.
                 gap_pending = True
                 continue
-            router = graph.router_of_addr(hop.addr)
+            router = graph.router_of_addr(addr)
             if router is None:
-                router = graph._router_for(hop.addr)
-            router.min_dist = min(router.min_dist, hop.ttl)
+                router = graph._router_for(addr)
+            router.min_dist = min(router.min_dist, ttl)
             for origin in key:
                 router.dsts.add(origin)
             if router.rid != last_router:
@@ -224,8 +226,8 @@ def build_router_graph(collection: Collection) -> RouterGraph:
             TracePath(
                 key=key,
                 dst=trace.dst,
-                routers=rids,
-                had_gap_before=gaps,
+                routers=tuple(rids),
+                had_gap_before=tuple(gaps),
                 final_kind=final_kind,
                 final_src=final_src,
                 reached=trace.reached_dst(),

@@ -133,6 +133,10 @@ def _unaddr(value: Optional[str]) -> Optional[int]:
 
 
 # -- traces ---------------------------------------------------------------------
+#
+# One codec for a trace: trace archives store trace_to_dict's record, and
+# the remote prober's trace payload is the same record without "vp" (the
+# controller knows its own VP).
 
 
 def trace_to_dict(trace: TraceResult) -> Dict[str, Any]:
@@ -143,13 +147,15 @@ def trace_to_dict(trace: TraceResult) -> Dict[str, Any]:
         "probes": trace.probes_used,
         "hops": [
             {
-                "ttl": hop.ttl,
-                "addr": _addr(hop.addr),
-                "kind": hop.kind.value if hop.kind else None,
-                "rtt": round(hop.rtt, 3),
-                "ipid": hop.ipid,
+                "ttl": ttl,
+                "addr": _addr(addr),
+                "kind": kind.value if kind else None,
+                "rtt": round(rtt, 3),
+                "ipid": ipid,
             }
-            for hop in trace.hops
+            for ttl, (addr, kind, rtt, ipid) in enumerate(
+                zip(trace.addrs, trace.kinds, trace.rtts, trace.ipids), 1
+            )
         ],
     }
     # Retry accounting appears only when retries ran, so archives from
@@ -163,22 +169,29 @@ def trace_to_dict(trace: TraceResult) -> Dict[str, Any]:
     return data
 
 
-def trace_from_dict(data: Dict[str, Any]) -> TraceResult:
+def _hop_from_row(row: Dict[str, Any]) -> TraceHop:
+    ttl, rtt, ipid = row["ttl"], row["rtt"], row["ipid"]
+    if type(ttl) is not int or type(ipid) is not int \
+            or type(rtt) not in (int, float):
+        raise TypeError("hop row of the wrong types: %r" % (row,))
+    kind = row["kind"]
+    return TraceHop(
+        ttl, _unaddr(row["addr"]), ResponseKind(kind) if kind else None,
+        rtt, ipid,
+    )
+
+
+def trace_from_dict(
+    data: Dict[str, Any], vp_addr: Optional[int] = None
+) -> TraceResult:
+    """Decode :func:`trace_to_dict`'s record, or with ``vp_addr`` a remote
+    trace payload, which has no "vp".  A missing or mistyped field, or hop
+    TTLs other than 1..n, raise :class:`DataError`."""
     try:
-        hops = [
-            TraceHop(
-                ttl=hop["ttl"],
-                addr=_unaddr(hop["addr"]),
-                kind=ResponseKind(hop["kind"]) if hop["kind"] else None,
-                rtt=hop["rtt"],
-                ipid=hop["ipid"],
-            )
-            for hop in data["hops"]
-        ]
         return TraceResult(
-            vp_addr=aton(data["vp"]),
+            vp_addr=aton(data["vp"]) if vp_addr is None else vp_addr,
             dst=aton(data["dst"]),
-            hops=hops,
+            hops=[_hop_from_row(row) for row in data["hops"]],
             stop_reason=data["stop_reason"],
             probes_used=data.get("probes", 0),
             retries_used=data.get("retries", 0),
@@ -373,8 +386,8 @@ def result_from_dict(data: Dict[str, Any]) -> BdrmapResult:
                 TracePath(
                     key=tuple(entry["key"]),
                     dst=aton(entry["dst"]),
-                    routers=list(entry["routers"]),
-                    had_gap_before=list(entry["gaps"]),
+                    routers=tuple(entry["routers"]),
+                    had_gap_before=tuple(entry["gaps"]),
                     final_kind=(
                         ResponseKind(entry["final_kind"])
                         if entry["final_kind"]

@@ -7,15 +7,17 @@ stopping against a caller-supplied stop set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Set
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..net import Network, Probe, ProbeKind, ResponseKind
 from .retry import RetryPolicy, RetryStats, send_with_retry
 
 
 class TraceHop(NamedTuple):
-    """One TTL's worth of traceroute output (addr None = no response)."""
+    """One TTL's worth of traceroute output (addr None = no response).
+
+    Only the row view of a :class:`TraceResult`: a trace stores columns,
+    and builds rows for the readers that want them."""
 
     ttl: int
     addr: Optional[int]
@@ -32,25 +34,114 @@ class TraceHop(NamedTuple):
         return self.kind is ResponseKind.TTL_EXPIRED
 
 
-@dataclass
-class TraceResult:
-    """A completed traceroute."""
+def _columns(rows: Iterable[Sequence]) -> Tuple[tuple, tuple, tuple, tuple]:
+    """Hop rows ``(ttl, addr, kind, rtt, ipid)`` as four columns.  The
+    rows must hold TTLs 1..n in order, and a hop has an address exactly
+    when it has a reply kind; anything else raises ValueError."""
+    addrs: List[Optional[int]] = []
+    kinds: List[Optional[ResponseKind]] = []
+    rtts: List[float] = []
+    ipids: List[int] = []
+    for position, (ttl, addr, kind, rtt, ipid) in enumerate(rows, 1):
+        if ttl != position:
+            raise ValueError(
+                "hop %d has TTL %r: a trace's TTLs must be 1..n" % (position, ttl)
+            )
+        if (addr is None) != (kind is None):
+            raise ValueError(
+                "hop %d: an address without a reply kind, or a kind without one"
+                % position
+            )
+        addrs.append(addr)
+        kinds.append(kind)
+        rtts.append(rtt)
+        ipids.append(ipid)
+    return tuple(addrs), tuple(kinds), tuple(rtts), tuple(ipids)
 
-    vp_addr: int
-    dst: int
-    hops: List[TraceHop] = field(default_factory=list)
-    stop_reason: str = "incomplete"
-    probes_used: int = 0
-    # Resilience accounting (all zero when no RetryPolicy is in force).
-    retries_used: int = 0     # extra attempts beyond each hop's first
-    recovered_hops: int = 0   # hops answered only after a retry (loss)
-    silent_hops: int = 0      # hops that exhausted the retry budget
+
+class TraceResult:
+    """A completed traceroute, held as four columns.
+
+    Position ``i`` of ``addrs``, ``kinds``, ``rtts`` and ``ipids`` is TTL
+    ``i + 1``: a trace records every TTL from 1, a silent one as ``None,
+    None, 0.0, 0``.  Each column is an exact tuple, so CPython's collector
+    untracks ``addrs``, ``rtts`` and ``ipids`` (ints, floats and None) the
+    first time it examines them; a kept trace costs the collector two
+    tracked objects, itself and ``kinds``, however many hops it has.
+
+    ``hops`` builds :class:`TraceHop` rows for the cold readers (text
+    output, archives, the remote prober); the constructor takes such rows
+    as ``hops`` or the columns themselves as keywords.
+    """
+
+    __slots__ = (
+        "vp_addr", "dst", "addrs", "kinds", "rtts", "ipids", "stop_reason",
+        "probes_used", "retries_used", "recovered_hops", "silent_hops",
+    )
+
+    def __init__(
+        self,
+        vp_addr: int,
+        dst: int,
+        hops: Iterable[Sequence] = (),
+        stop_reason: str = "incomplete",
+        probes_used: int = 0,
+        # Resilience accounting (all zero when no RetryPolicy is in force).
+        retries_used: int = 0,     # extra attempts beyond each hop's first
+        recovered_hops: int = 0,   # hops answered only after a retry (loss)
+        silent_hops: int = 0,      # hops that exhausted the retry budget
+        *,
+        addrs: Tuple[Optional[int], ...] = (),
+        kinds: Tuple[Optional[ResponseKind], ...] = (),
+        rtts: Tuple[float, ...] = (),
+        ipids: Tuple[int, ...] = (),
+    ) -> None:
+        if hops:
+            if addrs or kinds or rtts or ipids:
+                raise TypeError("a trace takes hop rows or columns, not both")
+            addrs, kinds, rtts, ipids = _columns(hops)
+        elif not len(addrs) == len(kinds) == len(rtts) == len(ipids):
+            raise ValueError("a trace's four columns must be equally long")
+        self.vp_addr = vp_addr
+        self.dst = dst
+        self.addrs = tuple(addrs)
+        self.kinds = tuple(kinds)
+        self.rtts = tuple(rtts)
+        self.ipids = tuple(ipids)
+        self.stop_reason = stop_reason
+        self.probes_used = probes_used
+        self.retries_used = retries_used
+        self.recovered_hops = recovered_hops
+        self.silent_hops = silent_hops
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable and compared by value, as a dataclass
+
+    def __repr__(self) -> str:
+        return "TraceResult(%s)" % ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__
+        )
+
+    @property
+    def hops(self) -> List[TraceHop]:
+        """The trace as rows, built anew on each read."""
+        return list(map(
+            TraceHop, range(1, len(self.addrs) + 1),
+            self.addrs, self.kinds, self.rtts, self.ipids,
+        ))
 
     def responsive_hops(self) -> List[TraceHop]:
         return [hop for hop in self.hops if hop.responded]
 
     def addresses(self) -> List[int]:
-        return [hop.addr for hop in self.hops if hop.addr is not None]
+        return [addr for addr in self.addrs if addr is not None]
 
     def reached_dst(self) -> bool:
         return self.stop_reason == "completed"
@@ -89,12 +180,18 @@ def paris_traceroute(
     consecutive unresponsive hops, an address present in ``stop_set``
     (doubletree), or ``max_ttl``.
     """
-    result = TraceResult(vp_addr=vp_addr, dst=dst)
     flow_id = dst & 0xFFFF
     completion_kinds = {ResponseKind.ECHO_REPLY, ResponseKind.TCP_RST}
     if kind is ProbeKind.UDP:
         completion_kinds = {ResponseKind.DEST_UNREACH_PORT}
+    ttl_expired = ResponseKind.TTL_EXPIRED
     send = network.send
+    addrs: List[Optional[int]] = []
+    kinds: List[Optional[ResponseKind]] = []
+    rtts: List[float] = []
+    ipids: List[int] = []
+    probes_used = retries_used = recovered_hops = silent_hops = 0
+    stop_reason = "maxttl"
     gap = 0
     for ttl in range(1, max_ttl + 1):
         packet = Probe(vp_addr, dst, ttl, kind, flow_id)
@@ -102,36 +199,52 @@ def paris_traceroute(
             response, verdict, used = send_with_retry(
                 network, lambda: packet, retry, retry_stats
             )
-            result.probes_used += used
-            result.retries_used += used - 1
+            probes_used += used
+            retries_used += used - 1
             if verdict == "loss":
-                result.recovered_hops += 1
+                recovered_hops += 1
             elif verdict == "silence":
-                result.silent_hops += 1
+                silent_hops += 1
         else:
             response = None
             for _ in range(attempts):
-                result.probes_used += 1
+                probes_used += 1
                 response = send(packet)
                 if response is not None:
                     break
         if response is None:
-            result.hops.append(TraceHop(ttl, None, None, 0.0, 0))
+            addrs.append(None)
+            kinds.append(None)
+            rtts.append(0.0)
+            ipids.append(0)
             gap += 1
             if gap >= gap_limit:
-                result.stop_reason = "gaplimit"
-                return result
+                stop_reason = "gaplimit"
+                break
             continue
         gap = 0
-        hop = TraceHop(ttl, response.src, response.kind, response.rtt, response.ipid)
-        result.hops.append(hop)
-        if response.kind is not ResponseKind.TTL_EXPIRED:
-            result.stop_reason = (
-                "completed" if response.kind in completion_kinds else "unreach"
-            )
-            return result
-        if stop_set is not None and response.src in stop_set:
-            result.stop_reason = "stopset"
-            return result
-    result.stop_reason = "maxttl"
-    return result
+        src = response.src
+        reply = response.kind
+        addrs.append(src)
+        kinds.append(reply)
+        rtts.append(response.rtt)
+        ipids.append(response.ipid)
+        if reply is not ttl_expired:
+            stop_reason = "completed" if reply in completion_kinds else "unreach"
+            break
+        if stop_set is not None and src in stop_set:
+            stop_reason = "stopset"
+            break
+    return TraceResult(
+        vp_addr,
+        dst,
+        stop_reason=stop_reason,
+        probes_used=probes_used,
+        retries_used=retries_used,
+        recovered_hops=recovered_hops,
+        silent_hops=silent_hops,
+        addrs=tuple(addrs),
+        kinds=tuple(kinds),
+        rtts=tuple(rtts),
+        ipids=tuple(ipids),
+    )

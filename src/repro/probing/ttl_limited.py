@@ -38,13 +38,11 @@ class TTLLimitedProber:
 
     def learn_from_trace(self, trace) -> None:
         """Harvest aims from a :class:`TraceResult`."""
-        for hop in trace.hops:
-            if (
-                hop.addr is not None
-                and hop.is_ttl_expired
-                and hop.addr != trace.dst
-            ):
-                self.learn(hop.addr, trace.dst, hop.ttl)
+        dst = trace.dst
+        ttl_expired = ResponseKind.TTL_EXPIRED
+        for ttl, (addr, kind) in enumerate(zip(trace.addrs, trace.kinds), 1):
+            if kind is ttl_expired and addr != dst:
+                self.learn(addr, dst, ttl)
 
     def can_probe(self, addr: int) -> bool:
         return addr in self._aims

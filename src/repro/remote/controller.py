@@ -22,10 +22,11 @@ from ..core.bdrmap import Bdrmap, BdrmapConfig, DataBundle
 from ..core.collection import Collector
 from ..core.pipeline import CollectionStage, PipelineStage, PipelineState
 from ..core.report import BdrmapResult
-from ..net import Network, ResponseKind, VantagePoint
+from ..io.serialize import trace_from_dict
+from ..net import Network, VantagePoint
 from ..probing.ally import AliasVerdict, AllyResult
 from ..probing.prefixscan import PrefixscanResult
-from ..probing.traceroute import TraceHop, TraceResult
+from ..probing.traceroute import TraceResult
 from .prober import Prober
 from .protocol import Channel
 
@@ -115,23 +116,7 @@ class _RemoteCollector(Collector):
             attempts=self.config.attempts,
             gap_limit=self.config.gap_limit,
         )
-        hops = [
-            TraceHop(
-                ttl=h["ttl"],
-                addr=aton(h["addr"]) if h["addr"] else None,
-                kind=ResponseKind(h["kind"]) if h["kind"] else None,
-                rtt=h["rtt"],
-                ipid=h["ipid"],
-            )
-            for h in payload["hops"]
-        ]
-        return TraceResult(
-            vp_addr=self.vp_addr,
-            dst=aton(payload["dst"]),
-            hops=hops,
-            stop_reason=payload["stop_reason"],
-            probes_used=payload["probes"],
-        )
+        return trace_from_dict(payload, vp_addr=self.vp_addr)
 
     def _prefixscan(self, prev: int, nxt: int) -> PrefixscanResult:
         payload = self._channel.call(
@@ -213,7 +198,7 @@ def _estimate_controller_state(collection) -> int:
     """Rough size of the state the controller held for the device: traces,
     stop sets, and alias evidence (what would not fit on the device)."""
     trace_bytes = sum(
-        32 + 24 * len(trace.hops) for trace in collection.traces
+        32 + 24 * len(trace.addrs) for trace in collection.traces
     )
     stop_bytes = 8 * collection.stop_set.total_entries()
     alias_bytes = 48 * len(collection.resolver.evidence) if collection.resolver else 0

@@ -11,6 +11,7 @@ from typing import Any, Dict
 
 from ..addr import aton, ntoa
 from ..errors import ProbeError, ReproError
+from ..io.serialize import trace_to_dict
 from ..net import Network
 from ..probing import ally_repeated, paris_traceroute
 from ..probing.mercator import mercator_probe
@@ -61,21 +62,9 @@ class Prober:
             gap_limit=int(args.get("gap_limit", 5)),
             stop_set=stop,
         )
-        return {
-            "dst": ntoa(trace.dst),
-            "stop_reason": trace.stop_reason,
-            "probes": trace.probes_used,
-            "hops": [
-                {
-                    "ttl": hop.ttl,
-                    "addr": ntoa(hop.addr) if hop.addr is not None else None,
-                    "kind": hop.kind.value if hop.kind is not None else None,
-                    "rtt": round(hop.rtt, 3),
-                    "ipid": hop.ipid,
-                }
-                for hop in trace.hops
-            ],
-        }
+        payload = trace_to_dict(trace)
+        del payload["vp"]  # the controller knows its own VP
+        return payload
 
     def _op_mercator(self, args: Dict[str, Any]) -> Dict[str, Any]:
         source = mercator_probe(self.network, self.vp_addr, aton(args["addr"]))

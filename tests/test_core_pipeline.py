@@ -377,7 +377,7 @@ class TestRouterGraphBuild:
             ])
         graph = build_router_graph(case.collection)
         every_rid = set(graph.routers)
-        reference = [list(path.routers) for path in graph.paths]
+        reference = [tuple(path.routers) for path in graph.paths]
         self._assert_index(graph, every_rid)
 
         for _ in range(data.draw(st.integers(0, 5))):
@@ -389,7 +389,7 @@ class TestRouterGraphBuild:
                          unique=True))
             graph.merge(keep, absorb)
             reference = [
-                [keep if rid == absorb else rid for rid in routers]
+                tuple(keep if rid == absorb else rid for rid in routers)
                 for routers in reference
             ]
             assert [path.routers for path in graph.paths] == reference

@@ -180,3 +180,21 @@ def test_bundle_fails_only_with_data_error(archives, name):
         assert survivors(document, load) == []
     finally:
         target.write_bytes(document)
+
+
+def test_bundle_trace_with_ttl_gap_fails_with_data_error(archives):
+    """A trace's hops hold TTLs 1..n (position i is TTL i + 1); a trace
+    whose TTLs skip from 1 to 7 is not one this package writes, and the
+    bundle fails to load with DataError instead of storing it."""
+    target = archives["bundle"] / "traces.json"
+    document = target.read_bytes()
+    data = json.loads(document)
+    hops = data["traces"][0]["hops"]
+    assert len(hops) >= 2
+    data["traces"][0]["hops"] = [hops[0], dict(hops[1], ttl=7)]
+    try:
+        target.write_text(json.dumps(data))
+        with pytest.raises(DataError, match="TTL"):
+            load_bundle(str(archives["bundle"]))
+    finally:
+        target.write_bytes(document)

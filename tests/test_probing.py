@@ -1,9 +1,16 @@
 """Tests for the measurement tools: traceroute, ping, stop sets, Ally,
 MIDAR, Mercator, prefixscan, and the scheduler."""
 
-import pytest
-from hypothesis import given, strategies as st
+import gc
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.addr import Prefix
+from repro.bgp import BGPView, RibEntry, collect_public_view
+from repro.core.collection import CollectionConfig, Collector
+from repro.core.routergraph import build_router_graph
+from repro.io import trace_from_dict, trace_to_dict
 from repro.net import ResponseKind
 from repro.probing import (
     AliasVerdict,
@@ -18,6 +25,8 @@ from repro.probing import (
     prefixscan,
 )
 from repro.probing.mercator import mercator_probe
+from repro.probing.traceroute import TraceHop, TraceResult
+from repro.probing.ttl_limited import TTLLimitedProber
 from repro.topology import build_scenario, mini
 from repro.topology.model import LinkKind
 from repro.net.ipid import IPIDModel
@@ -480,3 +489,162 @@ class TestScheduler:
         with pytest.raises(RuntimeError, match="fresh"):
             scheduler.run(reraise=True)
         assert len(scheduler.failures) == 2
+
+
+class TestTraceColumns:
+    """A trace stores four exact tuples, not hop objects, and its hot
+    readers read the columns; each must equal the per-hop definition it
+    replaced, kept here as the reference."""
+
+    ADDRS = [0x0A000001 + (block << 8) for block in range(6)]  # 10.0.N.1
+
+    @staticmethod
+    def _rows(draw, addrs):
+        rows = []
+        for ttl in range(1, draw(st.integers(min_value=0, max_value=10)) + 1):
+            if draw(st.booleans()):
+                rows.append(TraceHop(ttl, None, None, 0.0, 0))
+                continue
+            # Any kind at any position: helpers.CaseBuilder puts
+            # non-TTL-expired replies mid-trace too.
+            kind = draw(st.sampled_from(
+                [ResponseKind.TTL_EXPIRED] * 3 + list(ResponseKind)
+            ))
+            rows.append(TraceHop(
+                ttl, draw(st.sampled_from(addrs)), kind,
+                round(draw(st.floats(min_value=0, max_value=500)), 3),
+                draw(st.integers(min_value=0, max_value=0xFFFF)),
+            ))
+        return rows
+
+    @classmethod
+    def _trace(cls, draw):
+        rows = cls._rows(draw, cls.ADDRS)
+        trace = TraceResult(
+            vp_addr=0x0A0000FE, dst=draw(st.sampled_from(cls.ADDRS)),
+            hops=rows, stop_reason="gaplimit",
+            probes_used=draw(st.integers(min_value=0, max_value=64)),
+        )
+        return rows, trace
+
+    # The per-hop definitions the column readers replaced.
+
+    @staticmethod
+    def _observed_reference(traces):
+        found = set()
+        for trace in traces:
+            for hop in trace.hops:
+                if (hop.addr is not None and hop.is_ttl_expired
+                        and hop.addr != trace.dst):
+                    found.add(hop.addr)
+        return found
+
+    @staticmethod
+    def _first_external_reference(trace, is_external):
+        for hop in trace.hops:
+            if hop.addr is None or not hop.is_ttl_expired:
+                continue
+            if is_external(hop.addr):
+                return hop.addr
+        return None
+
+    @staticmethod
+    def _adjacent_pairs_reference(traces):
+        pairs = set()
+        for trace in traces:
+            hops = trace.hops
+            for left, right in zip(hops, hops[1:]):
+                if (left.addr is not None and right.addr is not None
+                        and left.is_ttl_expired and right.is_ttl_expired
+                        and left.addr != right.addr):
+                    pairs.add((left.addr, right.addr))
+        return sorted(pairs)
+
+    @staticmethod
+    def _aims_reference(traces):
+        aims = {}
+        for trace in traces:
+            for hop in trace.hops:
+                if (hop.addr is not None and hop.is_ttl_expired
+                        and hop.addr != trace.dst):
+                    aims.setdefault(hop.addr, (trace.dst, hop.ttl))
+        return aims
+
+    def _collector(self, traces, external):
+        """A collector over ``traces`` whose view announces the external
+        addresses from AS 200 and the others from the VP's AS 100."""
+        view = BGPView()
+        for addr in self.ADDRS:
+            origin = 200 if addr in external else 100
+            prefix = Prefix(addr & ~0xFF, 24)
+            view.add(RibEntry(9999, prefix, (9999, origin)))
+        collector = Collector(None, 0x0A0000FE, view, {100})
+        for trace in traces:
+            collector._record_trace((200,), trace, None)
+        return collector
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_and_readers_match_per_hop_definitions(self, data):
+        drawn = [self._trace(data.draw) for _ in range(data.draw(
+            st.integers(min_value=1, max_value=4)))]
+        traces = [trace for _, trace in drawn]
+        for rows, trace in drawn:
+            assert trace.hops == rows
+            assert trace_from_dict(trace_to_dict(trace)) == trace
+        external = set(data.draw(st.sets(st.sampled_from(self.ADDRS))))
+        collector = self._collector(traces, external)
+        assert collector.collection.observed_ttl_expired_addrs() == \
+            self._observed_reference(traces)
+        for trace in traces:
+            assert collector._first_external(trace) == \
+                self._first_external_reference(trace, external.__contains__)
+        assert collector._adjacent_pairs() == \
+            self._adjacent_pairs_reference(traces)
+        prober = TTLLimitedProber(None, 0x0A0000FE)
+        for trace in traces:
+            prober.learn_from_trace(trace)
+        assert prober._aims == self._aims_reference(traces)
+
+    def test_rows_must_hold_ttls_one_to_n(self):
+        expired = ResponseKind.TTL_EXPIRED
+        with pytest.raises(ValueError, match="TTL"):
+            TraceResult(1, 2, hops=[TraceHop(1, 5, expired, 1.0, 0),
+                                    TraceHop(7, 6, expired, 1.0, 0)])
+        with pytest.raises(ValueError):
+            TraceResult(1, 2, hops=[TraceHop(1, None, expired, 0.0, 0)])
+        trace = TraceResult(1, 2, hops=[TraceHop(1, None, None, 0.0, 0)])
+        assert trace.addrs == (None,) and trace.kinds == (None,)
+        with pytest.raises(AttributeError):
+            trace.hops = []
+
+    def test_collector_keeps_no_hop_objects(self):
+        """After a collection and its router graph, no TraceHop is alive
+        and the collector untracks every trace's int and float columns
+        and every path's two tuples: a kept trace costs it two tracked
+        objects, the trace and its kinds."""
+
+        def live_hops():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is TraceHop)
+
+        before = live_hops()
+        scenario = build_scenario(mini(seed=2))
+        view = collect_public_view(
+            scenario.internet, scenario.network.oracle,
+            focal_asn=scenario.focal_asn,
+        )
+        collection = Collector(
+            scenario.network, scenario.vps[0].addr, view,
+            set(scenario.vp_as_list),
+            CollectionConfig(ally_rounds=2, ally_interval=5.0),
+        ).run()
+        graph = build_router_graph(collection)
+        assert live_hops() == before
+        assert collection.traces and graph.paths
+        for trace in collection.traces:
+            for column in (trace.addrs, trace.rtts, trace.ipids):
+                assert type(column) is tuple and not gc.is_tracked(column)
+        for path in graph.paths:
+            for column in (path.routers, path.had_gap_before):
+                assert type(column) is tuple and not gc.is_tracked(column)

@@ -4,9 +4,12 @@ command handlers, and controller/local equivalence."""
 import pytest
 
 from repro import build_scenario, build_data_bundle, mini, run_bdrmap
-from repro.addr import ntoa
-from repro.errors import ProbeError
+from repro.addr import aton, ntoa
+from repro.bgp import BGPView
+from repro.errors import DataError, ProbeError
+from repro.probing import paris_traceroute
 from repro.remote import Channel, Command, Prober, RemoteBdrmap, Reply, decode, encode
+from repro.remote.controller import _RemoteCollector
 
 
 class TestProtocol:
@@ -105,6 +108,33 @@ class TestProber:
         first = reply.payload["hops"][0]
         assert first["ttl"] == 1
 
+    def test_trace_payload_keeps_its_layout(self):
+        """The payload is the archive's trace record without "vp": its
+        keys and each hop row's keys keep the order and values the prober
+        has always sent, so its bytes do not change."""
+        scenario, twin = build_scenario(mini(seed=11)), build_scenario(mini(seed=11))
+        dst = self._target(scenario)
+        reply = Prober(scenario.network, scenario.vps[0].addr).handle(
+            Command(op="trace", args={"dst": ntoa(dst), "stop": []}, seq=1)
+        )
+        trace = paris_traceroute(twin.network, twin.vps[0].addr, dst)
+        expected = {
+            "dst": ntoa(trace.dst),
+            "stop_reason": trace.stop_reason,
+            "probes": trace.probes_used,
+            "hops": [
+                {
+                    "ttl": hop.ttl,
+                    "addr": ntoa(hop.addr) if hop.addr is not None else None,
+                    "kind": hop.kind.value if hop.kind is not None else None,
+                    "rtt": round(hop.rtt, 3),
+                    "ipid": hop.ipid,
+                }
+                for hop in trace.hops
+            ],
+        }
+        assert encode(reply) == encode(Reply(seq=1, payload=expected))
+
     def test_trace_respects_stop_list(self, scenario, prober):
         dst = self._target(scenario)
         full = prober.handle(
@@ -149,6 +179,76 @@ class TestProber:
     def test_status(self, prober):
         reply = prober.handle(Command(op="status", args={}, seq=7))
         assert reply.payload["commands"] >= 1
+
+
+class StubChannel:
+    """A channel whose every call answers one canned payload."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def call(self, op, **args):
+        return self.payload
+
+
+class TestRemoteTracePayload:
+    """The controller decodes a device's trace payload with the trace
+    archive's codec, so a malformed payload fails once, with DataError."""
+
+    VP = aton("10.0.0.10")
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return build_scenario(mini(seed=11))
+
+    def _trace(self, scenario, hops):
+        payload = {"dst": "20.0.0.1", "stop_reason": "completed",
+                   "probes": 3, "hops": hops}
+        collector = _RemoteCollector(
+            StubChannel(payload), scenario.network, self.VP, BGPView(), {100}
+        )
+        return collector._trace(aton("20.0.0.1"), None)
+
+    @staticmethod
+    def _hops():
+        return [
+            {"ttl": 1, "addr": "10.0.0.1", "kind": "ttl-expired",
+             "rtt": 1.5, "ipid": 7},
+            {"ttl": 2, "addr": None, "kind": None, "rtt": 0.0, "ipid": 0},
+            {"ttl": 3, "addr": "20.0.0.1", "kind": "echo-reply",
+             "rtt": 4.5, "ipid": 9},
+        ]
+
+    def test_well_formed_payload_decodes(self, scenario):
+        trace = self._trace(scenario, self._hops())
+        assert trace.vp_addr == self.VP
+        assert trace.addrs == (aton("10.0.0.1"), None, aton("20.0.0.1"))
+        assert trace.probes_used == 3 and trace.reached_dst()
+
+    @pytest.mark.parametrize("damage", [
+        "no-ttl", "ttl-gap", "ttl-text", "rtt-text", "ipid-none",
+        "addr-int", "kind-unknown", "row-list",
+    ])
+    def test_malformed_hops_raise_data_error(self, scenario, damage):
+        hops = self._hops()
+        if damage == "no-ttl":
+            del hops[1]["ttl"]
+        elif damage == "ttl-gap":
+            hops = [hops[0], dict(hops[2], ttl=7)]
+        elif damage == "ttl-text":
+            hops[0]["ttl"] = "1"
+        elif damage == "rtt-text":
+            hops[2]["rtt"] = "4.5"
+        elif damage == "ipid-none":
+            hops[0]["ipid"] = None
+        elif damage == "addr-int":
+            hops[0]["addr"] = 167772161
+        elif damage == "kind-unknown":
+            hops[0]["kind"] = "ttl-exceeded"
+        else:
+            hops[0] = [1, "10.0.0.1", "ttl-expired", 1.5, 7]
+        with pytest.raises(DataError):
+            self._trace(scenario, hops)
 
 
 class TestChannel:
