@@ -3,7 +3,7 @@
 The frozen longest-prefix match runs once per traceroute hop per address
 classification — millions of times in a paper-scale run — and the
 forwarding walk dominates collection time.  These benches watch for
-regressions in both, and in the trie that builds the LPM tables.
+regressions in both, and in the sweep that builds the LPM tables.
 """
 
 import pytest
@@ -12,24 +12,24 @@ from repro.addr import Prefix, aton, ntoa
 from repro.net import Probe
 from repro.rng import make_rng
 from repro.topology import build_scenario, mini
-from repro.trie import PrefixTrie
+from repro.trie import FrozenLPM
 
 
 @pytest.fixture(scope="module")
-def loaded_trie():
-    trie = PrefixTrie()
+def lpm_pairs():
     rng = make_rng(7)
+    pairs = []
     for index in range(20000):
         addr = rng.randint(0, (1 << 32) - 1)
         plen = rng.choice([8, 12, 16, 20, 24])
-        trie.insert(Prefix.of(addr, plen), index)
-    return trie
+        pairs.append((Prefix.of(addr, plen), index))
+    return pairs
 
 
-def test_bench_trie_lpm(benchmark, loaded_trie):
+def test_bench_trie_lpm(benchmark, lpm_pairs):
     rng = make_rng(8)
     probes = [rng.randint(0, (1 << 32) - 1) for _ in range(1000)]
-    lpm = loaded_trie.freeze()
+    lpm = FrozenLPM(lpm_pairs)
 
     def lookup_batch():
         hits = 0
@@ -48,10 +48,7 @@ def test_bench_trie_insert(benchmark):
     ]
 
     def build():
-        trie = PrefixTrie()
-        for prefix, value in entries:
-            trie.insert(prefix, value)
-        return len(trie)
+        return len(FrozenLPM(entries).starts)
 
     assert benchmark(build) > 0
 

@@ -25,9 +25,6 @@ class DiversityReport:
     def router_count_cdf(self) -> List[Tuple[int, float]]:
         return _cdf([len(v) for v in self.per_prefix_routers.values()])
 
-    def nextas_count_cdf(self) -> List[Tuple[int, float]]:
-        return _cdf([len(v) for v in self.per_prefix_nextas.values()])
-
     def fraction_routers_between(self, lo: int, hi: int) -> float:
         counts = [len(v) for v in self.per_prefix_routers.values()]
         if not counts:

@@ -15,6 +15,7 @@ from typing import Dict, List, Set, Tuple
 
 from ..core.report import BdrmapResult, InferredLink
 from ..topology.model import Internet
+from .linkid import truth_near_routers
 
 
 @dataclass(frozen=True)
@@ -65,19 +66,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _truth_router_ids(result: BdrmapResult, internet: Internet, rid: int) -> Set[int]:
-    """Ground-truth router ids behind an inferred router's addresses."""
-    router = result.graph.routers.get(rid)
-    if router is None:
-        return set()
-    found: Set[int] = set()
-    for addr in router.all_addrs():
-        truth = internet.router_of_addr(addr)
-        if truth is not None:
-            found.add(truth.router_id)
-    return found
-
-
 def _truth_neighbor_ases(
     internet: Internet, truth_rids: Set[int], vp_family: Set[int]
 ) -> Set[int]:
@@ -105,7 +93,7 @@ def validate_result(result: BdrmapResult, internet: Internet) -> ValidationRepor
     reason_counts: Dict[str, List[int]] = {}
 
     for link in result.links:
-        near_truth = _truth_router_ids(result, internet, link.near_rid)
+        near_truth = truth_near_routers(result, internet, link)
         # The near side may (correctly) include several true routers when
         # §5.4.7 merged them; judge against the union of their borders.
         truth_neighbors = _truth_neighbor_ases(internet, near_truth, vp_family)

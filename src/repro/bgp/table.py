@@ -112,11 +112,3 @@ class BGPView:
         for asn in group:
             found.update(self.neighbor_map().get(asn, ()))
         return found - group
-
-    def prefixes_originated_by(self, asns: Iterable[int]) -> List[Prefix]:
-        group = set(asns)
-        return sorted(
-            prefix
-            for prefix, origins in self._origins.items()
-            if origins & group
-        )

@@ -402,25 +402,11 @@ def _gather_queries(query_args, batch_path):
 
 def _cmd_query(args: argparse.Namespace) -> int:
     """Answer queries against a compiled BorderMap artifact (JSON or
-    binary — sniffed by magic unless --format forces a loader).  A JSON
-    artifact is lowered to the compiled form before serving."""
-    from .io import load_border_map
-    from .serving import (
-        BorderMapService,
-        compile_map,
-        load_compiled_map,
-        load_served_map,
-    )
+    binary, told apart by the file magic).  A JSON artifact is lowered to
+    the compiled form before serving."""
+    from .serving import BorderMapService, load_served_map
 
-    if args.format == "binary":
-        loader = load_compiled_map
-    elif args.format == "json":
-        def loader(path):
-            with open(path) as handle:
-                return compile_map(load_border_map(handle))
-    else:
-        loader = load_served_map
-    bmap = _load_or_fail(loader, args.map, "border map")
+    bmap = _load_or_fail(load_served_map, args.map, "border map")
     if bmap is None:
         return 2
     requests = _gather_queries(args.query, args.batch)
@@ -1108,10 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="file of queries, one per line (# comments ok)")
     p_query.add_argument("--stats", action="store_true",
                          help="print service statistics")
-    p_query.add_argument("--format", choices=("auto", "json", "binary"),
-                         default="auto",
-                         help="force the artifact loader (default: sniff "
-                              "the file magic)")
     p_query.set_defaults(func=_cmd_query)
 
     p_serve = subparsers.add_parser(

@@ -60,16 +60,6 @@ class ReverseDNS:
         match = re.search(r"\bas(\d+)\b", name)
         return int(match.group(1)) if match else None
 
-    def org_hint(self, addr: int) -> Optional[str]:
-        """The organization-ish label of the hostname's domain."""
-        name = self.names.get(addr)
-        if name is None:
-            return None
-        labels = name.split(".")
-        if len(labels) >= 3:
-            return labels[-3]
-        return None
-
     def __len__(self) -> int:
         return len(self.names)
 

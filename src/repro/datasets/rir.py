@@ -44,13 +44,6 @@ class RIRDelegations:
         """Opaque org ID of the most specific delegation covering addr."""
         return self._lpm.lookup_value(addr)
 
-    def prefixes_of(self, opaque_id: str) -> List[Prefix]:
-        return sorted(
-            record.prefix
-            for record in self.records
-            if record.opaque_id == opaque_id
-        )
-
     def same_org(self, addr_a: int, addr_b: int) -> bool:
         id_a = self.opaque_id_of(addr_a)
         return id_a is not None and id_a == self.opaque_id_of(addr_b)

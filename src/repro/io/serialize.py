@@ -16,7 +16,9 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import Any, Dict, IO, Iterator, List, NamedTuple, Optional, Union
+from typing import (
+    Any, Dict, IO, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
+)
 
 from ..addr import aton, ntoa
 from ..core.report import BdrmapResult, InferredLink
@@ -25,7 +27,7 @@ from ..errors import DataError
 from ..net import ResponseKind
 from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import ProvenanceRecord
-from ..probing.traceroute import TraceHop, TraceResult
+from ..probing.traceroute import TraceResult
 
 _FORMAT = "bdrmap-repro/1"
 
@@ -169,34 +171,68 @@ def trace_to_dict(trace: TraceResult) -> Dict[str, Any]:
     return data
 
 
-def _hop_from_row(row: Dict[str, Any]) -> TraceHop:
-    ttl, rtt, ipid = row["ttl"], row["rtt"], row["ipid"]
-    if type(ttl) is not int or type(ipid) is not int \
-            or type(rtt) not in (int, float):
-        raise TypeError("hop row of the wrong types: %r" % (row,))
-    kind = row["kind"]
-    return TraceHop(
-        ttl, _unaddr(row["addr"]), ResponseKind(kind) if kind else None,
-        rtt, ipid,
-    )
+def _hop_columns(rows: Iterable[Dict[str, Any]]) -> Tuple[tuple, ...]:
+    """Archived hop rows as a trace's four columns.  Each row needs an
+    int TTL and IPID and a numeric RTT, the TTLs must run 1..n in order,
+    and a row has an address exactly when it has a reply kind; anything
+    else raises one of the shape errors :func:`trace_from_dict` maps."""
+    addrs: List[Optional[int]] = []
+    kinds: List[Optional[ResponseKind]] = []
+    rtts: List[float] = []
+    ipids: List[int] = []
+    for position, row in enumerate(rows, 1):
+        ttl, rtt, ipid = row["ttl"], row["rtt"], row["ipid"]
+        if type(ttl) is not int or type(ipid) is not int \
+                or type(rtt) not in (int, float):
+            raise TypeError("hop row of the wrong types: %r" % (row,))
+        if ttl != position:
+            raise ValueError(
+                "hop %d has TTL %r: a trace's TTLs must be 1..n" % (position, ttl)
+            )
+        addr, kind = _unaddr(row["addr"]), row["kind"]
+        kind = ResponseKind(kind) if kind else None
+        if (addr is None) != (kind is None):
+            raise ValueError(
+                "hop %d: an address without a reply kind, or a kind without one"
+                % position
+            )
+        addrs.append(addr)
+        kinds.append(kind)
+        rtts.append(rtt)
+        ipids.append(ipid)
+    return tuple(addrs), tuple(kinds), tuple(rtts), tuple(ipids)
 
 
 def trace_from_dict(
     data: Dict[str, Any], vp_addr: Optional[int] = None
 ) -> TraceResult:
     """Decode :func:`trace_to_dict`'s record, or with ``vp_addr`` a remote
-    trace payload, which has no "vp".  A missing or mistyped field, or hop
-    TTLs other than 1..n, raise :class:`DataError`."""
+    trace payload, which has no "vp".  This is the one check of a trace
+    from outside: a missing or mistyped field, hop TTLs other than 1..n,
+    or an address without a reply kind (or the reverse) raise
+    :class:`DataError`."""
     try:
+        addrs, kinds, rtts, ipids = _hop_columns(data["hops"])
+        stop_reason = data["stop_reason"]
+        counts = [data.get(key, 0)
+                  for key in ("probes", "retries", "recovered", "silent")]
+        if type(stop_reason) is not str \
+                or any(type(count) is not int for count in counts):
+            raise TypeError("trace fields of the wrong types: %r"
+                            % ([stop_reason] + counts,))
+        probes, retries, recovered, silent = counts
         return TraceResult(
             vp_addr=aton(data["vp"]) if vp_addr is None else vp_addr,
             dst=aton(data["dst"]),
-            hops=[_hop_from_row(row) for row in data["hops"]],
-            stop_reason=data["stop_reason"],
-            probes_used=data.get("probes", 0),
-            retries_used=data.get("retries", 0),
-            recovered_hops=data.get("recovered", 0),
-            silent_hops=data.get("silent", 0),
+            stop_reason=stop_reason,
+            probes_used=probes,
+            retries_used=retries,
+            recovered_hops=recovered,
+            silent_hops=silent,
+            addrs=addrs,
+            kinds=kinds,
+            rtts=rtts,
+            ipids=ipids,
         )
     except _SHAPE_ERRORS as exc:
         raise DataError("malformed trace record: %s" % exc) from exc

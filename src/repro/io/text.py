@@ -37,19 +37,21 @@ def format_trace(
     """
     lines = [
         "traceroute to %s, %d hops, stop: %s"
-        % (ntoa(trace.dst), len(trace.hops), trace.stop_reason)
+        % (ntoa(trace.dst), len(trace.addrs), trace.stop_reason)
     ]
-    for hop in trace.hops:
-        if hop.addr is None:
-            lines.append("%2d  *" % hop.ttl)
+    for ttl, (addr, kind, rtt) in enumerate(
+        zip(trace.addrs, trace.kinds, trace.rtts), 1
+    ):
+        if addr is None:
+            lines.append("%2d  *" % ttl)
             continue
-        shown = ntoa(hop.addr)
+        shown = ntoa(addr)
         if name_of is not None:
-            name = name_of(hop.addr)
+            name = name_of(addr)
             if name:
-                shown = "%s (%s)" % (name, ntoa(hop.addr))
-        note = _KIND_NOTES.get(hop.kind, "")
-        lines.append("%2d  %s  %.3f ms%s" % (hop.ttl, shown, hop.rtt, note))
+                shown = "%s (%s)" % (name, ntoa(addr))
+        note = _KIND_NOTES.get(kind, "")
+        lines.append("%2d  %s  %.3f ms%s" % (ttl, shown, rtt, note))
     return "\n".join(lines)
 
 

@@ -2,7 +2,7 @@
 ping, doubletree stop sets, and the alias-resolution probers Ally,
 Mercator, prefixscan, and the MIDAR-style monotonic IPID test."""
 
-from .traceroute import TraceHop, TraceResult, paris_traceroute
+from .traceroute import TraceResult, paris_traceroute
 from .ping import ping
 from .stopset import StopSet
 from .ally import AliasVerdict, AllyResult, ally_test, ally_repeated
@@ -13,7 +13,6 @@ from .scheduler import RoundRobinScheduler
 from .ttl_limited import TTLLimitedProber
 
 __all__ = [
-    "TraceHop",
     "TraceResult",
     "paris_traceroute",
     "ping",

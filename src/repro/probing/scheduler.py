@@ -15,7 +15,7 @@ orchestrator wants: one target AS's crash should not strand the others).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterator, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
 
@@ -48,8 +48,7 @@ class RoundRobinScheduler:
         for task in tasks:
             self.add(task)
 
-    def run(self, on_progress: Optional[Callable[[int], None]] = None,
-            reraise: bool = True) -> int:
+    def run(self, reraise: bool = True) -> int:
         """Run all tasks to completion; returns number of scheduler steps.
 
         Exceptions from individual tasks are caught and collected in
@@ -84,8 +83,6 @@ class RoundRobinScheduler:
                 steps += 1
             for index in reversed(finished):
                 active.pop(index)
-            if on_progress is not None:
-                on_progress(steps)
         metrics = self.metrics
         if metrics.enabled:
             prefix = "scheduler.%s." % self.label

@@ -2,61 +2,16 @@
 
 ICMP-echo probes with a constant flow identifier per trace (the Paris
 discipline [2]), per-hop retries, a gap limit, and doubletree-style early
-stopping against a caller-supplied stop set.
+stopping against a caller-supplied stop set.  A trace is four columns with
+one entry per TTL (:class:`TraceResult`); there is no per-hop record.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..net import Network, Probe, ProbeKind, ResponseKind
 from .retry import RetryPolicy, RetryStats, send_with_retry
-
-
-class TraceHop(NamedTuple):
-    """One TTL's worth of traceroute output (addr None = no response).
-
-    Only the row view of a :class:`TraceResult`: a trace stores columns,
-    and builds rows for the readers that want them."""
-
-    ttl: int
-    addr: Optional[int]
-    kind: Optional[ResponseKind]
-    rtt: float
-    ipid: int
-
-    @property
-    def responded(self) -> bool:
-        return self.addr is not None
-
-    @property
-    def is_ttl_expired(self) -> bool:
-        return self.kind is ResponseKind.TTL_EXPIRED
-
-
-def _columns(rows: Iterable[Sequence]) -> Tuple[tuple, tuple, tuple, tuple]:
-    """Hop rows ``(ttl, addr, kind, rtt, ipid)`` as four columns.  The
-    rows must hold TTLs 1..n in order, and a hop has an address exactly
-    when it has a reply kind; anything else raises ValueError."""
-    addrs: List[Optional[int]] = []
-    kinds: List[Optional[ResponseKind]] = []
-    rtts: List[float] = []
-    ipids: List[int] = []
-    for position, (ttl, addr, kind, rtt, ipid) in enumerate(rows, 1):
-        if ttl != position:
-            raise ValueError(
-                "hop %d has TTL %r: a trace's TTLs must be 1..n" % (position, ttl)
-            )
-        if (addr is None) != (kind is None):
-            raise ValueError(
-                "hop %d: an address without a reply kind, or a kind without one"
-                % position
-            )
-        addrs.append(addr)
-        kinds.append(kind)
-        rtts.append(rtt)
-        ipids.append(ipid)
-    return tuple(addrs), tuple(kinds), tuple(rtts), tuple(ipids)
 
 
 class TraceResult:
@@ -69,9 +24,9 @@ class TraceResult:
     first time it examines them; a kept trace costs the collector two
     tracked objects, itself and ``kinds``, however many hops it has.
 
-    ``hops`` builds :class:`TraceHop` rows for the cold readers (text
-    output, archives, the remote prober); the constructor takes such rows
-    as ``hops`` or the columns themselves as keywords.
+    Readers zip the columns they need.  A trace from outside (an archive,
+    a remote prober's payload) is checked once, by
+    :func:`repro.io.serialize.trace_from_dict`.
     """
 
     __slots__ = (
@@ -83,7 +38,6 @@ class TraceResult:
         self,
         vp_addr: int,
         dst: int,
-        hops: Iterable[Sequence] = (),
         stop_reason: str = "incomplete",
         probes_used: int = 0,
         # Resilience accounting (all zero when no RetryPolicy is in force).
@@ -96,11 +50,7 @@ class TraceResult:
         rtts: Tuple[float, ...] = (),
         ipids: Tuple[int, ...] = (),
     ) -> None:
-        if hops:
-            if addrs or kinds or rtts or ipids:
-                raise TypeError("a trace takes hop rows or columns, not both")
-            addrs, kinds, rtts, ipids = _columns(hops)
-        elif not len(addrs) == len(kinds) == len(rtts) == len(ipids):
+        if not len(addrs) == len(kinds) == len(rtts) == len(ipids):
             raise ValueError("a trace's four columns must be equally long")
         self.vp_addr = vp_addr
         self.dst = dst
@@ -129,28 +79,8 @@ class TraceResult:
             "%s=%r" % (name, getattr(self, name)) for name in self.__slots__
         )
 
-    @property
-    def hops(self) -> List[TraceHop]:
-        """The trace as rows, built anew on each read."""
-        return list(map(
-            TraceHop, range(1, len(self.addrs) + 1),
-            self.addrs, self.kinds, self.rtts, self.ipids,
-        ))
-
-    def responsive_hops(self) -> List[TraceHop]:
-        return [hop for hop in self.hops if hop.responded]
-
-    def addresses(self) -> List[int]:
-        return [addr for addr in self.addrs if addr is not None]
-
     def reached_dst(self) -> bool:
         return self.stop_reason == "completed"
-
-    def last_responsive(self) -> Optional[TraceHop]:
-        for hop in reversed(self.hops):
-            if hop.responded:
-                return hop
-        return None
 
 
 def paris_traceroute(

@@ -696,12 +696,6 @@ class MapPatch:
     changed: Dict[str, bytes] = field(default_factory=dict)
     base_crcs: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def unchanged(self) -> Tuple[str, ...]:
-        return tuple(
-            name for name in self.base_crcs if name not in self.changed
-        )
-
 
 def patch_compiled_map(
     prev: CompiledBorderMap, bmap: BorderMap

@@ -1,18 +1,13 @@
-"""Longest-prefix match over IPv4 prefixes: a trie to build, ranges to read.
+"""Longest-prefix match over IPv4 prefixes, as sorted address ranges.
 
 The canonical IP→AS mapping step (§4) is a longest-prefix match against the
 set of BGP-announced prefixes; bdrmap performs that match for every address
 in every traceroute, so this module sits on the hottest path of the whole
-system.  It has two halves:
-
-* :class:`PrefixTrie` is the builder: a plain binary trie with path-free
-  internal nodes that takes inserts and removals in any order.
-* :class:`FrozenLPM` is the one read side.  Once a table is sealed (the
-  announced prefixes of one routing epoch, a BGP view after its adds, a
-  compiled map's prefix table), it is frozen into sorted disjoint address
-  ranges in one sweep, and a lookup is one ``bisect`` instead of a 32-step
-  walk.  A table already held as (prefix, value) pairs freezes straight
-  from them; :meth:`PrefixTrie.freeze` freezes a trie.
+system.  Every table it serves is sealed before it is read (the announced
+prefixes of one routing epoch, a BGP view after its adds, a compiled map's
+prefix table), so :class:`FrozenLPM` freezes the (prefix, value) pairs into
+sorted disjoint address ranges in one sweep, and a lookup is one ``bisect``
+instead of a 32-step trie walk.
 """
 
 from __future__ import annotations
@@ -23,155 +18,6 @@ from typing import Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
 from .addr import MAX_ADDR, Prefix
 
 V = TypeVar("V")
-
-
-class _Node(Generic[V]):
-    __slots__ = ("zero", "one", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.zero: Optional["_Node[V]"] = None
-        self.one: Optional["_Node[V]"] = None
-        self.value: Optional[V] = None
-        self.has_value = False
-
-
-class PrefixTrie(Generic[V]):
-    """Map from :class:`Prefix` to arbitrary values with LPM lookup."""
-
-    def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __bool__(self) -> bool:
-        return self._len > 0
-
-    def insert(self, prefix: Prefix, value: V) -> None:
-        """Insert or replace the value stored at ``prefix``."""
-        node = self._root
-        for bit_index in range(prefix.plen):
-            bit = (prefix.addr >> (31 - bit_index)) & 1
-            if bit:
-                if node.one is None:
-                    node.one = _Node()
-                node = node.one
-            else:
-                if node.zero is None:
-                    node.zero = _Node()
-                node = node.zero
-        if not node.has_value:
-            self._len += 1
-        node.value = value
-        node.has_value = True
-
-    def remove(self, prefix: Prefix) -> bool:
-        """Remove ``prefix``; return True if it was present.
-
-        Leaves empty internal nodes in place — removal is rare (used only by
-        tests and incremental dataset updates), so we do not prune.
-        """
-        node: Optional[_Node[V]] = self._root
-        for bit_index in range(prefix.plen):
-            if node is None:
-                return False
-            bit = (prefix.addr >> (31 - bit_index)) & 1
-            node = node.one if bit else node.zero
-        if node is None or not node.has_value:
-            return False
-        node.has_value = False
-        node.value = None
-        self._len -= 1
-        return True
-
-    def exact(self, prefix: Prefix) -> Optional[V]:
-        """Return the value stored exactly at ``prefix``, or None."""
-        node: Optional[_Node[V]] = self._root
-        for bit_index in range(prefix.plen):
-            if node is None:
-                return None
-            bit = (prefix.addr >> (31 - bit_index)) & 1
-            node = node.one if bit else node.zero
-        if node is not None and node.has_value:
-            return node.value
-        return None
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        return self.exact(prefix) is not None
-
-    def lookup(self, addr: int) -> Optional[Tuple[Prefix, V]]:
-        """Longest-prefix match for ``addr``.
-
-        Returns the (prefix, value) of the most specific stored prefix
-        covering ``addr``, or None if nothing covers it.
-        """
-        node: Optional[_Node[V]] = self._root
-        best: Optional[Tuple[int, V]] = None
-        depth = 0
-        while node is not None:
-            if node.has_value:
-                best = (depth, node.value)  # type: ignore[arg-type]
-            if depth == 32:
-                break
-            bit = (addr >> (31 - depth)) & 1
-            node = node.one if bit else node.zero
-            depth += 1
-        if best is None:
-            return None
-        plen, value = best
-        return Prefix.of(addr, plen), value
-
-    def lookup_value(self, addr: int) -> Optional[V]:
-        """Longest-prefix match returning only the stored value."""
-        found = self.lookup(addr)
-        return found[1] if found is not None else None
-
-    def lookup_all(self, addr: int) -> List[Tuple[Prefix, V]]:
-        """All stored prefixes covering ``addr``, least specific first."""
-        matches: List[Tuple[Prefix, V]] = []
-        node: Optional[_Node[V]] = self._root
-        depth = 0
-        while node is not None:
-            if node.has_value:
-                matches.append((Prefix.of(addr, depth), node.value))  # type: ignore[arg-type]
-            if depth == 32:
-                break
-            bit = (addr >> (31 - depth)) & 1
-            node = node.one if bit else node.zero
-            depth += 1
-        return matches
-
-    def covered(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
-        """Iterate stored (prefix, value) pairs at or below ``prefix``."""
-        node: Optional[_Node[V]] = self._root
-        for bit_index in range(prefix.plen):
-            if node is None:
-                return
-            bit = (prefix.addr >> (31 - bit_index)) & 1
-            node = node.one if bit else node.zero
-        if node is None:
-            return
-        stack: List[Tuple[_Node[V], int, int]] = [(node, prefix.addr, prefix.plen)]
-        while stack:
-            current, addr, plen = stack.pop()
-            if current.has_value:
-                yield Prefix(addr, plen), current.value  # type: ignore[misc]
-            if plen == 32:
-                continue
-            if current.one is not None:
-                stack.append((current.one, addr | (1 << (31 - plen)), plen + 1))
-            if current.zero is not None:
-                stack.append((current.zero, addr, plen + 1))
-
-    def items(self) -> Iterator[Tuple[Prefix, V]]:
-        """Iterate all stored (prefix, value) pairs (unordered)."""
-        yield from self.covered(Prefix(0, 0))
-
-    def freeze(self) -> "FrozenLPM[V]":
-        """The table as it stands, frozen for reading (see
-        :class:`FrozenLPM`).  Later inserts do not reach the frozen form."""
-        return FrozenLPM(self.items())
 
 
 def _prefix_order(item: Tuple[Prefix, object]) -> Tuple[int, int]:
@@ -186,18 +32,16 @@ class FrozenLPM(Generic[V]):
     answer: range ``i`` covers ``[starts[i], starts[i + 1])`` and its
     longest match is ``prefixes[i]`` with ``values[i]`` (both None for
     unrouted space).  Ranges are never merged across distinct prefixes,
-    even when their values are equal, so :meth:`lookup` returns the same
-    prefix as :meth:`PrefixTrie.lookup`.
-
-    Build one from (prefix, value) pairs, or with :meth:`PrefixTrie.freeze`
-    from a table that was built incrementally.
+    even when their values are equal, so :meth:`lookup` returns the most
+    specific prefix that covers the address, not just its value.  The
+    table copies its pairs: later changes to their source do not reach it.
     """
 
     __slots__ = ("starts", "prefixes", "values")
 
     def __init__(self, items: Iterable[Tuple[Prefix, V]] = ()) -> None:
         """Freeze (prefix, value) pairs; a prefix given twice keeps its
-        last value, as repeated :meth:`PrefixTrie.insert` calls would.
+        last value.
 
         One sweep in (address, length) order, keeping a stack of the open
         prefixes that nest around the sweep position, innermost last.  The

@@ -18,7 +18,7 @@ from repro.core.heuristics import HeuristicConfig, run_inference
 from repro.core.pipeline import InferenceContext
 from repro.core.routergraph import build_router_graph
 from repro.net import ResponseKind
-from repro.probing.traceroute import TraceHop, TraceResult
+from repro.probing.traceroute import TraceResult
 
 VP_AS = 100
 COLLECTOR = 9999
@@ -92,32 +92,34 @@ class CaseBuilder:
         optionally appends a terminal non-TTL-expired response.
         """
         key = (target_as,) if isinstance(target_as, int) else tuple(target_as)
-        trace_hops: List[TraceHop] = []
-        ttl = 0
+        addrs: List[Optional[int]] = []
+        kinds: List[Optional[ResponseKind]] = []
         for hop in hops:
-            ttl += 1
             if hop is None:
-                trace_hops.append(TraceHop(ttl, None, None, 0.0, 0))
+                addrs.append(None)
+                kinds.append(None)
                 continue
             if isinstance(hop, tuple):
                 addr_text, kind_text = hop
                 kind = ResponseKind(kind_text)
             else:
                 addr_text, kind = hop, ResponseKind.TTL_EXPIRED
-            trace_hops.append(TraceHop(ttl, aton(addr_text), kind, 1.0, 0))
+            addrs.append(aton(addr_text))
+            kinds.append(kind)
         stop_reason = "gaplimit"
         if final is not None:
-            ttl += 1
             addr_text, kind_text = final
-            trace_hops.append(
-                TraceHop(ttl, aton(addr_text), ResponseKind(kind_text), 1.0, 0)
-            )
+            addrs.append(aton(addr_text))
+            kinds.append(ResponseKind(kind_text))
             stop_reason = "completed"
         result = TraceResult(
             vp_addr=aton("10.0.0.10"),
             dst=aton(dst),
-            hops=trace_hops,
             stop_reason=stop_reason,
+            addrs=addrs,
+            kinds=kinds,
+            rtts=[0.0 if addr is None else 1.0 for addr in addrs],
+            ipids=[0] * len(addrs),
         )
         self.collection.traces.append(result)
         self.collection.trace_keys.append(key)

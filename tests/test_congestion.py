@@ -10,6 +10,7 @@ from repro.congestion import (
 )
 from repro.congestion.detect import CongestionVerdict, _quantile
 from repro.congestion.tslp import LinkSeries, ProbeTarget
+from repro.net import ResponseKind
 from repro.net.congestion import DAY, CongestionProfile, CongestionSchedule
 from repro.topology.model import LinkKind
 
@@ -74,15 +75,15 @@ class TestRTTIntegration:
                 continue
             trace = paris_traceroute(scenario.network, vp.addr,
                                      policy.prefix.addr + 1)
-            for hop in trace.hops:
-                if hop.addr is None or not hop.is_ttl_expired:
+            for addr, kind in zip(trace.addrs, trace.kinds):
+                if addr is None or kind is not ResponseKind.TTL_EXPIRED:
                     continue
-                iface = scenario.internet.addr_to_iface.get(hop.addr)
+                iface = scenario.internet.addr_to_iface.get(addr)
                 if iface is None:
                     continue
                 link = scenario.internet.links[iface.link_id]
                 if link.kind is not LinkKind.INTRA:
-                    target_addr, link_id = hop.addr, link.link_id
+                    target_addr, link_id = addr, link.link_id
                     break
             if target_addr:
                 break

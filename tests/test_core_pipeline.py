@@ -210,10 +210,10 @@ class TestCollector:
         collector = self._collector(scenario)
         collection = collector.run()
         addrs = sorted({
-            hop.addr
+            addr
             for trace in collection.traces
-            for hop in trace.hops
-            if hop.addr is not None
+            for addr in trace.addrs
+            if addr is not None
         })
         answers = set()
         for addr in addrs:

@@ -131,17 +131,20 @@ class TestHostileBinary:
         shard worker handed it answers with a well-formed frame instead
         of raising."""
         worker = ShardWorker(artifacts.base_path)
-        for message in (Command(op="ping", args={}, seq=1),
-                        Reply(seq=1, payload={"epoch": 1, "token": 0})):
-            frame = pack_frame(encode(message))
-            assert decode(unpack_frame(frame)) == message
-            assert survivors(
-                frame, lambda data: decode(unpack_frame(data)), stride=1
-            ) == []
-            escaped = []
-            for label, damaged in mutations(frame, stride=1):
-                try:
-                    unpack_frame(worker.handle_frame(damaged))
-                except Exception as exc:  # noqa: BLE001 - under test
-                    escaped.append("%s: %r" % (label, exc))
-            assert escaped == [], type(message).__name__
+        try:
+            for message in (Command(op="ping", args={}, seq=1),
+                            Reply(seq=1, payload={"epoch": 1, "token": 0})):
+                frame = pack_frame(encode(message))
+                assert decode(unpack_frame(frame)) == message
+                assert survivors(
+                    frame, lambda data: decode(unpack_frame(data)), stride=1
+                ) == []
+                escaped = []
+                for label, damaged in mutations(frame, stride=1):
+                    try:
+                        unpack_frame(worker.handle_frame(damaged))
+                    except Exception as exc:  # noqa: BLE001 - under test
+                        escaped.append("%s: %r" % (label, exc))
+                assert escaped == [], type(message).__name__
+        finally:
+            worker.close()

@@ -16,7 +16,7 @@ from repro.io import (
     trace_from_dict,
     trace_to_dict,
 )
-from repro.probing.traceroute import TraceHop, TraceResult
+from repro.probing.traceroute import TraceResult
 from repro.net import ResponseKind
 
 
@@ -25,13 +25,12 @@ class TestTraceSerialization:
         return TraceResult(
             vp_addr=0x0A00000A,
             dst=0x14000001,
-            hops=[
-                TraceHop(1, 0x0A000001, ResponseKind.TTL_EXPIRED, 1.5, 42),
-                TraceHop(2, None, None, 0.0, 0),
-                TraceHop(3, 0x14000001, ResponseKind.ECHO_REPLY, 4.5, 7),
-            ],
             stop_reason="completed",
             probes_used=4,
+            addrs=(0x0A000001, None, 0x14000001),
+            kinds=(ResponseKind.TTL_EXPIRED, None, ResponseKind.ECHO_REPLY),
+            rtts=(1.5, 0.0, 4.5),
+            ipids=(42, 0, 7),
         )
 
     def test_roundtrip(self):
@@ -45,6 +44,12 @@ class TestTraceSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(DataError):
             trace_from_dict({"vp": "1.2.3.4"})
+        record = trace_to_dict(self._trace())
+        for field, value in (("stop_reason", 5), ("probes", "4"),
+                             ("probes", None), ("retries", 1.5),
+                             ("recovered", True), ("silent", [])):
+            with pytest.raises(DataError, match="wrong types"):
+                trace_from_dict(dict(record, **{field: value}))
 
 
 class TestResultSerialization:
@@ -158,12 +163,11 @@ class TestTextRendering:
         trace = TraceResult(
             vp_addr=0x0A00000A,
             dst=0x14000001,
-            hops=[
-                TraceHop(1, 0x0A000001, ResponseKind.TTL_EXPIRED, 1.5, 42),
-                TraceHop(2, None, None, 0.0, 0),
-                TraceHop(3, 0x14000001, ResponseKind.ECHO_REPLY, 4.5, 7),
-            ],
             stop_reason="completed",
+            addrs=(0x0A000001, None, 0x14000001),
+            kinds=(ResponseKind.TTL_EXPIRED, None, ResponseKind.ECHO_REPLY),
+            rtts=(1.5, 0.0, 4.5),
+            ipids=(42, 0, 7),
         )
         text = format_trace(trace)
         lines = text.splitlines()
@@ -178,7 +182,10 @@ class TestTextRendering:
         trace = TraceResult(
             vp_addr=1,
             dst=0x14000001,
-            hops=[TraceHop(1, 0x0A000001, ResponseKind.TTL_EXPIRED, 1.5, 0)],
+            addrs=(0x0A000001,),
+            kinds=(ResponseKind.TTL_EXPIRED,),
+            rtts=(1.5,),
+            ipids=(0,),
         )
         text = format_trace(trace, name_of=lambda addr: "r1.sea.example.net")
         assert "r1.sea.example.net (10.0.0.1)" in text
@@ -189,9 +196,10 @@ class TestTextRendering:
         trace = TraceResult(
             vp_addr=1,
             dst=0x14000001,
-            hops=[
-                TraceHop(1, 0x0A000001, ResponseKind.DEST_UNREACH_ADMIN, 1.0, 0)
-            ],
+            addrs=(0x0A000001,),
+            kinds=(ResponseKind.DEST_UNREACH_ADMIN,),
+            rtts=(1.0,),
+            ipids=(0,),
         )
         assert "!X" in format_trace(trace)
 
@@ -222,33 +230,34 @@ class TestCongestCommand:
 from hypothesis import given, strategies as st
 
 _addr = st.integers(min_value=0, max_value=(1 << 32) - 1)
-_kind = st.sampled_from([k for k in ResponseKind] + [None])
 
 
 @st.composite
 def _random_trace(draw):
-    hops = []
-    for ttl in range(1, draw(st.integers(min_value=1, max_value=12)) + 1):
+    addrs, kinds, rtts, ipids = [], [], [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
         if draw(st.booleans()):
-            hops.append(TraceHop(ttl, None, None, 0.0, 0))
+            hop = (None, None, 0.0, 0)
         else:
-            hops.append(
-                TraceHop(
-                    ttl,
-                    draw(_addr),
-                    draw(st.sampled_from(list(ResponseKind))),
-                    round(draw(st.floats(min_value=0, max_value=500)), 3),
-                    draw(st.integers(min_value=0, max_value=0xFFFF)),
-                )
+            hop = (
+                draw(_addr),
+                draw(st.sampled_from(list(ResponseKind))),
+                round(draw(st.floats(min_value=0, max_value=500)), 3),
+                draw(st.integers(min_value=0, max_value=0xFFFF)),
             )
+        for column, value in zip((addrs, kinds, rtts, ipids), hop):
+            column.append(value)
     return TraceResult(
         vp_addr=draw(_addr),
         dst=draw(_addr),
-        hops=hops,
         stop_reason=draw(
             st.sampled_from(["completed", "gaplimit", "maxttl", "stopset"])
         ),
         probes_used=draw(st.integers(min_value=0, max_value=100)),
+        addrs=addrs,
+        kinds=kinds,
+        rtts=rtts,
+        ipids=ipids,
     )
 
 

@@ -95,8 +95,9 @@ class TestUDPTraceroute:
         udp = paris_traceroute(
             scenario.network, scenario.vps[0].addr, dst, kind=ProbeKind.UDP
         )
-        icmp_hops = [h.addr for h in icmp.hops if h.is_ttl_expired]
-        udp_hops = [h.addr for h in udp.hops if h.is_ttl_expired]
+        expired = ResponseKind.TTL_EXPIRED
+        icmp_hops = [a for a, k in zip(icmp.addrs, icmp.kinds) if k is expired]
+        udp_hops = [a for a, k in zip(udp.addrs, udp.kinds) if k is expired]
         # Same flow identifier → same forwarding decisions; UDP responders
         # may differ per policy, but the responding subsequence must agree.
         common = set(icmp_hops) & set(udp_hops)
@@ -114,7 +115,7 @@ class TestUDPTraceroute:
             )
             if trace.stop_reason != "completed":
                 continue
-            last = trace.last_responsive()
-            assert last.kind is ResponseKind.DEST_UNREACH_PORT
+            # A completed trace ends on the reply that completed it.
+            assert trace.kinds[-1] is ResponseKind.DEST_UNREACH_PORT
             return
         pytest.skip("no clean UDP path found")

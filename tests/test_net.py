@@ -21,7 +21,6 @@ from repro.net import (
 from repro.net.faults import make_fault_plan
 from repro.net.policies import RateLimiter
 from repro.net.routing import RoutingOracle, StepKind
-from repro.probing.traceroute import TraceHop
 from repro.rng import make_rng
 from repro.topology import build_scenario, mini
 from repro.errors import ProbeError
@@ -534,7 +533,7 @@ class TestPolicyBehaviours:
 
 
 class TestRecords:
-    """The probe, reply and hop records: their fields, their defaults,
+    """The probe and reply records: their fields, their defaults,
     immutability, and pickling (parallel workers ship traces home)."""
 
     EMPTY = inspect.Parameter.empty
@@ -545,10 +544,7 @@ class TestRecords:
         (Response, (4, ResponseKind.ECHO_REPLY, 5, 6, 1.5),
          [("src", EMPTY), ("kind", EMPTY), ("ipid", EMPTY),
           ("quoted_dst", EMPTY), ("rtt", EMPTY), ("truth_router_id", None)]),
-        (TraceHop, (7, 8, ResponseKind.TTL_EXPIRED, 2.5, 9),
-         [("ttl", EMPTY), ("addr", EMPTY), ("kind", EMPTY), ("rtt", EMPTY),
-          ("ipid", EMPTY)]),
-    ], ids=["probe", "response", "tracehop"])
+    ], ids=["probe", "response"])
 
     @RECORDS
     def test_fields_in_order_with_defaults(self, cls, args, fields):
@@ -577,14 +573,6 @@ class TestRecords:
             "Probe(src=1, dst=2, ttl=3, "
             "kind=<ProbeKind.ICMP_ECHO: 'icmp-echo'>, flow_id=0)"
         )
-
-    def test_tracehop_properties(self):
-        silent = TraceHop(1, None, None, 0.0, 0)
-        expired = TraceHop(2, 10, ResponseKind.TTL_EXPIRED, 1.0, 3)
-        echo = TraceHop(3, 11, ResponseKind.ECHO_REPLY, 1.0, 4)
-        assert (silent.responded, silent.is_ttl_expired) == (False, False)
-        assert (expired.responded, expired.is_ttl_expired) == (True, True)
-        assert (echo.responded, echo.is_ttl_expired) == (True, False)
 
 
 class TestRouteMemo:

@@ -6,10 +6,11 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.addr import Prefix
+from repro.addr import Prefix, ntoa
 from repro.bgp import BGPView, RibEntry, collect_public_view
 from repro.core.collection import CollectionConfig, Collector
 from repro.core.routergraph import build_router_graph
+from repro.errors import DataError
 from repro.io import trace_from_dict, trace_to_dict
 from repro.net import ResponseKind
 from repro.probing import (
@@ -25,7 +26,7 @@ from repro.probing import (
     prefixscan,
 )
 from repro.probing.mercator import mercator_probe
-from repro.probing.traceroute import TraceHop, TraceResult
+from repro.probing.traceroute import TraceResult
 from repro.probing.ttl_limited import TTLLimitedProber
 from repro.topology import build_scenario, mini
 from repro.topology.model import LinkKind
@@ -59,18 +60,24 @@ class TestTraceroute:
     def test_walks_to_destination(self, scenario, vp):
         policy = external_policy(scenario, 0)
         trace = paris_traceroute(scenario.network, vp.addr, policy.prefix.addr + 1)
-        assert trace.hops
-        assert trace.hops[0].ttl == 1
+        assert trace.addrs
+        assert len(trace.addrs) == len(trace.kinds) == len(trace.rtts) \
+            == len(trace.ipids)
         assert trace.stop_reason in (
             "completed", "unreach", "gaplimit", "maxttl", "stopset"
         )
 
     def test_hops_have_increasing_ttl(self, scenario, vp):
+        """Position ``i`` of a trace is TTL ``i + 1``: a trace cut at TTL
+        ``k`` holds the first ``k`` hops of the full trace."""
         policy = external_policy(scenario, 1)
-        trace = paris_traceroute(scenario.network, vp.addr, policy.prefix.addr + 1)
-        ttls = [hop.ttl for hop in trace.hops]
-        assert ttls == sorted(ttls)
-        assert len(set(ttls)) == len(ttls)
+        dst = policy.prefix.addr + 1
+        full = paris_traceroute(scenario.network, vp.addr, dst)
+        for max_ttl in (1, 2, 3):
+            cut = paris_traceroute(scenario.network, vp.addr, dst,
+                                   max_ttl=max_ttl)
+            assert cut.addrs == full.addrs[:max_ttl]
+            assert cut.kinds == full.kinds[:max_ttl]
 
     def test_gap_limit_respected(self, scenario, vp):
         # Tracing unannounced space dies at the first hop... which still
@@ -79,17 +86,16 @@ class TestTraceroute:
             scenario.network, vp.addr, 0xCB007107, gap_limit=3
         )
         if trace.stop_reason == "gaplimit":
-            unresponsive = [h for h in trace.hops if not h.responded]
-            assert len(unresponsive) >= 3
+            assert trace.addrs[-3:] == (None, None, None)
 
     def test_stop_set_truncates(self, scenario, vp):
         policy = external_policy(scenario, 2)
         dst = policy.prefix.addr + 1
         full = paris_traceroute(scenario.network, vp.addr, dst)
         externals = [
-            hop.addr
-            for hop in full.responsive_hops()
-            if hop.is_ttl_expired
+            addr
+            for addr, kind in zip(full.addrs, full.kinds)
+            if kind is ResponseKind.TTL_EXPIRED
         ]
         if len(externals) < 2:
             pytest.skip("path too short for stop-set test")
@@ -98,14 +104,8 @@ class TestTraceroute:
             scenario.network, vp.addr, dst, stop_set=stop
         )
         assert truncated.stop_reason == "stopset"
-        assert len(truncated.hops) < len(full.hops) or full.stop_reason != "completed"
-
-    def test_last_responsive(self, scenario, vp):
-        policy = external_policy(scenario, 0)
-        trace = paris_traceroute(scenario.network, vp.addr, policy.prefix.addr + 1)
-        last = trace.last_responsive()
-        assert last is not None
-        assert last.addr in trace.addresses()
+        assert len(truncated.addrs) < len(full.addrs) \
+            or full.stop_reason != "completed"
 
     def test_probes_counted(self, scenario, vp):
         policy = external_policy(scenario, 0)
@@ -433,25 +433,6 @@ class TestScheduler:
         assert scheduler.tasks_failed == 1
         assert len(scheduler.failures) == 1
 
-    def test_on_progress_is_monotonic(self):
-        """Progress callbacks must report a strictly increasing step
-        count — consumers use it to drive progress bars and watchdogs."""
-        def task(steps):
-            for _ in range(steps):
-                yield
-
-        def bad():
-            yield
-            raise RuntimeError("boom")
-
-        seen = []
-        scheduler = RoundRobinScheduler(parallelism=2)
-        scheduler.add_all([task(3), bad(), task(1)])
-        steps = scheduler.run(on_progress=seen.append, reraise=False)
-        assert seen, "on_progress never fired"
-        assert all(b > a for a, b in zip(seen, seen[1:]))
-        assert seen[-1] == steps
-
     def test_second_run_does_not_reraise_stale_failure(self):
         """Regression: ``failures`` accumulates across run() calls for
         post-hoc inspection, but a clean second run used to re-raise the
@@ -494,23 +475,24 @@ class TestScheduler:
 class TestTraceColumns:
     """A trace stores four exact tuples, not hop objects, and its hot
     readers read the columns; each must equal the per-hop definition it
-    replaced, kept here as the reference."""
+    replaced, kept here as the reference over rows the test draws."""
 
     ADDRS = [0x0A000001 + (block << 8) for block in range(6)]  # 10.0.N.1
 
     @staticmethod
     def _rows(draw, addrs):
+        """Hop rows ``(ttl, addr, kind, rtt, ipid)`` for TTLs 1..n."""
         rows = []
         for ttl in range(1, draw(st.integers(min_value=0, max_value=10)) + 1):
             if draw(st.booleans()):
-                rows.append(TraceHop(ttl, None, None, 0.0, 0))
+                rows.append((ttl, None, None, 0.0, 0))
                 continue
             # Any kind at any position: helpers.CaseBuilder puts
             # non-TTL-expired replies mid-trace too.
             kind = draw(st.sampled_from(
                 [ResponseKind.TTL_EXPIRED] * 3 + list(ResponseKind)
             ))
-            rows.append(TraceHop(
+            rows.append((
                 ttl, draw(st.sampled_from(addrs)), kind,
                 round(draw(st.floats(min_value=0, max_value=500)), 3),
                 draw(st.integers(min_value=0, max_value=0xFFFF)),
@@ -522,52 +504,60 @@ class TestTraceColumns:
         rows = cls._rows(draw, cls.ADDRS)
         trace = TraceResult(
             vp_addr=0x0A0000FE, dst=draw(st.sampled_from(cls.ADDRS)),
-            hops=rows, stop_reason="gaplimit",
+            stop_reason="gaplimit",
             probes_used=draw(st.integers(min_value=0, max_value=64)),
+            addrs=[row[1] for row in rows],
+            kinds=[row[2] for row in rows],
+            rtts=[row[3] for row in rows],
+            ipids=[row[4] for row in rows],
         )
         return rows, trace
 
-    # The per-hop definitions the column readers replaced.
+    # The per-hop definitions the column readers replaced, over each
+    # trace's drawn rows.
 
     @staticmethod
-    def _observed_reference(traces):
+    def _expired(rows):
+        """(ttl, addr) of each TTL-expired hop."""
+        return [(ttl, addr) for ttl, addr, kind, _, _ in rows
+                if addr is not None and kind is ResponseKind.TTL_EXPIRED]
+
+    @classmethod
+    def _observed_reference(cls, drawn):
         found = set()
-        for trace in traces:
-            for hop in trace.hops:
-                if (hop.addr is not None and hop.is_ttl_expired
-                        and hop.addr != trace.dst):
-                    found.add(hop.addr)
+        for rows, trace in drawn:
+            for _, addr in cls._expired(rows):
+                if addr != trace.dst:
+                    found.add(addr)
         return found
 
-    @staticmethod
-    def _first_external_reference(trace, is_external):
-        for hop in trace.hops:
-            if hop.addr is None or not hop.is_ttl_expired:
-                continue
-            if is_external(hop.addr):
-                return hop.addr
+    @classmethod
+    def _first_external_reference(cls, rows, is_external):
+        for _, addr in cls._expired(rows):
+            if is_external(addr):
+                return addr
         return None
 
     @staticmethod
-    def _adjacent_pairs_reference(traces):
+    def _adjacent_pairs_reference(drawn):
+        expired = ResponseKind.TTL_EXPIRED
         pairs = set()
-        for trace in traces:
-            hops = trace.hops
-            for left, right in zip(hops, hops[1:]):
-                if (left.addr is not None and right.addr is not None
-                        and left.is_ttl_expired and right.is_ttl_expired
-                        and left.addr != right.addr):
-                    pairs.add((left.addr, right.addr))
+        for rows, _ in drawn:
+            for (_, left, left_kind, _, _), (_, right, right_kind, _, _) \
+                    in zip(rows, rows[1:]):
+                if (left is not None and right is not None
+                        and left_kind is expired and right_kind is expired
+                        and left != right):
+                    pairs.add((left, right))
         return sorted(pairs)
 
-    @staticmethod
-    def _aims_reference(traces):
+    @classmethod
+    def _aims_reference(cls, drawn):
         aims = {}
-        for trace in traces:
-            for hop in trace.hops:
-                if (hop.addr is not None and hop.is_ttl_expired
-                        and hop.addr != trace.dst):
-                    aims.setdefault(hop.addr, (trace.dst, hop.ttl))
+        for rows, trace in drawn:
+            for ttl, addr in cls._expired(rows):
+                if addr != trace.dst:
+                    aims.setdefault(addr, (trace.dst, ttl))
         return aims
 
     def _collector(self, traces, external):
@@ -590,45 +580,57 @@ class TestTraceColumns:
             st.integers(min_value=1, max_value=4)))]
         traces = [trace for _, trace in drawn]
         for rows, trace in drawn:
-            assert trace.hops == rows
-            assert trace_from_dict(trace_to_dict(trace)) == trace
+            record = trace_to_dict(trace)
+            assert [tuple(hop.values()) for hop in record["hops"]] == [
+                (ttl, None if addr is None else ntoa(addr),
+                 None if kind is None else kind.value, rtt, ipid)
+                for ttl, addr, kind, rtt, ipid in rows
+            ]
+            assert trace_from_dict(record) == trace
         external = set(data.draw(st.sets(st.sampled_from(self.ADDRS))))
         collector = self._collector(traces, external)
         assert collector.collection.observed_ttl_expired_addrs() == \
-            self._observed_reference(traces)
-        for trace in traces:
+            self._observed_reference(drawn)
+        for rows, trace in drawn:
             assert collector._first_external(trace) == \
-                self._first_external_reference(trace, external.__contains__)
+                self._first_external_reference(rows, external.__contains__)
         assert collector._adjacent_pairs() == \
-            self._adjacent_pairs_reference(traces)
+            self._adjacent_pairs_reference(drawn)
         prober = TTLLimitedProber(None, 0x0A0000FE)
         for trace in traces:
             prober.learn_from_trace(trace)
-        assert prober._aims == self._aims_reference(traces)
+        assert prober._aims == self._aims_reference(drawn)
 
     def test_rows_must_hold_ttls_one_to_n(self):
-        expired = ResponseKind.TTL_EXPIRED
-        with pytest.raises(ValueError, match="TTL"):
-            TraceResult(1, 2, hops=[TraceHop(1, 5, expired, 1.0, 0),
-                                    TraceHop(7, 6, expired, 1.0, 0)])
-        with pytest.raises(ValueError):
-            TraceResult(1, 2, hops=[TraceHop(1, None, expired, 0.0, 0)])
-        trace = TraceResult(1, 2, hops=[TraceHop(1, None, None, 0.0, 0)])
+        """The trace codec is the one check of outside hop rows: their
+        TTLs must run 1..n, and a row has an address exactly when it has
+        a reply kind.  A trace's own columns must be equally long."""
+        def record(*rows):
+            return {
+                "vp": "10.0.0.254", "dst": "10.0.0.1",
+                "stop_reason": "gaplimit",
+                "hops": [dict(zip(("ttl", "addr", "kind", "rtt", "ipid"), row))
+                         for row in rows],
+            }
+
+        expired = ResponseKind.TTL_EXPIRED.value
+        with pytest.raises(DataError, match="TTL"):
+            trace_from_dict(record((1, "10.0.0.5", expired, 1.0, 0),
+                                   (7, "10.0.0.6", expired, 1.0, 0)))
+        with pytest.raises(DataError, match="reply kind"):
+            trace_from_dict(record((1, None, expired, 0.0, 0)))
+        with pytest.raises(DataError, match="reply kind"):
+            trace_from_dict(record((1, "10.0.0.5", None, 0.0, 0)))
+        trace = trace_from_dict(record((1, None, None, 0.0, 0)))
         assert trace.addrs == (None,) and trace.kinds == (None,)
-        with pytest.raises(AttributeError):
-            trace.hops = []
+        with pytest.raises(ValueError, match="equally long"):
+            TraceResult(1, 2, addrs=(None,), kinds=())
 
     def test_collector_keeps_no_hop_objects(self):
-        """After a collection and its router graph, no TraceHop is alive
-        and the collector untracks every trace's int and float columns
-        and every path's two tuples: a kept trace costs it two tracked
-        objects, the trace and its kinds."""
-
-        def live_hops():
-            gc.collect()
-            return sum(1 for obj in gc.get_objects() if type(obj) is TraceHop)
-
-        before = live_hops()
+        """After a collection and its router graph, the collector untracks
+        every trace's int and float columns and every path's two tuples:
+        a kept trace costs it two tracked objects, the trace and its
+        kinds, however many hops it has."""
         scenario = build_scenario(mini(seed=2))
         view = collect_public_view(
             scenario.internet, scenario.network.oracle,
@@ -640,7 +642,7 @@ class TestTraceColumns:
             CollectionConfig(ally_rounds=2, ally_interval=5.0),
         ).run()
         graph = build_router_graph(collection)
-        assert live_hops() == before
+        gc.collect()
         assert collection.traces and graph.paths
         for trace in collection.traces:
             for column in (trace.addrs, trace.rtts, trace.ipids):

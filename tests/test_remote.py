@@ -124,13 +124,15 @@ class TestProber:
             "probes": trace.probes_used,
             "hops": [
                 {
-                    "ttl": hop.ttl,
-                    "addr": ntoa(hop.addr) if hop.addr is not None else None,
-                    "kind": hop.kind.value if hop.kind is not None else None,
-                    "rtt": round(hop.rtt, 3),
-                    "ipid": hop.ipid,
+                    "ttl": ttl,
+                    "addr": ntoa(addr) if addr is not None else None,
+                    "kind": kind.value if kind is not None else None,
+                    "rtt": round(rtt, 3),
+                    "ipid": ipid,
                 }
-                for hop in trace.hops
+                for ttl, (addr, kind, rtt, ipid) in enumerate(
+                    zip(trace.addrs, trace.kinds, trace.rtts, trace.ipids), 1
+                )
             ],
         }
         assert encode(reply) == encode(Reply(seq=1, payload=expected))

@@ -1,156 +1,88 @@
-"""Tests for the radix trie and its frozen LPM, including property tests
-against brute force and against each other."""
+"""Tests for the frozen longest-prefix match, including property tests
+against a brute-force longest match."""
 
 from hypothesis import given, strategies as st
 
 from repro.addr import MAX_ADDR, Prefix, aton
-from repro.trie import FrozenLPM, PrefixTrie
+from repro.trie import FrozenLPM
 
 
 def _prefix(text):
     return Prefix.parse(text)
 
 
+def _longest_match(table, addr):
+    """The reference: the (prefix, value) of the longest prefix in
+    ``table`` that covers ``addr``, by trying every prefix."""
+    best = None
+    for prefix, value in table.items():
+        if addr in prefix and (best is None or prefix.plen > best[0].plen):
+            best = (prefix, value)
+    return best
+
+
 class TestBasics:
     def test_empty(self):
-        trie = PrefixTrie()
-        assert len(trie) == 0
-        assert not trie
-        assert trie.lookup(0) is None
+        frozen = FrozenLPM({}.items())
+        assert list(frozen.ranges()) == [(0, None, None)]
+        assert frozen.lookup(0) is None
 
     def test_insert_and_exact(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), "a")
-        assert trie.exact(_prefix("10.0.0.0/8")) == "a"
-        assert trie.exact(_prefix("10.0.0.0/9")) is None
-        assert len(trie) == 1
+        """One prefix answers exactly its own span, and nothing else."""
+        eight = _prefix("10.0.0.0/8")
+        frozen = FrozenLPM([(eight, "a")])
+        assert list(frozen.ranges()) == [
+            (0, None, None), (eight.addr, eight, "a"),
+            (eight.last + 1, None, None),
+        ]
 
     def test_replace_keeps_len(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), "a")
-        trie.insert(_prefix("10.0.0.0/8"), "b")
-        assert len(trie) == 1
-        assert trie.exact(_prefix("10.0.0.0/8")) == "b"
+        prefix = _prefix("10.0.0.0/8")
+        once = FrozenLPM([(prefix, "a")])
+        twice = FrozenLPM([(prefix, "a"), (prefix, "b")])
+        assert len(twice.starts) == len(once.starts)
+        assert twice.lookup(aton("10.1.2.3")) == (prefix, "b")
 
     def test_contains(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), "a")
-        assert _prefix("10.0.0.0/8") in trie
-        assert _prefix("11.0.0.0/8") not in trie
-
-    def test_remove(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), "a")
-        assert trie.remove(_prefix("10.0.0.0/8"))
-        assert not trie.remove(_prefix("10.0.0.0/8"))
-        assert len(trie) == 0
-        assert trie.lookup(aton("10.1.1.1")) is None
+        """Every match contains the address it answers."""
+        frozen = FrozenLPM([(_prefix("10.0.0.0/8"), "a"),
+                            (_prefix("10.1.0.0/16"), "b")])
+        for text in ("10.0.0.0", "10.1.0.0", "10.1.255.255", "10.2.0.0",
+                     "10.255.255.255"):
+            prefix, _ = frozen.lookup(aton(text))
+            assert aton(text) in prefix
+        assert frozen.lookup(aton("11.0.0.0")) is None
+        assert frozen.lookup(aton("9.255.255.255")) is None
 
     def test_default_route(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("0.0.0.0/0"), "default")
-        assert trie.lookup_value(aton("203.0.113.7")) == "default"
+        frozen = FrozenLPM([(_prefix("0.0.0.0/0"), "default")])
+        assert frozen.lookup_value(aton("203.0.113.7")) == "default"
+        assert frozen.lookup_value(MAX_ADDR) == "default"
 
 
 class TestLongestPrefixMatch:
     def test_picks_most_specific(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), "eight")
-        trie.insert(_prefix("10.1.0.0/16"), "sixteen")
-        trie.insert(_prefix("10.1.2.0/24"), "twentyfour")
-        assert trie.lookup_value(aton("10.1.2.3")) == "twentyfour"
-        assert trie.lookup_value(aton("10.1.3.1")) == "sixteen"
-        assert trie.lookup_value(aton("10.2.0.1")) == "eight"
-        assert trie.lookup_value(aton("11.0.0.1")) is None
+        frozen = FrozenLPM([
+            (_prefix("10.0.0.0/8"), "eight"),
+            (_prefix("10.1.0.0/16"), "sixteen"),
+            (_prefix("10.1.2.0/24"), "twentyfour"),
+        ])
+        assert frozen.lookup_value(aton("10.1.2.3")) == "twentyfour"
+        assert frozen.lookup_value(aton("10.1.3.1")) == "sixteen"
+        assert frozen.lookup_value(aton("10.2.0.1")) == "eight"
+        assert frozen.lookup_value(aton("11.0.0.1")) is None
 
     def test_lookup_returns_matched_prefix(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.1.0.0/16"), "v")
-        prefix, value = trie.lookup(aton("10.1.200.200"))
+        frozen = FrozenLPM([(_prefix("10.1.0.0/16"), "v")])
+        prefix, value = frozen.lookup(aton("10.1.200.200"))
         assert prefix == _prefix("10.1.0.0/16")
         assert value == "v"
 
-    def test_lookup_all_least_specific_first(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), 8)
-        trie.insert(_prefix("10.1.0.0/16"), 16)
-        matches = trie.lookup_all(aton("10.1.0.1"))
-        assert [v for _, v in matches] == [8, 16]
-
     def test_host_route(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), "net")
-        trie.insert(Prefix(aton("10.0.0.1"), 32), "host")
-        assert trie.lookup_value(aton("10.0.0.1")) == "host"
-        assert trie.lookup_value(aton("10.0.0.2")) == "net"
-
-
-class TestCovered:
-    def test_covered_iterates_subtree(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), "a")
-        trie.insert(_prefix("10.1.0.0/16"), "b")
-        trie.insert(_prefix("11.0.0.0/8"), "c")
-        found = {str(p) for p, _ in trie.covered(_prefix("10.0.0.0/8"))}
-        assert found == {"10.0.0.0/8", "10.1.0.0/16"}
-
-    def test_items_returns_everything(self):
-        trie = PrefixTrie()
-        entries = {"10.0.0.0/8": 1, "10.128.0.0/9": 2, "192.168.0.0/16": 3}
-        for text, value in entries.items():
-            trie.insert(_prefix(text), value)
-        assert {str(p): v for p, v in trie.items()} == entries
-
-    def test_covered_missing_subtree_empty(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), "a")
-        assert list(trie.covered(_prefix("192.0.0.0/8"))) == []
-
-
-prefix_strategy = st.builds(
-    lambda addr, plen: Prefix.of(addr, plen),
-    st.integers(min_value=0, max_value=MAX_ADDR),
-    st.integers(min_value=0, max_value=32),
-)
-
-
-class TestProperties:
-    @given(st.dictionaries(prefix_strategy, st.integers(), max_size=40),
-           st.lists(st.integers(min_value=0, max_value=MAX_ADDR), max_size=25))
-    def test_lpm_matches_bruteforce(self, table, probes):
-        trie = PrefixTrie()
-        for prefix, value in table.items():
-            trie.insert(prefix, value)
-        for addr in probes:
-            expected = None
-            for prefix, value in table.items():
-                if addr in prefix:
-                    if expected is None or prefix.plen > expected[0].plen:
-                        expected = (prefix, value)
-            got = trie.lookup(addr)
-            if expected is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert got[0].plen == expected[0].plen
-                assert got[1] == expected[1]
-
-    @given(st.sets(prefix_strategy, max_size=40))
-    def test_len_and_items_consistent(self, prefixes):
-        trie = PrefixTrie()
-        for index, prefix in enumerate(sorted(prefixes)):
-            trie.insert(prefix, index)
-        assert len(trie) == len(prefixes)
-        assert {p for p, _ in trie.items()} == prefixes
-
-    @given(st.sets(prefix_strategy, min_size=1, max_size=20))
-    def test_remove_all_empties(self, prefixes):
-        trie = PrefixTrie()
-        for prefix in prefixes:
-            trie.insert(prefix, "x")
-        for prefix in prefixes:
-            assert trie.remove(prefix)
-        assert len(trie) == 0
+        frozen = FrozenLPM([(_prefix("10.0.0.0/8"), "net"),
+                            (Prefix(aton("10.0.0.1"), 32), "host")])
+        assert frozen.lookup_value(aton("10.0.0.1")) == "host"
+        assert frozen.lookup_value(aton("10.0.0.2")) == "net"
 
 
 #: Prefixes at the corners of the address space, mixed into the clustered
@@ -190,17 +122,38 @@ def _probes(table, extra):
     return sorted(probes)
 
 
+prefix_strategy = st.builds(
+    lambda addr, plen: Prefix.of(addr, plen),
+    st.integers(min_value=0, max_value=MAX_ADDR),
+    st.integers(min_value=0, max_value=32),
+)
+
+
+def _assert_matches_longest(frozen, table, probes):
+    for addr in probes:
+        expected = _longest_match(table, addr)
+        assert frozen.lookup(addr) == expected
+        assert frozen.lookup_value(addr) == (
+            None if expected is None else expected[1]
+        )
+
+
+class TestProperties:
+    @given(st.dictionaries(prefix_strategy, st.integers(), max_size=40),
+           st.lists(st.integers(min_value=0, max_value=MAX_ADDR), max_size=25))
+    def test_lpm_matches_bruteforce(self, table, probes):
+        """Tables of prefixes spread over the whole address space."""
+        _assert_matches_longest(FrozenLPM(table.items()), table, probes)
+
+
 class TestFrozenLPM:
     @given(clustered_tables(),
            st.lists(st.integers(min_value=0, max_value=MAX_ADDR), max_size=10))
     def test_matches_the_trie(self, table, extra):
-        trie = PrefixTrie()
-        for prefix, value in table.items():
-            trie.insert(prefix, value)
-        frozen = FrozenLPM(table.items())
-        for addr in _probes(table, extra):
-            assert frozen.lookup(addr) == trie.lookup(addr)
-            assert frozen.lookup_value(addr) == trie.lookup_value(addr)
+        """Nested, abutting prefixes probed at every edge answer as the
+        brute-force longest match does."""
+        _assert_matches_longest(FrozenLPM(table.items()), table,
+                                _probes(table, extra))
 
     @given(clustered_tables())
     def test_ranges_sorted_disjoint_and_unmerged(self, table):
@@ -215,21 +168,12 @@ class TestFrozenLPM:
         # A prefix its more-specifics cover whole answers nowhere.
         assert {p for p in frozen.prefixes if p is not None} <= set(table)
 
-    @given(clustered_tables())
-    def test_trie_freeze_is_the_same_table(self, table):
-        trie = PrefixTrie()
-        for prefix, value in table.items():
-            trie.insert(prefix, value)
-        frozen, direct = trie.freeze(), FrozenLPM(table.items())
-        assert list(frozen.ranges()) == list(direct.ranges())
-
     def test_empty_table(self):
         frozen = FrozenLPM()
         assert frozen.starts == [0]
         for addr in (0, 1, aton("10.1.2.3"), MAX_ADDR):
             assert frozen.lookup(addr) is None
             assert frozen.lookup_value(addr) is None
-        assert PrefixTrie().freeze().lookup(MAX_ADDR) is None
 
     def test_equal_values_keep_their_own_prefix(self):
         outer, inner, beside = (_prefix("10.0.0.0/8"), _prefix("10.1.0.0/16"),
@@ -249,8 +193,9 @@ class TestFrozenLPM:
         assert frozen.lookup_value(aton("10.1.0.1")) == "b"
 
     def test_later_inserts_do_not_reach_a_frozen_trie(self):
-        trie = PrefixTrie()
-        trie.insert(_prefix("10.0.0.0/8"), "a")
-        frozen = trie.freeze()
-        trie.insert(_prefix("10.1.0.0/16"), "b")
+        """A frozen table copies its pairs: a prefix added to their source
+        afterwards does not reach it."""
+        table = {_prefix("10.0.0.0/8"): "a"}
+        frozen = FrozenLPM(table.items())
+        table[_prefix("10.1.0.0/16")] = "b"
         assert frozen.lookup_value(aton("10.1.0.1")) == "a"

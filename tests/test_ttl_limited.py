@@ -50,14 +50,17 @@ class TestLearning:
         assert not prober.can_probe(0xCB007107)
 
     def test_learn_skips_dst_matching_hops(self, scenario):
-        from repro.probing.traceroute import TraceHop, TraceResult
+        from repro.probing.traceroute import TraceResult
         from repro.net import ResponseKind
 
         prober = TTLLimitedProber(scenario.network, scenario.vps[0].addr)
         trace = TraceResult(
             vp_addr=0,
             dst=42,
-            hops=[TraceHop(1, 42, ResponseKind.TTL_EXPIRED, 0.0, 0)],
+            addrs=(42,),
+            kinds=(ResponseKind.TTL_EXPIRED,),
+            rtts=(0.0,),
+            ipids=(0,),
         )
         prober.learn_from_trace(trace)
         assert not prober.can_probe(42)
